@@ -37,11 +37,10 @@ from .errors import (
     RegionPopulationError,
 )
 from .model import (
-    AugmentedSample,
     DesignSpace,
     LimitStateModel,
     RandomVariableSpec,
-    design_prior_density,
+    SampleSet,
     resolve_parameters,
 )
 from .optimize import DesignProblem, OptimalDesign, objective_mean_area, optimize
@@ -63,7 +62,6 @@ from .reliability import (
 from .smoothing import SmoothedFPF, extract_support_points, fit_surface, smoothed_fpf
 
 __all__ = [
-    "AugmentedSample",
     "BinaryPartition",
     "Box",
     "BoxBeamModel",
@@ -86,6 +84,7 @@ __all__ = [
     "RegionIndicator",
     "RegionPopulationError",
     "RunConfig",
+    "SampleSet",
     "SmoothedFPF",
     "TableModel",
     "ToyModel",
@@ -95,7 +94,6 @@ __all__ = [
     "beam_section",
     "beam_variable_specs",
     "bsp_estimate",
-    "design_prior_density",
     "direct_mcs",
     "extract_support_points",
     "fit_surface",

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .bsp import BinaryPartition, CutNode, LeafCell, PiecewiseConstantDensity
-from .model import AugmentedSample, DesignSpace
+from .model import DesignSpace, SampleSet
 from .pipeline import PartitionLevel, RegionChainResult
 from .regions import Box, RegionIndicator
 from .smoothing import RegressionSurface, SmoothedFPF
@@ -52,15 +52,12 @@ def sha256_of(path: Path) -> str:
 # ---------------------------------------------------------------- samples ---
 
 
-def write_samples_csv(
-    path: Path, samples, theta_names: list[str]
-) -> None:
-    ndim = samples[0].phi.size if samples else 0
+def write_samples_csv(path: Path, samples: SampleSet, theta_names: list[str]) -> None:
+    """One row per sample; ``failed`` is the constant 1 (all are failures)."""
+    ndim = samples.phi.shape[1]
     header = [f"phi_{i + 1}" for i in range(ndim)] + theta_names + ["performance", "failed"]
-    rows = (
-        list(s.phi) + list(s.theta) + [s.performance, s.failed] for s in samples
-    )
-    write_csv(path, header, rows)
+    table = np.hstack([samples.phi, samples.theta, samples.performance[:, None]])
+    write_csv(path, header, (row + [True] for row in table.tolist()))
 
 
 # ----------------------------------------------------------- grid oracles ---

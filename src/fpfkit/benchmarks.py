@@ -98,10 +98,6 @@ class BoxBeamModel(LimitStateModel):
         out = np.maximum(lo - performance, performance - hi)
         return out if out.ndim else float(out)
 
-    def theta_valid(self, phi: np.ndarray, theta: np.ndarray) -> bool:
-        b, h, t, rho, e = theta
-        return bool(b > 2 * t and h > 2 * t and t > 0 and rho > 0 and e > 0)
-
     def theta_valid_batch(self, phis: np.ndarray, thetas: np.ndarray) -> np.ndarray:
         b, h, t, rho, e = (thetas[:, j] for j in range(5))
         return (b > 2 * t) & (h > 2 * t) & (t > 0) & (rho > 0) & (e > 0)

@@ -11,9 +11,11 @@ continuous margin (margin <= 0 is failure).
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
+
+from .errors import FpfkitError
 
 
 @dataclass(frozen=True)
@@ -58,11 +60,6 @@ class DesignSpace:
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         """n uniform design points, shape (n, ndim)."""
         return rng.uniform(self.lower, self.upper, size=(n, self.ndim))
-
-
-def design_prior_density(space: DesignSpace, phi: np.ndarray) -> float:
-    """Uniform artificial prior p(phi): 1/volume inside the box, 0 outside."""
-    return 1.0 / space.volume if space.contains(np.asarray(phi, dtype=float)) else 0.0
 
 
 @dataclass(frozen=True)
@@ -144,13 +141,38 @@ def resolve_parameters(
 
 
 @dataclass(frozen=True)
-class AugmentedSample:
-    """One evaluated point of the augmented space."""
+class SampleSet:
+    """Failure samples of the augmented space as aligned arrays.
+
+    ``phi`` (..., d_phi), ``theta`` (..., d_theta) and ``performance`` (...)
+    share their leading axes: one row per sample, or (chains, steps) for chain
+    output. Every sample the pipeline holds is a failure, so there is no flag.
+    """
 
     phi: np.ndarray
     theta: np.ndarray
-    performance: float
-    failed: bool
+    performance: np.ndarray
+
+    def __len__(self) -> int:
+        return self.performance.shape[0]
+
+    def __getitem__(self, index) -> "SampleSet":
+        return SampleSet(self.phi[index], self.theta[index], self.performance[index])
+
+    def flatten(self) -> "SampleSet":
+        """Leading axes merged into rows, in C order (chain-major)."""
+        n = self.performance.size
+        return SampleSet(
+            self.phi.reshape(n, -1), self.theta.reshape(n, -1), self.performance.reshape(n)
+        )
+
+    @staticmethod
+    def concat(sets, axis: int = 0) -> "SampleSet":
+        return SampleSet(
+            np.concatenate([s.phi for s in sets], axis=axis),
+            np.concatenate([s.theta for s in sets], axis=axis),
+            np.concatenate([s.performance for s in sets], axis=axis),
+        )
 
 
 class LimitStateModel:
@@ -162,8 +184,9 @@ class LimitStateModel:
     itself must be pure (no state besides the counter).
 
     Subclasses implement ``performance_batch`` (vectorized over rows) and
-    ``margin``; ``theta_valid`` may reject physically meaningless draws so
-    samplers can redraw instead of clamping.
+    ``margin``; ``theta_valid_batch`` may reject physically meaningless draws
+    so samplers can redraw instead of clamping. A non-finite performance is
+    an error, never a safe outcome.
     """
 
     name = "model"
@@ -183,17 +206,8 @@ class LimitStateModel:
         """Continuous failure margin; <= 0 iff failed. Accepts arrays."""
         raise NotImplementedError
 
-    def theta_valid(self, phi: np.ndarray, theta: np.ndarray) -> bool:
-        return True
-
     def theta_valid_batch(self, phis: np.ndarray, thetas: np.ndarray) -> np.ndarray:
         return np.ones(thetas.shape[0], dtype=bool)
-
-    def evaluate(self, phi: np.ndarray, theta: np.ndarray) -> tuple[float, bool]:
-        perf, failed = self.evaluate_batch(
-            np.asarray(phi, dtype=float)[None, :], np.asarray(theta, dtype=float)[None, :]
-        )
-        return float(perf[0]), bool(failed[0])
 
     def evaluate_batch(
         self, phis: np.ndarray, thetas: np.ndarray
@@ -205,6 +219,13 @@ class LimitStateModel:
         perf = np.asarray(self.performance_batch(phis, thetas), dtype=float)
         with self._lock:
             self._count += phis.shape[0]
+        finite = np.isfinite(perf)
+        if not finite.all():
+            i = int(np.argmin(finite))
+            raise FpfkitError(
+                f"model {self.name!r} returned performance {float(perf[i])!r} at "
+                f"phi={phis[i].tolist()}, theta={thetas[i].tolist()}"
+            )
         return perf, np.asarray(self.margin(perf)) <= 0.0
 
 
@@ -229,16 +250,3 @@ def sample_theta(
         thetas[bad] = rng.normal(mus[bad], sigmas[bad])
         bad = ~model.theta_valid_batch(phis, thetas)
     return thetas
-
-
-def sample_augmented(
-    space: DesignSpace,
-    specs: tuple[RandomVariableSpec, ...],
-    model: LimitStateModel,
-    rng: np.random.Generator,
-) -> AugmentedSample:
-    """One joint draw: phi uniform over the box, theta | phi, one evaluation."""
-    phi = space.sample(rng, 1)
-    theta = sample_theta(specs, model, phi, rng)
-    perf, failed = model.evaluate_batch(phi, theta)
-    return AugmentedSample(phi[0], theta[0], float(perf[0]), bool(failed[0]))

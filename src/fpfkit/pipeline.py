@@ -27,7 +27,7 @@ import numpy as np
 
 from .bsp import PiecewiseConstantDensity, bsp_estimate
 from .errors import ConvergenceError, DegenerateThresholdError, RegionPopulationError
-from .model import AugmentedSample, DesignSpace, LimitStateModel, RandomVariableSpec
+from .model import DesignSpace, LimitStateModel, RandomVariableSpec, SampleSet
 from .regions import Box, RegionIndicator
 from .reliability import (
     ChainParams,
@@ -118,7 +118,7 @@ class PartitionLevel:
     high_region: RegionIndicator
     low_region: RegionIndicator
     low_mask: np.ndarray
-    samples: tuple[AugmentedSample, ...]
+    samples: SampleSet
 
     def conditional_density(self, phi: np.ndarray) -> float:
         """p(phi | F, D_k) estimate; valid for phi in D_k."""
@@ -131,7 +131,7 @@ def build_level(
     raw: PiecewiseConstantDensity,
     weight: float,
     mass_ratio: float,
-    samples: tuple[AugmentedSample, ...],
+    samples: SampleSet,
 ) -> PartitionLevel:
     """Restrict a raw estimate to its region and split it by density.
 
@@ -344,7 +344,7 @@ def run_pipeline(
         )
     evals["pilot"] = model.n_evaluations - mark
     pf = pilot.pf
-    samples: list[AugmentedSample] = list(pilot.samples)
+    samples = pilot.samples
     if len(samples) < 2 * space.ndim:
         raise ConvergenceError(
             f"pilot produced only {len(samples)} failure samples; "
@@ -359,11 +359,10 @@ def run_pipeline(
     prior = 1.0 / space.volume
 
     for k in range(config.max_iterations + 1):
-        points = np.array([s.phi for s in samples])
         bbox = region.bounding_box()
         bsp_rng = np.random.Generator(np.random.PCG64(seed_seq.spawn(1)[0]))
         raw = bsp_estimate(
-            points,
+            samples.phi,
             bbox.lo,
             bbox.hi,
             bsp_rng,
@@ -373,7 +372,7 @@ def run_pipeline(
             max_leaves=config.bsp.max_leaves,
         )
         try:
-            level = build_level(k, region, raw, weight, config.mass_ratio, tuple(samples))
+            level = build_level(k, region, raw, weight, config.mass_ratio, samples)
         except DegenerateThresholdError:
             if not levels:
                 raise
@@ -392,7 +391,7 @@ def run_pipeline(
 
         weight *= level.ratio
         region = level.low_region
-        n_seeds = sum(1 for s in samples if region.contains(s.phi))
+        n_seeds = int(np.count_nonzero(region.contains(samples.phi)))
         if n_seeds == 0:
             raise RegionPopulationError(
                 f"no failure sample inside level-{k + 1} region",
@@ -408,7 +407,7 @@ def run_pipeline(
         n_target = n_seeds + n_chains * (steps - config.chains.burn_in)
         mark = model.n_evaluations
         samples = populate_region(
-            tuple(samples), region, model, space, specs, n_target,
+            samples, region, model, space, specs, n_target,
             config.chains, seed_seq,
         )
         evals[f"level_{k + 1}"] = model.n_evaluations - mark
@@ -422,8 +421,7 @@ def run_pipeline(
         raise AssertionError(
             f"composite density integrates to {norm!r}, off by more than 1e-10"
         )
-    pilot_phis = np.array([s.phi for s in pilot.samples])
-    vals = approx.fpf(pilot_phis)
+    vals = approx.fpf(pilot.samples.phi)
     if np.any(vals <= 0.0) or float(np.max(vals)) > 1.05:
         raise RuntimeError(
             "scaled FPF violates (0, 1.05] at pilot failure samples: "

@@ -8,6 +8,7 @@ boxes of a partition tile the space exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -40,20 +41,6 @@ class Box:
     @property
     def center(self) -> np.ndarray:
         return 0.5 * (np.asarray(self.lo) + np.asarray(self.hi))
-
-    def contains(self, x: np.ndarray, upper: tuple[float, ...]) -> bool:
-        """Half-open membership; closed where the face sits on ``upper``.
-
-        ``upper`` is the enclosing space's upper bound per axis.
-        """
-        for d in range(self.ndim):
-            if x[d] < self.lo[d]:
-                return False
-            if x[d] > self.hi[d]:
-                return False
-            if x[d] == self.hi[d] and self.hi[d] != upper[d]:
-                return False
-        return True
 
     def intersect(self, other: "Box") -> "Box | None":
         """Intersection box, or None when the overlap has zero volume."""
@@ -92,8 +79,24 @@ class RegionIndicator:
     def volume(self) -> float:
         return sum(b.volume for b in self.boxes)
 
-    def contains(self, phi: np.ndarray) -> bool:
-        return any(b.contains(phi, self.space_upper) for b in self.boxes)
+    @cached_property
+    def _bounds(self) -> tuple[np.ndarray, np.ndarray]:
+        """Box corners (n_boxes, ndim) as strict upper limits: a face on the
+        space's upper bound moves up one ulp, so ``x < limit`` there means
+        ``x <= hi``."""
+        lo = np.array([b.lo for b in self.boxes])
+        hi = np.array([b.hi for b in self.boxes])
+        closed = hi == np.asarray(self.space_upper)
+        return lo, np.where(closed, np.nextafter(hi, np.inf), hi)
+
+    def contains(self, phi: np.ndarray):
+        """Membership of one point (bool) or of each row of an (n, ndim)
+        array (bool array). Boxes are half-open, closed on the space's upper
+        face."""
+        lo, limit = self._bounds
+        x = np.asarray(phi, dtype=float)[..., None, :]
+        found = ((lo <= x) & (x < limit)).all(axis=-1).any(axis=-1)
+        return bool(found) if found.ndim == 0 else found
 
     def bounding_box(self) -> Box:
         lo = tuple(min(b.lo[d] for b in self.boxes) for d in range(self.ndim))
@@ -108,13 +111,3 @@ class RegionIndicator:
             if cut is not None:
                 pieces.append(cut)
         return tuple(pieces)
-
-
-def disjoint_volume_check(boxes: tuple[Box, ...], tol: float = 1e-9) -> bool:
-    """True when no pair of boxes overlaps with positive volume (test helper)."""
-    for i, a in enumerate(boxes):
-        for b in boxes[i + 1 :]:
-            cut = a.intersect(b)
-            if cut is not None and cut.volume > tol:
-                return False
-    return True

@@ -16,16 +16,16 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConvergenceError, RegionPopulationError
 from .model import (
-    AugmentedSample,
     DesignSpace,
     LimitStateModel,
     RandomVariableSpec,
+    SampleSet,
     resolve_parameters,
     sample_theta,
 )
@@ -44,7 +44,7 @@ class FailureEstimate:
     pf: float
     cov: float
     n_evaluations: int
-    samples: tuple[AugmentedSample, ...]
+    samples: SampleSet
     method: str
     n_levels: int = 1
     escalate: bool = False
@@ -65,25 +65,21 @@ def direct_mcs(
     """
     if n <= 0:
         raise ValueError("sample count must be positive")
-    failures: list[AugmentedSample] = []
-    n_fail = 0
+    failures: list[SampleSet] = []
     done = 0
     while done < n:
         m = min(_BATCH, n - done)
         phis = space.sample(rng, m)
         thetas = sample_theta(specs, model, phis, rng)
         perf, failed = model.evaluate_batch(phis, thetas)
-        for i in np.flatnonzero(failed):
-            failures.append(
-                AugmentedSample(phis[i].copy(), thetas[i].copy(), float(perf[i]), True)
-            )
-        n_fail += int(np.count_nonzero(failed))
+        failures.append(SampleSet(phis[failed], thetas[failed], perf[failed]))
         done += m
-    pf = n_fail / n
-    if n_fail == 0:
-        return FailureEstimate(0.0, math.inf, n, (), "direct-mcs", escalate=True)
+    samples = SampleSet.concat(failures)
+    pf = len(samples) / n
+    if pf == 0.0:
+        return FailureEstimate(0.0, math.inf, n, samples, "direct-mcs", escalate=True)
     cov = math.sqrt((1.0 - pf) / (n * pf))
-    return FailureEstimate(pf, cov, n, tuple(failures), "direct-mcs")
+    return FailureEstimate(pf, cov, n, samples, "direct-mcs")
 
 
 @dataclass(frozen=True)
@@ -101,72 +97,6 @@ class ChainParams:
             raise ValueError("max_chains must be >= 1")
         if self.scale_factor <= 0:
             raise ValueError("scale_factor must be positive")
-
-
-class _MMHKernel:
-    """Component-wise random-walk kernel on (phi, u) with a joint accept test.
-
-    ``accept(phi, performance, failed)`` decides the conditioning event.
-    Proposals are uniform with per-coordinate half-widths; a candidate equal
-    to the current state skips the model evaluation (the chain repeats).
-    """
-
-    def __init__(
-        self,
-        model: LimitStateModel,
-        space: DesignSpace,
-        specs: tuple[RandomVariableSpec, ...],
-        scales_phi: np.ndarray,
-        scales_u: np.ndarray,
-        accept,
-        rng: np.random.Generator,
-    ) -> None:
-        self.model = model
-        self.space = space
-        self.specs = specs
-        self.scales_phi = np.asarray(scales_phi, dtype=float)
-        self.scales_u = np.asarray(scales_u, dtype=float)
-        self.accept = accept
-        self.rng = rng
-        self.lower = space.lower
-        self.upper = space.upper
-        self.steps = 0
-        self.moves = 0
-
-    def _theta_of(self, phi: np.ndarray, u: np.ndarray) -> np.ndarray:
-        mu, sigma = resolve_parameters(self.specs, phi[None, :])
-        return mu[0] + sigma[0] * u
-
-    def u_of(self, phi: np.ndarray, theta: np.ndarray) -> np.ndarray:
-        mu, sigma = resolve_parameters(self.specs, phi[None, :])
-        return (theta - mu[0]) / sigma[0]
-
-    def step(self, state: tuple) -> tuple:
-        phi, u, theta, perf = state
-        rng = self.rng
-        self.steps += 1
-        cand_phi = phi.copy()
-        for i in range(phi.size):
-            xi = cand_phi[i] + self.scales_phi[i] * (2.0 * rng.random() - 1.0)
-            # uniform design prior: component accept is a bounds check
-            if self.lower[i] <= xi <= self.upper[i]:
-                cand_phi[i] = xi
-        cand_u = u.copy()
-        for j in range(u.size):
-            xj = cand_u[j] + self.scales_u[j] * (2.0 * rng.random() - 1.0)
-            ratio = math.exp(-0.5 * (xj * xj - cand_u[j] * cand_u[j]))
-            if rng.random() < ratio:
-                cand_u[j] = xj
-        if np.array_equal(cand_phi, phi) and np.array_equal(cand_u, u):
-            return state
-        cand_theta = self._theta_of(cand_phi, cand_u)
-        if not self.model.theta_valid(cand_phi, cand_theta):
-            return state
-        cand_perf, cand_failed = self.model.evaluate(cand_phi, cand_theta)
-        if self.accept(cand_phi, cand_perf, cand_failed):
-            self.moves += 1
-            return (cand_phi, cand_u, cand_theta, cand_perf)
-        return state
 
 
 def _seed_scales(
@@ -187,41 +117,87 @@ def _seed_scales(
 
 
 def mmh_chain(
-    seed: AugmentedSample,
-    region: RegionIndicator,
+    seeds: SampleSet,
+    region: RegionIndicator | None,
     model: LimitStateModel,
     space: DesignSpace,
     specs: tuple[RandomVariableSpec, ...],
     scales_phi: np.ndarray,
     scales_u: np.ndarray,
     n_steps: int,
-    rng: np.random.Generator,
-) -> list[AugmentedSample]:
-    """Chain of ``n_steps`` states targeting p(phi, theta | F, phi in region).
+    rngs: list[np.random.Generator],
+    tau: float = 0.0,
+) -> SampleSet:
+    """Lockstep component-wise MMH chains, one per seed row.
 
-    The seed must itself be a failed sample inside the region. Every emitted
-    state is failed and in-region; repeated states are genuine chain output.
+    Chain c draws only from ``rngs[c]`` and targets p(phi, theta |
+    margin <= tau, phi in region); ``region`` None conditions on the margin
+    alone. Each step proposes every design coordinate (uniform half-widths
+    ``scales_phi``, kept inside the design box) and every u coordinate
+    (half-widths ``scales_u``, standard-normal ratio accept). Candidates that
+    moved and have a valid theta are evaluated in one batch; the rest repeat
+    their state, as do those outside the conditioning event. Returns the
+    states as (len(seeds), n_steps) leading axes; repeats are genuine output.
     """
-    if not seed.failed:
-        raise ValueError("chain seed must be a failure sample")
-    if not region.contains(seed.phi):
+    if len(rngs) != len(seeds):
+        raise ValueError("mmh_chain needs one generator per seed")
+    if not np.all(np.asarray(model.margin(seeds.performance)) <= tau):
+        raise ValueError(f"chain seed must be a failure sample (margin <= {tau})")
+    if region is not None and not np.all(region.contains(seeds.phi)):
         raise ValueError("chain seed lies outside the target region")
 
-    def accept(phi: np.ndarray, perf: float, failed: bool) -> bool:
-        return failed and region.contains(phi)
-
-    kernel = _MMHKernel(model, space, specs, scales_phi, scales_u, accept, rng)
-    u = kernel.u_of(seed.phi, seed.theta)
-    state = (seed.phi.copy(), u, seed.theta.copy(), seed.performance)
-    out: list[AugmentedSample] = []
-    for _ in range(n_steps):
-        state = kernel.step(state)
-        out.append(AugmentedSample(state[0].copy(), state[2].copy(), state[3], True))
+    phi = seeds.phi.copy()
+    theta = seeds.theta.copy()
+    perf = np.array(seeds.performance, dtype=float)
+    mus, sigmas = resolve_parameters(specs, phi)
+    u = (theta - mus) / sigmas
+    m, d_phi = phi.shape
+    lower, upper = space.lower, space.upper
+    # per step and chain: one uniform per design coordinate, then a
+    # (proposal, accept) pair per u coordinate
+    draws = np.stack(
+        [rng.random((n_steps, d_phi + 2 * u.shape[1])) for rng in rngs], axis=1
+    )
+    out = SampleSet(
+        np.empty((m, n_steps, d_phi)),
+        np.empty((m, n_steps, theta.shape[1])),
+        np.empty((m, n_steps)),
+    )
+    for t in range(n_steps):
+        r = draws[t]
+        prop = phi + scales_phi * (2.0 * r[:, :d_phi] - 1.0)
+        cand_phi = np.where((lower <= prop) & (prop <= upper), prop, phi)
+        prop = u + scales_u * (2.0 * r[:, d_phi::2] - 1.0)
+        take = r[:, d_phi + 1 :: 2] < np.exp(-0.5 * (prop * prop - u * u))
+        cand_u = np.where(take, prop, u)
+        rows = np.flatnonzero((cand_phi != phi).any(axis=1) | (cand_u != u).any(axis=1))
+        cand_phi, cand_u = cand_phi[rows], cand_u[rows]
+        mu, sigma = resolve_parameters(specs, cand_phi)
+        cand_theta = mu + sigma * cand_u
+        ok = model.theta_valid_batch(cand_phi, cand_theta)
+        if ok.any():
+            rows, cand_phi, cand_u, cand_theta = rows[ok], cand_phi[ok], cand_u[ok], cand_theta[ok]
+            cand_perf, _ = model.evaluate_batch(cand_phi, cand_theta)
+            acc = np.asarray(model.margin(cand_perf)) <= tau
+            if region is not None:
+                acc &= region.contains(cand_phi)
+            rows = rows[acc]
+            phi[rows] = cand_phi[acc]
+            u[rows] = cand_u[acc]
+            theta[rows] = cand_theta[acc]
+            perf[rows] = cand_perf[acc]
+        out.phi[:, t] = phi
+        out.theta[:, t] = theta
+        out.performance[:, t] = perf
     return out
 
 
+def _chain_rngs(seed_seq: np.random.SeedSequence, n: int) -> list[np.random.Generator]:
+    return [np.random.Generator(np.random.PCG64(s)) for s in seed_seq.spawn(n)]
+
+
 def populate_region(
-    prev: tuple[AugmentedSample, ...],
+    prev: SampleSet,
     region: RegionIndicator,
     model: LimitStateModel,
     space: DesignSpace,
@@ -229,55 +205,47 @@ def populate_region(
     n_target: int,
     params: ChainParams,
     seed_seq: np.random.SeedSequence,
-) -> list[AugmentedSample]:
+) -> SampleSet:
     """Grow the failure population of ``region`` to at least ``n_target``.
 
-    Seeds are the in-region failure samples of ``prev`` and are all retained.
-    When more samples are needed, chains start from an evenly strided subset
-    of at most ``params.max_chains`` seeds (burn-in discarded per chain, no
+    Seeds are the in-region samples of ``prev`` and are all retained. When
+    more samples are needed, chains start from an evenly strided subset of at
+    most ``params.max_chains`` seeds (burn-in discarded per chain, no
     thinning), each chain drawing from its own spawned stream, and the merged
     output is ordered by chain index so the result is deterministic.
     """
-    seeds = [s for s in prev if s.failed and region.contains(s.phi)]
-    if not seeds:
+    seeds = prev[region.contains(prev.phi)]
+    if not len(seeds):
         raise RegionPopulationError(
             "no failure sample falls inside the target region; "
             "increase the previous-stage budget",
             partial=prev,
         )
     if len(seeds) >= n_target:
-        return list(seeds)
+        return seeds
 
     n_chains = min(len(seeds), params.max_chains)
-    starters = [seeds[(j * len(seeds)) // n_chains] for j in range(n_chains)]
+    starters = [(j * len(seeds)) // n_chains for j in range(n_chains)]
     need = n_target - len(seeds)
     emissions = -(-need // n_chains)  # ceil
 
-    phis = np.array([s.phi for s in seeds])
-    mus, sigmas = resolve_parameters(specs, phis)
-    thetas = np.array([s.theta for s in seeds])
-    us = (thetas - mus) / sigmas
-    scales_phi, scales_u = _seed_scales(space, phis, us, params.scale_factor)
+    mus, sigmas = resolve_parameters(specs, seeds.phi)
+    us = (seeds.theta - mus) / sigmas
+    scales_phi, scales_u = _seed_scales(space, seeds.phi, us, params.scale_factor)
 
-    out = list(seeds)
-    distinct = 0
-    total = 0
-    for starter in starters:
-        rng = np.random.Generator(np.random.PCG64(seed_seq.spawn(1)[0]))
-        states = mmh_chain(
-            starter, region, model, space, specs,
-            scales_phi, scales_u, params.burn_in + emissions, rng,
-        )[params.burn_in :]
-        out.extend(states)
-        total += len(states)
-        distinct += len({tuple(s.phi) for s in states})
+    states = mmh_chain(
+        seeds[starters], region, model, space, specs, scales_phi, scales_u,
+        params.burn_in + emissions, _chain_rngs(seed_seq, n_chains),
+    )[:, params.burn_in :]
+    total = states.performance.size
+    distinct = sum(len(np.unique(p, axis=0)) for p in states.phi)
     if total and distinct / total < 0.05:
         logger.warning(
             "stuck chains while populating region: %.1f%% distinct states "
             "(proposal scales may have collapsed)",
             100.0 * distinct / total,
         )
-    return out
+    return SampleSet.concat([seeds, states.flatten()])
 
 
 def subset_simulation(
@@ -313,20 +281,17 @@ def subset_simulation(
     phis = space.sample(rng, n_per_level)
     thetas = sample_theta(specs, model, phis, rng)
     perf, _ = model.evaluate_batch(phis, thetas)
-    margins = np.asarray(model.margin(perf), dtype=float)
+    pop = SampleSet(phis, thetas, perf)
 
     level = 0
     while True:
-        frac_fail = float(np.count_nonzero(margins <= 0.0)) / n_per_level
+        margins = np.asarray(model.margin(pop.performance), dtype=float)
+        failed = margins <= 0.0
+        frac_fail = float(np.count_nonzero(failed)) / n_per_level
         order = np.argsort(margins, kind="stable")
         tau = float(margins[order[n0 - 1]])
         if tau <= 0.0:
             pf = (p0**level) * frac_fail
-            fail_idx = np.flatnonzero(margins <= 0.0)
-            samples = tuple(
-                AugmentedSample(phis[i].copy(), thetas[i].copy(), float(perf[i]), True)
-                for i in fail_idx
-            )
             terms = level * (1.0 - p0) / (n_per_level * p0)
             if frac_fail > 0:
                 terms += (1.0 - frac_fail) / (n_per_level * frac_fail)
@@ -335,7 +300,7 @@ def subset_simulation(
                 pf,
                 cov,
                 model.n_evaluations - n_evals_start,
-                samples,
+                pop[failed],
                 "subset-simulation",
                 n_levels=level + 1,
                 escalate=pf == 0.0,
@@ -347,33 +312,12 @@ def subset_simulation(
                 partial={"levels": level, "threshold": tau},
             )
 
-        seed_idx = order[:n0]
-        s_phis = phis[seed_idx]
-        mus, sigmas = resolve_parameters(specs, s_phis)
-        s_us = (thetas[seed_idx] - mus) / sigmas
-        scales_phi, scales_u = _seed_scales(space, s_phis, s_us, 1.0)
-
-        def accept(phi: np.ndarray, p: float, failed: bool, _tau=tau) -> bool:
-            return float(model.margin(p)) <= _tau
-
-        steps = n_per_level // n0 - 1
-        new_phis, new_thetas, new_perf = [], [], []
-        for c in range(n0):
-            chain_rng = np.random.Generator(np.random.PCG64(seed_seq.spawn(1)[0]))
-            kernel = _MMHKernel(
-                model, space, specs, scales_phi, scales_u, accept, chain_rng
-            )
-            state = (
-                s_phis[c].copy(),
-                s_us[c].copy(),
-                thetas[seed_idx[c]].copy(),
-                float(perf[seed_idx[c]]),
-            )
-            new_phis.append(state[0]); new_thetas.append(state[2]); new_perf.append(state[3])
-            for _ in range(steps):
-                state = kernel.step(state)
-                new_phis.append(state[0]); new_thetas.append(state[2]); new_perf.append(state[3])
-        phis = np.array(new_phis)
-        thetas = np.array(new_thetas)
-        perf = np.array(new_perf)
-        margins = np.asarray(model.margin(perf), dtype=float)
+        seeds = pop[order[:n0]]
+        mus, sigmas = resolve_parameters(specs, seeds.phi)
+        s_us = (seeds.theta - mus) / sigmas
+        scales_phi, scales_u = _seed_scales(space, seeds.phi, s_us, 1.0)
+        states = mmh_chain(
+            seeds, None, model, space, specs, scales_phi, scales_u,
+            n_per_level // n0 - 1, _chain_rngs(seed_seq, n0), tau=tau,
+        )
+        pop = SampleSet.concat([seeds[:, None], states], axis=1).flatten()

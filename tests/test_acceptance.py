@@ -190,24 +190,24 @@ def test_chain_states_reach_the_conditional_failure_distribution():
     region = RegionIndicator(
         (Box(tuple(space.lower), tuple(space.upper)),), tuple(space.upper)
     )
-    seeds = [s for s in pilot.samples if region.contains(s.phi)]
+    seeds = pilot.samples[region.contains(pilot.samples.phi)]
     assert len(seeds) > 300
 
-    phis = np.array([s.phi for s in seeds])
-    thetas = np.array([s.theta for s in seeds])
-    mus, sigmas = resolve_parameters(specs, phis)
-    scales_phi, scales_u = _seed_scales(space, phis, (thetas - mus) / sigmas, 1.0)
+    mus, sigmas = resolve_parameters(specs, seeds.phi)
+    scales_phi, scales_u = _seed_scales(
+        space, seeds.phi, (seeds.theta - mus) / sigmas, 1.0
+    )
 
     chain_rng = np.random.Generator(np.random.PCG64(seq.spawn(1)[0]))
     states = mmh_chain(
-        seeds[0], region, model, space, specs, scales_phi, scales_u,
-        210000, chain_rng,
-    )
+        seeds[:1], region, model, space, specs, scales_phi, scales_u,
+        210000, [chain_rng],
+    )[0]
     kept = states[10000::20]
     assert len(kept) == 10000
 
-    kp = np.array([s.phi[0] for s in kept])
-    kt = np.array([s.theta[0] for s in kept])
+    kp = kept.phi[:, 0]
+    kt = kept.theta[:, 0]
     # theta | phi is a normal truncated to [phi, inf), so this transform is
     # uniform on (0, 1) at stationarity
     u = (stats.norm.cdf(kt) - stats.norm.cdf(kp)) / stats.norm.sf(kp)

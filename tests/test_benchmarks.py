@@ -112,15 +112,15 @@ def test_beam_theta_validity():
     model = BoxBeamModel(band=(700.0, 900.0))
     phi = np.array([40.0, 40.0])
     good = np.array([40.0, 40.0, 2.0, 7800.0, 210.0])
-    assert model.theta_valid(phi, good)
-    for bad in (
-        np.array([3.9, 40.0, 2.0, 7800.0, 210.0]),
-        np.array([40.0, 4.0, 2.0, 7800.0, 210.0]),
-        np.array([40.0, 40.0, -0.1, 7800.0, 210.0]),
-        np.array([40.0, 40.0, 2.0, 0.0, 210.0]),
-        np.array([40.0, 40.0, 2.0, 7800.0, -1.0]),
-    ):
-        assert not model.theta_valid(phi, bad)
+    assert model.theta_valid_batch(phi[None, :], good[None, :]).tolist() == [True]
+    bad = np.array([
+        [3.9, 40.0, 2.0, 7800.0, 210.0],
+        [40.0, 4.0, 2.0, 7800.0, 210.0],
+        [40.0, 40.0, -0.1, 7800.0, 210.0],
+        [40.0, 40.0, 2.0, 0.0, 210.0],
+        [40.0, 40.0, 2.0, 7800.0, -1.0],
+    ])
+    assert model.theta_valid_batch(np.broadcast_to(phi, (5, 2)), bad).tolist() == [False] * 5
     batch = np.vstack([good, np.array([3.9, 40.0, 2.0, 7800.0, 210.0])])
     flags = model.theta_valid_batch(np.broadcast_to(phi, (2, 2)), batch)
     assert flags.tolist() == [True, False]

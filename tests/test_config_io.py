@@ -27,7 +27,7 @@ from fpfkit.benchmarks import FPFGridOracle, grid_points
 from fpfkit.bsp import bsp_estimate
 from fpfkit.config import RunConfig, load_config, parse_config
 from fpfkit.errors import ConfigError
-from fpfkit.model import AugmentedSample, DesignSpace
+from fpfkit.model import DesignSpace, SampleSet
 
 
 def _minimal(**extra) -> dict:
@@ -250,16 +250,15 @@ def test_sha256_matches_hashlib(tmp_path):
 
 
 def test_samples_csv_layout(tmp_path):
-    samples = [
-        AugmentedSample(np.array([1.5]), np.array([2.5, 0.1]), -1.0, True),
-        AugmentedSample(np.array([0.5]), np.array([0.25, 0.2]), 0.5, False),
-    ]
+    samples = SampleSet(
+        np.array([[1.5], [0.5]]), np.array([[2.5, 0.1], [0.25, 0.2]]), np.array([-1.0, -0.5])
+    )
     path = tmp_path / "samples.csv"
     write_samples_csv(path, samples, ["a", "b"])
     lines = path.read_text().splitlines()
     assert lines[0] == "phi_1,a,b,performance,failed"
     assert lines[1] == "1.5,2.5,0.1,-1.0,1"
-    assert lines[2] == "0.5,0.25,0.2,0.5,0"
+    assert lines[2] == "0.5,0.25,0.2,-0.5,1"  # every held sample is a failure
 
 
 # --------------------------------------------------------------- oracle csv ---

@@ -3,16 +3,16 @@ import threading
 import numpy as np
 import pytest
 
+from fpfkit.benchmarks import BoxBeamModel, ToyModel
+from fpfkit.errors import FpfkitError
 from fpfkit.model import (
-    AugmentedSample,
     DesignSpace,
     LimitStateModel,
     RandomVariableSpec,
-    design_prior_density,
     resolve_parameters,
-    sample_augmented,
     sample_theta,
 )
+from helpers import design_prior_density
 
 
 class LineModel(LimitStateModel):
@@ -116,9 +116,27 @@ def test_evaluation_counter_and_failure_flag():
     assert perf.tolist() == [1.0, 0.0, -1.0]
     # margin <= 0 is failure, so the boundary case fails
     assert failed.tolist() == [False, True, True]
-    p, f = m.evaluate(np.zeros(1), np.array([5.0]))
-    assert (p, f) == (-4.0, True)
+    p, f = m.evaluate_batch(np.zeros((1, 1)), np.array([[5.0]]))
+    assert (p.tolist(), f.tolist()) == ([-4.0], [True])
     assert m.n_evaluations == 4
+
+
+@pytest.mark.parametrize(
+    "model,phis,thetas",
+    [
+        (ToyModel(), [[1.0], [np.nan]], [[0.5], [0.5]]),
+        (
+            BoxBeamModel(band=(700.0, 900.0)),
+            [[40.0, 40.0], [40.0, 40.0]],
+            [[40.0, 40.0, 2.0, 7800.0, 210.0], [40.0, 40.0, 2.0, np.nan, 210.0]],
+        ),
+    ],
+)
+def test_non_finite_performance_is_an_error_not_a_safe_outcome(model, phis, thetas):
+    with pytest.raises(FpfkitError, match=rf"model '{model.name}'.*nan") as exc:
+        model.evaluate_batch(np.array(phis), np.array(thetas))
+    assert str(np.array(phis)[1].tolist()) in str(exc.value)
+    assert str(np.array(thetas)[1].tolist()) in str(exc.value)
 
 
 def test_evaluation_counter_is_thread_safe():
@@ -168,15 +186,3 @@ def test_sample_theta_gives_up_on_impossible_validity():
     specs = (RandomVariableSpec("t", mean=0.0, std=1.0),)
     with pytest.raises(RuntimeError, match="redraw"):
         sample_theta(specs, Impossible(), np.zeros((2, 1)), np.random.default_rng(0))
-
-
-def test_sample_augmented_returns_consistent_record():
-    specs = (RandomVariableSpec("t", mean=0.0, std=1.0),)
-    space = DesignSpace(((0.0, 4.0),))
-    model = LineModel()
-    s = sample_augmented(space, specs, model, np.random.default_rng(8))
-    assert isinstance(s, AugmentedSample)
-    assert space.contains(s.phi)
-    assert s.performance == 1.0 - s.theta[0]
-    assert s.failed == (s.performance <= 0.0)
-    assert model.n_evaluations == 1

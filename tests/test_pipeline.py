@@ -18,7 +18,8 @@ from fpfkit.pipeline import (
     scale_to_fpf,
     threshold_from_ratio,
 )
-from fpfkit.regions import Box, RegionIndicator, disjoint_volume_check
+from fpfkit.regions import Box, RegionIndicator
+from helpers import disjoint_volume_check
 from fpfkit.reliability import ChainParams
 
 

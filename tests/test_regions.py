@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from fpfkit.regions import Box, RegionIndicator, disjoint_volume_check
+from fpfkit.regions import Box, RegionIndicator
+from helpers import box_contains, disjoint_volume_check
 
 UP2 = (10.0, 10.0)
 
@@ -25,19 +26,18 @@ def test_box_rejects_degenerate_extent():
 
 
 def test_box_membership_is_half_open():
-    b = Box((0.0, 0.0), (2.0, 1.0))
-    assert b.contains(np.array([0.0, 0.0]), UP2)
-    assert b.contains(np.array([1.9999, 0.9999]), UP2)
+    b = RegionIndicator((Box((0.0, 0.0), (2.0, 1.0)),), UP2)
+    assert b.contains(np.array([0.0, 0.0]))
+    assert b.contains(np.array([1.9999, 0.9999]))
     # upper faces are open unless they sit on the space boundary
-    assert not b.contains(np.array([2.0, 0.5]), UP2)
-    assert not b.contains(np.array([1.0, 1.0]), UP2)
-    assert not b.contains(np.array([-0.1, 0.5]), UP2)
+    assert not b.contains(np.array([2.0, 0.5]))
+    assert not b.contains(np.array([1.0, 1.0]))
+    assert not b.contains(np.array([-0.1, 0.5]))
 
 
 def test_box_closed_on_space_upper_face():
-    b = Box((0.0,), (10.0,))
-    assert b.contains(np.array([10.0]), (10.0,))
-    assert not Box((0.0,), (5.0,)).contains(np.array([5.0]), (10.0,))
+    assert RegionIndicator((Box((0.0,), (10.0,)),), (10.0,)).contains(np.array([10.0]))
+    assert not RegionIndicator((Box((0.0,), (5.0,)),), (10.0,)).contains(np.array([5.0]))
 
 
 def test_box_intersection():
@@ -84,6 +84,34 @@ def test_region_membership_uses_space_closure():
     assert r.contains(np.array([4.0]))  # closed at the space boundary
     assert not r.contains(np.array([1.0]))  # interior face stays open
     assert not r.contains(np.array([2.0]))
+
+
+def test_region_membership_of_rows_matches_single_points():
+    r = RegionIndicator(
+        (Box((0.0, 0.0), (1.0, 2.0)), Box((1.0, 1.0), (2.0, 2.0))), (2.0, 2.0)
+    )
+    rows = np.array(
+        [[0.5, 0.5], [1.0, 0.5], [1.0, 1.0], [2.0, 2.0], [0.0, 2.0], [1.5, 0.5], [-0.1, 1.0]]
+    )
+    mask = r.contains(rows)
+    assert mask.dtype == bool and mask.shape == (7,)
+    assert mask.tolist() == [True, False, True, True, True, False, False]
+    assert mask.tolist() == [r.contains(p) for p in rows]
+    assert r.contains(np.empty((0, 2))).shape == (0,)
+
+
+def test_region_membership_matches_the_per_point_reference():
+    rng = np.random.default_rng(5)
+    for _ in range(50):
+        x, y = rng.uniform(0.2, 0.8, size=2)
+        tiles = (Box((0.0, 0.0), (x, y)), Box((x, y), (1.0, 1.0)), Box((0.0, y), (x, 1.0)))
+        r = RegionIndicator(tiles, (1.0, 1.0))
+        # points on every face and corner as well as interior ones
+        edges = np.array([-0.1, 0.0, x, y, 1.0, 1.1])
+        grid = np.stack(np.meshgrid(edges, edges), axis=-1).reshape(-1, 2)
+        pts = np.vstack([grid, rng.uniform(-0.1, 1.1, size=(40, 2))])
+        want = [any(box_contains(b, p, r.space_upper) for b in tiles) for p in pts]
+        assert r.contains(pts).tolist() == want
 
 
 def test_region_intersect_box_returns_disjoint_pieces():

@@ -3,9 +3,17 @@ import math
 import numpy as np
 import pytest
 
-from fpfkit.benchmarks import ToyModel, toy_design_space, toy_pf_exact, toy_variable_specs
+from fpfkit.benchmarks import (
+    BoxBeamModel,
+    ToyModel,
+    beam_design_space,
+    beam_variable_specs,
+    toy_design_space,
+    toy_pf_exact,
+    toy_variable_specs,
+)
 from fpfkit.errors import ConvergenceError, RegionPopulationError
-from fpfkit.model import AugmentedSample, DesignSpace
+from fpfkit.model import DesignSpace, SampleSet, sample_theta
 from fpfkit.regions import Box, RegionIndicator
 from fpfkit.reliability import (
     ChainParams,
@@ -43,10 +51,10 @@ def test_direct_mcs_cov_formula_and_samples():
     est = direct_mcs(model, space, specs, 5000, np.random.default_rng(2))
     assert est.cov == pytest.approx(math.sqrt((1 - est.pf) / (5000 * est.pf)))
     assert len(est.samples) == round(est.pf * 5000)
-    for s in est.samples[:50]:
-        assert s.failed
-        assert s.theta[0] >= s.phi[0]  # toy failure event
-        assert space.contains(s.phi)
+    first = est.samples[:50]
+    assert np.all(model.margin(first.performance) <= 0.0)
+    assert np.all(first.theta[:, 0] >= first.phi[:, 0])  # toy failure event
+    assert all(space.contains(phi) for phi in first.phi)
 
 
 def test_direct_mcs_flags_escalation_on_zero_failures():
@@ -55,7 +63,7 @@ def test_direct_mcs_flags_escalation_on_zero_failures():
     est = direct_mcs(model, DesignSpace(((8.0, 9.0),)), specs, 2000, np.random.default_rng(3))
     assert est.pf == 0.0
     assert est.escalate
-    assert est.samples == ()
+    assert len(est.samples) == 0
     assert est.cov == math.inf
 
 
@@ -69,39 +77,152 @@ def test_mmh_chain_emits_failed_in_region_states():
     model, space, specs = _toy()
     pilot = direct_mcs(model, space, specs, 2000, np.random.default_rng(4))
     region = RegionIndicator((Box((1.0,), (4.0,)), ), (4.0,))
-    seed = next(s for s in pilot.samples if region.contains(s.phi))
+    seed = pilot.samples[region.contains(pilot.samples.phi)][:1]
     states = mmh_chain(
         seed, region, model, space, specs,
-        np.array([0.5]), np.array([0.8]), 300, np.random.default_rng(5),
-    )
+        np.array([0.5]), np.array([0.8]), 300, [np.random.default_rng(5)],
+    )[0]
     assert len(states) == 300
-    assert all(s.failed for s in states)
-    assert all(region.contains(s.phi) for s in states)
-    assert all(s.theta[0] >= s.phi[0] for s in states)
+    assert np.all(model.margin(states.performance) <= 0.0)
+    assert np.all(region.contains(states.phi))
+    assert np.all(states.theta[:, 0] >= states.phi[:, 0])
     # the chain moves
-    assert len({float(s.phi[0]) for s in states}) > 30
+    assert len(np.unique(states.phi[:, 0])) > 30
 
 
 def test_mmh_chain_rejects_bad_seeds():
     model, space, specs = _toy()
     pilot = direct_mcs(model, space, specs, 2000, np.random.default_rng(4))
     region = RegionIndicator((Box((3.5,), (4.0,)),), (4.0,))
-    ok = pilot.samples[0]
-    not_failed = AugmentedSample(ok.phi, ok.theta, ok.performance, False)
+    ok = pilot.samples[:1]
+    not_failed = SampleSet(ok.phi, ok.theta, np.array([0.5]))
     with pytest.raises(ValueError, match="failure"):
         mmh_chain(not_failed, region, model, space, specs,
-                  np.array([0.5]), np.array([0.8]), 10, np.random.default_rng(0))
-    outside = next(s for s in pilot.samples if not region.contains(s.phi))
+                  np.array([0.5]), np.array([0.8]), 10, [np.random.default_rng(0)])
+    outside = pilot.samples[~region.contains(pilot.samples.phi)][:1]
     with pytest.raises(ValueError, match="region"):
         mmh_chain(outside, region, model, space, specs,
-                  np.array([0.5]), np.array([0.8]), 10, np.random.default_rng(0))
+                  np.array([0.5]), np.array([0.8]), 10, [np.random.default_rng(0)])
+    with pytest.raises(ValueError, match="generator"):
+        mmh_chain(ok, None, model, space, specs,
+                  np.array([0.5]), np.array([0.8]), 10, [])
+
+
+class CountingToy(ToyModel):
+    """Toy model that records the row count of every evaluate_batch call."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.calls: list[int] = []
+
+    def evaluate_batch(self, phis, thetas):
+        self.calls.append(len(phis))
+        return super().evaluate_batch(phis, thetas)
+
+
+def _lowest_margins(model, space, specs, n, k, seed):
+    """The k of n prior draws with the smallest margins, and the k-th margin."""
+    rng = np.random.default_rng(seed)
+    phis = space.sample(rng, n)
+    thetas = sample_theta(specs, model, phis, rng)
+    perf, _ = model.evaluate_batch(phis, thetas)
+    order = np.argsort(model.margin(perf), kind="stable")[:k]
+    return SampleSet(phis[order], thetas[order], perf[order]), float(model.margin(perf[order[-1]]))
+
+
+@pytest.mark.parametrize("case", ["toy-region", "toy-threshold", "beam-threshold"])
+def test_lockstep_chains_match_chains_run_one_at_a_time(case):
+    if case.startswith("toy"):
+        model, space, specs = _toy()
+    else:
+        model = BoxBeamModel(band=(1000.0, 1100.0))
+        space, specs = beam_design_space(), beam_variable_specs()
+    if case == "toy-region":
+        region, tau = RegionIndicator((Box((1.0,), (4.0,)),), (4.0,)), 0.0
+        pilot = direct_mcs(model, space, specs, 2000, np.random.default_rng(4))
+        seeds = pilot.samples[region.contains(pilot.samples.phi)][:6]
+    else:
+        region = None
+        seeds, tau = _lowest_margins(model, space, specs, 300, 6, 4)
+    scales_phi = 0.1 * (space.upper - space.lower)
+    scales_u = np.full(len(specs), 0.8)
+    streams = np.random.SeedSequence(3).spawn(len(seeds))
+
+    def rngs():
+        return [np.random.Generator(np.random.PCG64(s)) for s in streams]
+
+    together = mmh_chain(seeds, region, model, space, specs, scales_phi, scales_u,
+                         40, rngs(), tau=tau)
+    assert together.phi.shape == (len(seeds), 40, space.ndim)
+    assert together.performance.shape == (len(seeds), 40)
+    for i, rng in enumerate(rngs()):
+        alone = mmh_chain(seeds[i : i + 1], region, model, space, specs,
+                          scales_phi, scales_u, 40, [rng], tau=tau)
+        assert np.array_equal(together.phi[i], alone.phi[0])
+        assert np.array_equal(together.theta[i], alone.theta[0])
+        assert np.array_equal(together.performance[i], alone.performance[0])
+    assert np.all(model.margin(together.performance) <= tau)
+    assert len(np.unique(together.phi.reshape(-1, space.ndim), axis=0)) > len(seeds)
+
+
+def test_mmh_chain_never_evaluates_or_emits_an_invalid_theta():
+    class CappedTheta(ToyModel):
+        def theta_valid_batch(self, phis, thetas):
+            return thetas[:, 0] < 2.5
+
+        def evaluate_batch(self, phis, thetas):
+            assert np.all(thetas[:, 0] < 2.5)
+            return super().evaluate_batch(phis, thetas)
+
+    _, space, specs = _toy()
+    model = CappedTheta()
+    region = RegionIndicator((Box((1.0,), (4.0,)),), (4.0,))
+    pilot = direct_mcs(model, space, specs, 2000, np.random.default_rng(4))
+    seeds = pilot.samples[region.contains(pilot.samples.phi)][:4]
+    streams = np.random.SeedSequence(9).spawn(len(seeds))
+    states = mmh_chain(
+        seeds, region, model, space, specs, np.array([0.5]), np.array([1.5]), 200,
+        [np.random.Generator(np.random.PCG64(s)) for s in streams],
+    )
+    assert np.all(states.theta[..., 0] < 2.5)
+    assert np.any(states.theta[..., 0] > 2.0)  # the chains reach the cap
+
+
+def test_populate_region_makes_at_most_one_model_call_per_step():
+    _, space, specs = _toy()
+    model = CountingToy()
+    pilot = direct_mcs(model, space, specs, 3000, np.random.default_rng(6))
+    region = RegionIndicator((Box((1.5,), (4.0,)),), (4.0,))
+    n_seeds = int(np.count_nonzero(region.contains(pilot.samples.phi)))
+    params = ChainParams()
+    n_chains = min(n_seeds, params.max_chains)
+    assert n_chains > 1
+    steps = params.burn_in + -(-(400 - n_seeds) // n_chains)
+    before = model.n_evaluations
+    model.calls.clear()
+    populate_region(pilot.samples, region, model, space, specs, 400, params,
+                    np.random.SeedSequence(7))
+    assert 0 < len(model.calls) <= steps
+    assert sum(model.calls) == model.n_evaluations - before
+
+
+def test_subset_simulation_makes_at_most_one_model_call_per_step():
+    _, _, specs = _toy()
+    model = CountingToy()
+    est = subset_simulation(model, DesignSpace(((3.0, 4.0),)), specs, 2000, 0.1,
+                            np.random.SeedSequence(10))
+    steps_per_level = 2000 // 200 - 1
+    assert est.n_levels >= 3
+    assert model.calls[0] == 2000
+    assert len(model.calls) <= 1 + (est.n_levels - 1) * steps_per_level
+    assert sum(model.calls) == est.n_evaluations
 
 
 def test_populate_region_reaches_target_and_keeps_seeds():
     model, space, specs = _toy()
     pilot = direct_mcs(model, space, specs, 3000, np.random.default_rng(6))
     region = RegionIndicator((Box((1.5,), (4.0,)),), (4.0,))
-    seeds = [s for s in pilot.samples if region.contains(s.phi)]
+    seeds = pilot.samples[region.contains(pilot.samples.phi)]
     assert 0 < len(seeds) < 400
     out = populate_region(
         pilot.samples, region, model, space, specs, 400,
@@ -109,9 +230,9 @@ def test_populate_region_reaches_target_and_keeps_seeds():
     )
     assert len(out) >= 400
     # retained seeds lead the output, in order
-    for got, want in zip(out[: len(seeds)], seeds):
-        assert np.array_equal(got.phi, want.phi)
-    assert all(s.failed and region.contains(s.phi) for s in out)
+    assert np.array_equal(out.phi[: len(seeds)], seeds.phi)
+    assert np.all(model.margin(out.performance) <= 0.0)
+    assert np.all(region.contains(out.phi))
 
 
 def test_populate_region_is_deterministic():
@@ -123,8 +244,7 @@ def test_populate_region_is_deterministic():
     b = populate_region(pilot.samples, region, ToyModel(), space, specs, 400,
                         ChainParams(), np.random.SeedSequence(7))
     assert len(a) == len(b)
-    assert all(np.array_equal(x.phi, y.phi) and np.array_equal(x.theta, y.theta)
-               for x, y in zip(a, b))
+    assert np.array_equal(a.phi, b.phi) and np.array_equal(a.theta, b.theta)
 
 
 def test_populate_region_short_circuits_when_seeds_suffice():
@@ -142,7 +262,7 @@ def test_populate_region_requires_a_seed_inside():
     model, space, specs = _toy()
     pilot = direct_mcs(model, space, specs, 500, np.random.default_rng(8))
     region = RegionIndicator((Box((3.99,), (4.0,)),), (4.0,))
-    assert not any(region.contains(s.phi) for s in pilot.samples)
+    assert not region.contains(pilot.samples.phi).any()
     with pytest.raises(RegionPopulationError) as exc:
         populate_region(pilot.samples, region, model, space, specs, 100,
                         ChainParams(), np.random.SeedSequence(0))
@@ -161,7 +281,7 @@ def test_subset_simulation_estimates_a_rare_toy_probability():
     assert 0.5 * exact < est.pf < 2.0 * exact
     assert 0.0 < est.cov < 1.0
     assert est.n_evaluations == model.n_evaluations
-    assert all(s.failed for s in est.samples)
+    assert np.all(model.margin(est.samples.performance) <= 0.0)
 
 
 def test_subset_simulation_agrees_with_direct_mcs_when_failures_are_common():
