@@ -16,9 +16,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
-from scipy.special import loggamma, logsumexp
+from scipy.special import loggamma
 
 
 @dataclass(frozen=True)
@@ -87,24 +88,48 @@ class BinaryPartition:
             v *= b - a
         return v
 
-    def contains(self, x: np.ndarray) -> bool:
-        """Closed-domain membership."""
-        return all(self.lo[d] <= x[d] <= self.hi[d] for d in range(self.ndim))
+    @cached_property
+    def _tree(self) -> tuple[np.ndarray, ...]:
+        """The cut tree as node arrays (axis, position, low, high, leaf), root
+        first; ``leaf`` is the leaf index at a leaf node and -1 at a cut."""
+        order = {id(leaf): i for i, leaf in enumerate(self.leaves)}
+        nodes: list[list] = []
+
+        def visit(node) -> int:
+            k = len(nodes)
+            nodes.append([0, 0.0, k, k, order.get(id(node), -1)])
+            if isinstance(node, CutNode):
+                nodes[k][:4] = [node.axis, node.position, visit(node.low), visit(node.high)]
+            return k
+
+        visit(self.root)
+        return tuple(np.array(column) for column in zip(*nodes))
+
+    def locate_rows(self, x: np.ndarray) -> np.ndarray:
+        """Leaf index of each row of ``x`` (n, d), -1 outside the closed
+        domain. Ties on a cut go to the high child."""
+        x = np.asarray(x, dtype=float)
+        axis, position, low, high, leaf = self._tree
+        inside = ((np.asarray(self.lo) <= x) & (x <= np.asarray(self.hi))).all(axis=1)
+        node = np.zeros(x.shape[0], dtype=np.intp)
+        walking = np.flatnonzero(leaf[node] < 0)
+        while walking.size:
+            at = node[walking]
+            below = x[walking, axis[at]] < position[at]
+            node[walking] = np.where(below, low[at], high[at])
+            walking = walking[leaf[node[walking]] < 0]
+        return np.where(inside, leaf[node], -1)
 
     def locate(self, x: np.ndarray) -> int:
-        """Index of the leaf containing x; ties on a cut go to the high child.
+        """Index of the leaf containing the point x; ties on a cut go to the
+        high child.
 
         Raises ValueError outside the domain.
         """
-        if not self.contains(x):
+        i = int(self.locate_rows(np.asarray(x, dtype=float)[None, :])[0])
+        if i < 0:
             raise ValueError(f"point {x} outside partition domain")
-        node = self.root
-        while isinstance(node, CutNode):
-            node = node.low if x[node.axis] < node.position else node.high
-        for i, leaf in enumerate(self.leaves):
-            if leaf is node:
-                return i
-        raise AssertionError("leaf missing from leaf list")
+        return i
 
 
 def _make_leaf(
@@ -189,40 +214,6 @@ def log_partition_score(partition: BinaryPartition, alpha: float, beta: float) -
     return float(score)
 
 
-def _cut_deltas(partition: BinaryPartition, alpha: float, beta: float) -> np.ndarray:
-    """Score change of every candidate (leaf, axis) cut, shape (t, d).
-
-    Uses the cached per-leaf below-midpoint counts, so each candidate is O(1):
-
-        delta = -beta + lg(nL+a) + lg(nR+a) - lg(n+a) + n*log 2 + level_term
-
-    where level_term collects the pieces depending only on (t, N).
-    """
-    t = partition.n_leaves
-    n_total = partition.n_samples
-    a = alpha
-    level_term = (
-        -loggamma(n_total + (t + 1) * a)
-        + loggamma(n_total + t * a)
-        - loggamma(a)
-        + loggamma((t + 1) * a)
-        - loggamma(t * a)
-    )
-    deltas = np.empty((t, partition.ndim))
-    for i, leaf in enumerate(partition.leaves):
-        nl = np.asarray(leaf.n_below, dtype=float)
-        nr = leaf.n - nl
-        deltas[i, :] = (
-            -beta
-            + loggamma(nl + a)
-            + loggamma(nr + a)
-            - loggamma(leaf.n + a)
-            + leaf.n * math.log(2.0)
-            + level_term
-        )
-    return deltas
-
-
 @dataclass(frozen=True)
 class PiecewiseConstantDensity:
     """Normalized piecewise-constant density on a binary partition.
@@ -249,17 +240,13 @@ class PiecewiseConstantDensity:
         vols = np.array([leaf.volume for leaf in self.partition.leaves])
         return self.masses / vols
 
-    def pdf(self, phi: np.ndarray) -> float:
-        return density_value(self, phi)
-
-
-def density_value(density: PiecewiseConstantDensity, phi: np.ndarray) -> float:
-    """Density at phi: mass/volume of the containing leaf, 0 outside the domain."""
-    phi = np.asarray(phi, dtype=float)
-    if not density.partition.contains(phi):
-        return 0.0
-    i = density.partition.locate(phi)
-    return float(density.masses[i] / density.partition.leaves[i].volume)
+    def pdf(self, phi: np.ndarray):
+        """Density at a point (float) or at each row of an (n, d) array:
+        mass/volume of the containing leaf, 0 outside the domain."""
+        x = np.asarray(phi, dtype=float)
+        i = self.partition.locate_rows(x.reshape(-1, self.partition.ndim))
+        values = np.where(i >= 0, self.densities[i], 0.0)
+        return float(values[0]) if x.ndim == 1 else values
 
 
 def _posterior_masses(partition: BinaryPartition, alpha: float) -> np.ndarray:
@@ -273,6 +260,135 @@ def _systematic_resample(weights: np.ndarray, rng: np.random.Generator) -> np.nd
     m = weights.size
     positions = (rng.random() + np.arange(m)) / m
     return np.searchsorted(np.cumsum(weights), positions)
+
+
+def _logsumexp_rows(x: np.ndarray) -> np.ndarray:
+    """Log-sum-exp of each row of a finite (m, k) array, with the arithmetic
+    of ``scipy.special.logsumexp``: the row maximum and the count m of entries
+    equal to it are split off the sum s of the rest's shifted exponentials,
+    giving log1p(s / m) + log(m) + max."""
+    top = x.max(axis=1, keepdims=True)
+    at_top = x == top
+    m = np.count_nonzero(at_top, axis=1).astype(float)[:, None]
+    s = np.exp(np.where(at_top, -np.inf, x) - top).sum(axis=1, keepdims=True)
+    return (np.log1p(s / m) + np.log(m) + top)[:, 0]
+
+
+def _row_counts(mask: np.ndarray) -> np.ndarray:
+    """True entries per row of a (P, N) mask (int32 sums run fastest)."""
+    return mask.sum(axis=1, dtype=np.int32)
+
+
+@dataclass
+class _Particles:
+    """SIS particles as aligned arrays; every particle has the same leaf
+    count t, its leaves in tree (low-before-high) order.
+
+    ``lo``/``hi`` (P, t, d) are the leaf boxes, ``n_below`` (P, t, d) the
+    per-axis counts strictly below each leaf's midpoint, ``n`` (P, t) the
+    leaf counts, ``label`` (P, N) the leaf of every point, and ``cuts``
+    (P, max_leaves - 1, 2) the (leaf, axis) of each cut so far.
+    """
+
+    lo: np.ndarray
+    hi: np.ndarray
+    n_below: np.ndarray
+    n: np.ndarray
+    label: np.ndarray
+    cuts: np.ndarray
+
+    @classmethod
+    def start(cls, root: LeafCell, n_particles: int, max_leaves: int) -> "_Particles":
+        def fill(values, dtype) -> np.ndarray:
+            return np.tile(np.asarray(values, dtype=dtype), (n_particles, 1, 1))
+
+        return cls(
+            fill(root.lo, float),
+            fill(root.hi, float),
+            fill(root.n_below, np.int64),
+            np.full((n_particles, 1), root.n, dtype=np.int64),
+            np.zeros((n_particles, root.n), dtype=np.min_scalar_type(max_leaves)),
+            np.zeros((n_particles, max_leaves - 1, 2), dtype=np.intp),
+        )
+
+    @property
+    def n_leaves(self) -> int:
+        return self.n.shape[1]
+
+    def take(self, keep: np.ndarray) -> "_Particles":
+        return _Particles(
+            self.lo[keep], self.hi[keep], self.n_below[keep], self.n[keep],
+            self.label[keep], self.cuts[keep],
+        )
+
+    def cut_deltas(self, n_total: int, alpha: float, beta: float) -> np.ndarray:
+        """Score change of every candidate (leaf, axis) cut, (P, t*d) in
+        leaf-major order. Each candidate is O(1) from the cached counts:
+
+            delta = -beta + lg(nL+a) + lg(nR+a) - lg(n+a) + n*log 2 + level_term
+
+        where level_term collects the pieces depending only on (t, N).
+        """
+        n_particles, t, ndim = self.n_below.shape
+        a = alpha
+        level_term = (
+            -loggamma(n_total + (t + 1) * a)
+            + loggamma(n_total + t * a)
+            - loggamma(a)
+            + loggamma((t + 1) * a)
+            - loggamma(t * a)
+        )
+        nl = self.n_below.astype(float)
+        n = np.broadcast_to(self.n.astype(float)[:, :, None], nl.shape)
+        lg = loggamma(np.stack((nl, n - nl, n)) + a)
+        deltas = -beta + lg[0] + lg[1] - lg[2] + n * math.log(2.0) + level_term
+        return deltas.reshape(n_particles, t * ndim)
+
+    def split(self, leaf: np.ndarray, axis: np.ndarray, coords: np.ndarray) -> None:
+        """Cut leaf ``leaf[p]`` of each particle p at its midpoint on
+        ``axis[p]``. The low child keeps the leaf's slot, the high child takes
+        the next one and later leaves move up a slot; points on the cut go to
+        the high child. ``coords`` is the (d, N) transpose of the points.
+        """
+        p = np.arange(leaf.size)
+        t = self.n_leaves
+        self.cuts[:, t - 1, 0] = leaf
+        self.cuts[:, t - 1, 1] = axis
+        slot = np.arange(t + 1)
+        src = p[:, None], slot - (slot > leaf[:, None])
+        self.lo, self.hi = self.lo[src], self.hi[src]
+        self.n_below, self.n = self.n_below[src], self.n[src]
+        mid = 0.5 * (self.lo[p, leaf, axis] + self.hi[p, leaf, axis])
+        self.hi[p, leaf, axis] = mid
+        self.lo[p, leaf + 1, axis] = mid
+
+        label = self.label
+        own = leaf.astype(label.dtype)[:, None]
+        label += label > own
+        inside = label == own
+        low = np.empty_like(inside)
+        for d in range(coords.shape[0]):
+            on = axis == d
+            low[on] = coords[d] < mid[on, None]
+        high = inside & ~low
+        low &= inside
+        label += high
+
+        # Off the cut axis both children keep the leaf's midpoint, so the high
+        # child's counts there are the leaf's minus the low child's.
+        n_leaf, below_leaf = self.n[p, leaf], self.n_below[p, leaf]
+        self.n[p, leaf] = _row_counts(low)
+        self.n[p, leaf + 1] = n_leaf - self.n[p, leaf]
+        low_mid = 0.5 * (self.lo[p, leaf] + self.hi[p, leaf])
+        high_mid = 0.5 * (self.lo[p, leaf + 1] + self.hi[p, leaf + 1])
+        for d in range(coords.shape[0]):
+            below = _row_counts(low & (coords[d] < low_mid[:, d, None]))
+            self.n_below[p, leaf, d] = below
+            self.n_below[p, leaf + 1, d] = below_leaf[:, d] - below
+            on = np.flatnonzero(axis == d)
+            self.n_below[on, leaf[on] + 1, d] = _row_counts(
+                high[on] & (coords[d] < high_mid[on, d, None])
+            )
 
 
 def bsp_estimate(
@@ -295,7 +411,9 @@ def bsp_estimate(
     levels without improvement of the best score seen; the highest-posterior
     partition encountered is returned with posterior-mean leaf masses.
 
-    ``beta`` defaults to log(N).
+    All particles advance together on arrays (``_Particles``); the returned
+    partition is rebuilt from the winner's cut log. ``beta`` defaults to
+    log(N).
     """
     points = np.asarray(points, dtype=float)
     if points.ndim == 1:
@@ -312,43 +430,48 @@ def bsp_estimate(
 
     base = root_partition(points, lo, hi)
     base_score = log_partition_score(base, alpha, beta)
-    particles = [base] * n_particles
+    coords = np.ascontiguousarray(points.T)
+    swarm = _Particles.start(base.leaves[0], n_particles, max_leaves)
+    rows = np.arange(n_particles)
     scores = np.full(n_particles, base_score)
     log_w = np.zeros(n_particles)
-    best_partition, best_score = base, base_score
+    best_cuts, best_score = swarm.cuts[0, :0], base_score
     stagnant = 0
 
-    while particles[0].n_leaves < max_leaves and stagnant < 2:
-        level_best = -np.inf
-        for j in range(n_particles):
-            part = particles[j]
-            deltas = _cut_deltas(part, alpha, beta).ravel()
-            norm = logsumexp(deltas)
-            prob = np.exp(deltas - norm)
-            prob /= prob.sum()
-            choice = int(rng.choice(deltas.size, p=prob))
-            # SIS weight update: delta_chosen - log q(chosen) = logsumexp(deltas)
-            log_w[j] += norm
-            leaf_index, axis = divmod(choice, part.ndim)
-            particles[j] = propose_cut(part, leaf_index, axis)
-            scores[j] += float(deltas[choice])
-            if scores[j] > level_best:
-                level_best = scores[j]
+    while swarm.n_leaves < max_leaves and stagnant < 2:
+        deltas = swarm.cut_deltas(n, alpha, beta)
+        norm = _logsumexp_rows(deltas)
+        prob = np.exp(deltas - norm[:, None])
+        prob /= prob.sum(axis=1, keepdims=True)
+        # Generator.choice(k, p=prob) per row: one uniform, counted against
+        # the normalized cumulative sum (searchsorted side="right")
+        cdf = np.cumsum(prob, axis=1)
+        cdf /= cdf[:, -1:]
+        choice = np.count_nonzero(cdf <= rng.random(n_particles)[:, None], axis=1)
+        # SIS weight update: delta_chosen - log q(chosen) = logsumexp(deltas)
+        log_w += norm
+        scores += deltas[rows, choice]
+        leaf, axis = np.divmod(choice, points.shape[1])
+        swarm.split(leaf, axis, coords)
         arg = int(np.argmax(scores))
-        if level_best > best_score:
-            best_partition, best_score = particles[arg], float(scores[arg])
+        if scores[arg] > best_score:
+            best_cuts = swarm.cuts[arg, : swarm.n_leaves - 1].copy()
+            best_score = float(scores[arg])
             stagnant = 0
         else:
             stagnant += 1
         shifted = np.exp(log_w - np.max(log_w))
         w_norm = shifted / shifted.sum()
         ess = 1.0 / float(np.sum(w_norm**2))
-        if ess < n_particles / 2 and particles[0].n_leaves < max_leaves:
+        if ess < n_particles / 2 and swarm.n_leaves < max_leaves:
             keep = _systematic_resample(w_norm, rng)
-            particles = [particles[k] for k in keep]
+            swarm = swarm.take(keep)
             scores = scores[keep]
             log_w = np.zeros(n_particles)
 
+    best_partition = base
+    for leaf_index, axis_index in best_cuts.tolist():
+        best_partition = propose_cut(best_partition, leaf_index, axis_index)
     return PiecewiseConstantDensity(
         best_partition,
         _posterior_masses(best_partition, alpha),

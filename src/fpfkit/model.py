@@ -96,21 +96,8 @@ class RandomVariableSpec:
                     f"{self.name!r}: cov needs a design coordinate reference"
                 )
 
-    def resolve(self, phi: np.ndarray) -> tuple[float, float]:
-        """(mean, std) at the design point ``phi``."""
-        phi = np.asarray(phi, dtype=float)
-        mu = self.mean if self.mean is not None else float(phi[self.mean_design])
-        if self.std is not None:
-            sigma = self.std
-        else:
-            ref = self.cov_design if self.cov_design is not None else self.mean_design
-            sigma = self.cov * float(phi[ref])
-        if sigma <= 0:
-            raise ValueError(f"{self.name!r}: resolved std {sigma} is not positive")
-        return float(mu), float(sigma)
-
     def resolve_batch(self, phis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Vectorized resolve over rows of ``phis`` (n, d_phi) -> (mu, sigma)."""
+        """(mean, std) at each row of ``phis`` (n, d_phi), as two (n,) arrays."""
         phis = np.asarray(phis, dtype=float)
         n = phis.shape[0]
         mu = (
@@ -124,7 +111,7 @@ class RandomVariableSpec:
             ref = self.cov_design if self.cov_design is not None else self.mean_design
             sigma = self.cov * phis[:, ref]
         if np.any(sigma <= 0):
-            raise ValueError(f"{self.name!r}: non-positive std in batch resolve")
+            raise ValueError(f"{self.name!r}: resolved std is not positive")
         return mu, sigma
 
 

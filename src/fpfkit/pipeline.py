@@ -120,8 +120,9 @@ class PartitionLevel:
     low_mask: np.ndarray
     samples: SampleSet
 
-    def conditional_density(self, phi: np.ndarray) -> float:
-        """p(phi | F, D_k) estimate; valid for phi in D_k."""
+    def conditional_density(self, phi: np.ndarray):
+        """p(phi | F, D_k) estimate at a point or at (n, d) rows; valid for
+        phi in D_k."""
         return self.raw.pdf(phi) / self.captured
 
 
@@ -217,13 +218,18 @@ class RegionChainResult:
         return highs + (self.levels[-1].low_region,)
 
 
-def compose_density(levels: tuple[PartitionLevel, ...], phi: np.ndarray) -> float:
-    """Composite conditional density p(phi | F) by the deepest-level rule."""
+def compose_density(levels: tuple[PartitionLevel, ...], phi: np.ndarray):
+    """Composite conditional density p(phi | F) by the deepest-level rule, at
+    one point (float) or at each row of an (n, d) array."""
     phi = np.asarray(phi, dtype=float)
+    rows = phi.reshape(-1, phi.shape[-1])
+    out = np.zeros(rows.shape[0])
+    todo = np.arange(rows.shape[0])
     for level in reversed(levels):
-        if level.region.contains(phi):
-            return level.conditional_density(phi) * level.weight
-    return 0.0
+        hit = level.region.contains(rows[todo])
+        out[todo[hit]] = level.conditional_density(rows[todo[hit]]) * level.weight
+        todo = todo[~hit]
+    return float(out[0]) if phi.ndim == 1 else out
 
 
 def scale_to_fpf(value, pf: float, space: DesignSpace):
@@ -239,10 +245,7 @@ class FPFApproximation:
     space: DesignSpace
 
     def composite_density(self, phi: np.ndarray):
-        phi = np.asarray(phi, dtype=float)
-        if phi.ndim == 1:
-            return compose_density(self.chain.levels, phi)
-        return np.array([compose_density(self.chain.levels, p) for p in phi])
+        return compose_density(self.chain.levels, phi)
 
     def fpf(self, phi: np.ndarray):
         return scale_to_fpf(self.composite_density(phi), self.chain.pf, self.space)

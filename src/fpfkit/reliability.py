@@ -135,9 +135,10 @@ def mmh_chain(
     alone. Each step proposes every design coordinate (uniform half-widths
     ``scales_phi``, kept inside the design box) and every u coordinate
     (half-widths ``scales_u``, standard-normal ratio accept). Candidates that
-    moved and have a valid theta are evaluated in one batch; the rest repeat
-    their state, as do those outside the conditioning event. Returns the
-    states as (len(seeds), n_steps) leading axes; repeats are genuine output.
+    moved, lie in ``region`` and have a valid theta are evaluated in one
+    batch; the rest repeat their state, as do those whose margin exceeds
+    ``tau``. Returns the states as (len(seeds), n_steps) leading axes;
+    repeats are genuine output.
     """
     if len(rngs) != len(seeds):
         raise ValueError("mmh_chain needs one generator per seed")
@@ -170,7 +171,10 @@ def mmh_chain(
         prop = u + scales_u * (2.0 * r[:, d_phi::2] - 1.0)
         take = r[:, d_phi + 1 :: 2] < np.exp(-0.5 * (prop * prop - u * u))
         cand_u = np.where(take, prop, u)
-        rows = np.flatnonzero((cand_phi != phi).any(axis=1) | (cand_u != u).any(axis=1))
+        moved = (cand_phi != phi).any(axis=1) | (cand_u != u).any(axis=1)
+        if region is not None:
+            moved &= region.contains(cand_phi)
+        rows = np.flatnonzero(moved)
         cand_phi, cand_u = cand_phi[rows], cand_u[rows]
         mu, sigma = resolve_parameters(specs, cand_phi)
         cand_theta = mu + sigma * cand_u
@@ -179,8 +183,6 @@ def mmh_chain(
             rows, cand_phi, cand_u, cand_theta = rows[ok], cand_phi[ok], cand_u[ok], cand_theta[ok]
             cand_perf, _ = model.evaluate_batch(cand_phi, cand_theta)
             acc = np.asarray(model.margin(cand_perf)) <= tau
-            if region is not None:
-                acc &= region.contains(cand_phi)
             rows = rows[acc]
             phi[rows] = cand_phi[acc]
             u[rows] = cand_u[acc]

@@ -45,23 +45,21 @@ def extract_support_points(chain: RegionChainResult) -> tuple[SupportPoint, ...]
     share its density, and duplicated values next to each other would let
     cross-validation of the surface fit leak.
     """
-    points: list[SupportPoint] = []
+    cells = []
     for level in chain.levels:
         last = level.index == chain.levels[-1].index
         for cell, is_low in zip(level.cells, level.low_mask):
-            if is_low and not last:
-                continue
-            largest = max(cell.pieces, key=lambda piece: piece.volume)
-            center = largest.center
-            value = compose_density(chain.levels, center)
-            if value <= 0.0:
-                raise AssertionError(
-                    f"composite density non-positive at cell center {center}"
-                )
-            points.append(
-                SupportPoint(center, math.log(value), level.index, level.weight * cell.mass)
-            )
-    return tuple(points)
+            if not is_low or last:
+                largest = max(cell.pieces, key=lambda piece: piece.volume)
+                cells.append((level, cell, largest.center))
+    values = compose_density(chain.levels, np.array([c for _, _, c in cells]))
+    if np.any(values <= 0.0):
+        center = cells[int(np.argmax(values <= 0.0))][2]
+        raise AssertionError(f"composite density non-positive at cell center {center}")
+    return tuple(
+        SupportPoint(center, math.log(value), level.index, level.weight * cell.mass)
+        for (level, cell, center), value in zip(cells, values.tolist())
+    )
 
 
 @dataclass(frozen=True)

@@ -2,8 +2,21 @@
 
 from __future__ import annotations
 
-import numpy as np
+import math
 
+import numpy as np
+from scipy.special import loggamma, logsumexp
+
+from fpfkit.bsp import (
+    BinaryPartition,
+    CutNode,
+    PiecewiseConstantDensity,
+    _posterior_masses,
+    _systematic_resample,
+    log_partition_score,
+    propose_cut,
+    root_partition,
+)
 from fpfkit.model import DesignSpace
 from fpfkit.regions import Box
 
@@ -32,3 +45,134 @@ def box_contains(box: Box, x: np.ndarray, upper: tuple[float, ...]) -> bool:
 def design_prior_density(space: DesignSpace, phi: np.ndarray) -> float:
     """Uniform artificial prior p(phi): 1/volume inside the box, 0 outside."""
     return 1.0 / space.volume if space.contains(np.asarray(phi, dtype=float)) else 0.0
+
+
+# ------------------------------------------------ per-particle BSP search ---
+
+
+def reference_cut_deltas(partition: BinaryPartition, alpha: float, beta: float) -> np.ndarray:
+    """Score change of every candidate (leaf, axis) cut of one partition, (t, d).
+
+        delta = -beta + lg(nL+a) + lg(nR+a) - lg(n+a) + n*log 2 + level_term
+    """
+    t = partition.n_leaves
+    n_total = partition.n_samples
+    a = alpha
+    level_term = (
+        -loggamma(n_total + (t + 1) * a)
+        + loggamma(n_total + t * a)
+        - loggamma(a)
+        + loggamma((t + 1) * a)
+        - loggamma(t * a)
+    )
+    deltas = np.empty((t, partition.ndim))
+    for i, leaf in enumerate(partition.leaves):
+        nl = np.asarray(leaf.n_below, dtype=float)
+        nr = leaf.n - nl
+        deltas[i, :] = (
+            -beta
+            + loggamma(nl + a)
+            + loggamma(nr + a)
+            - loggamma(leaf.n + a)
+            + leaf.n * math.log(2.0)
+            + level_term
+        )
+    return deltas
+
+
+def reference_bsp_estimate(
+    points: np.ndarray,
+    lo: tuple[float, ...],
+    hi: tuple[float, ...],
+    rng: np.random.Generator,
+    alpha: float = 0.5,
+    beta: float | None = None,
+    n_particles: int = 100,
+    max_leaves: int = 64,
+) -> PiecewiseConstantDensity:
+    """The SIS search one particle at a time, each holding a partition tree:
+    scipy's ``logsumexp`` and one ``Generator.choice`` per particle and level,
+    and ``propose_cut`` for every cut."""
+    points = np.asarray(points, dtype=float)
+    if points.ndim == 1:
+        points = points[:, None]
+    n = points.shape[0]
+    if beta is None:
+        beta = math.log(n) if n > 1 else 0.0
+
+    base = root_partition(points, lo, hi)
+    base_score = log_partition_score(base, alpha, beta)
+    particles = [base] * n_particles
+    scores = np.full(n_particles, base_score)
+    log_w = np.zeros(n_particles)
+    best_partition, best_score = base, base_score
+    stagnant = 0
+
+    while particles[0].n_leaves < max_leaves and stagnant < 2:
+        level_best = -np.inf
+        for j in range(n_particles):
+            part = particles[j]
+            deltas = reference_cut_deltas(part, alpha, beta).ravel()
+            norm = logsumexp(deltas)
+            prob = np.exp(deltas - norm)
+            prob /= prob.sum()
+            choice = int(rng.choice(deltas.size, p=prob))
+            log_w[j] += norm
+            leaf_index, axis = divmod(choice, part.ndim)
+            particles[j] = propose_cut(part, leaf_index, axis)
+            scores[j] += float(deltas[choice])
+            if scores[j] > level_best:
+                level_best = scores[j]
+        arg = int(np.argmax(scores))
+        if level_best > best_score:
+            best_partition, best_score = particles[arg], float(scores[arg])
+            stagnant = 0
+        else:
+            stagnant += 1
+        shifted = np.exp(log_w - np.max(log_w))
+        w_norm = shifted / shifted.sum()
+        ess = 1.0 / float(np.sum(w_norm**2))
+        if ess < n_particles / 2 and particles[0].n_leaves < max_leaves:
+            keep = _systematic_resample(w_norm, rng)
+            particles = [particles[k] for k in keep]
+            scores = scores[keep]
+            log_w = np.zeros(n_particles)
+
+    return PiecewiseConstantDensity(
+        best_partition,
+        _posterior_masses(best_partition, alpha),
+        alpha,
+        float(beta),
+        float(best_score),
+    )
+
+
+# ------------------------------------------------------- point densities ---
+
+
+def reference_locate(partition: BinaryPartition, x: np.ndarray) -> int | None:
+    """Leaf index by walking the cut tree (ties on a cut go to the high
+    child); None outside the closed domain."""
+    if not all(partition.lo[d] <= x[d] <= partition.hi[d] for d in range(partition.ndim)):
+        return None
+    node = partition.root
+    while isinstance(node, CutNode):
+        node = node.low if x[node.axis] < node.position else node.high
+    return next(i for i, leaf in enumerate(partition.leaves) if leaf is node)
+
+
+def reference_pdf(density: PiecewiseConstantDensity, phi: np.ndarray) -> float:
+    """Density at one point: mass/volume of its leaf, 0 outside the domain."""
+    i = reference_locate(density.partition, np.asarray(phi, dtype=float))
+    if i is None:
+        return 0.0
+    return float(density.masses[i] / density.partition.leaves[i].volume)
+
+
+def reference_compose_density(levels, phi: np.ndarray) -> float:
+    """Composite density at one point by the deepest-level rule."""
+    phi = np.asarray(phi, dtype=float)
+    for level in reversed(levels):
+        if level.region.contains(phi):
+            return reference_pdf(level.raw, phi) / level.captured * level.weight
+    return 0.0

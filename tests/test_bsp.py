@@ -3,13 +3,14 @@ import math
 import numpy as np
 import pytest
 
+import fpfkit.bsp as bsp
 from fpfkit.bsp import (
     bsp_estimate,
-    density_value,
     log_partition_score,
     propose_cut,
     root_partition,
 )
+from helpers import reference_bsp_estimate, reference_locate, reference_pdf
 
 TWO_POINTS = np.array([[0.25], [0.75]])
 
@@ -124,7 +125,7 @@ def test_pdf_matches_mass_over_volume_and_vanishes_outside():
         float(d.masses[i]) / leaf.volume, rel=1e-15
     )
     assert d.pdf(np.array([1.7])) == 0.0
-    assert density_value(d, np.array([0.51])) == d.pdf(np.array([0.51]))
+    assert d.pdf(np.array([[0.51], [1.7]])).tolist() == [d.pdf(np.array([0.51])), 0.0]
 
 
 def test_estimate_is_deterministic_for_a_seeded_generator():
@@ -176,3 +177,98 @@ def test_score_validation():
     part = root_partition(TWO_POINTS, (0.0,), (1.0,))
     with pytest.raises(ValueError):
         log_partition_score(part, alpha=0.0, beta=1.0)
+
+
+# ------------------------------------------- lockstep search vs reference ---
+
+
+def _tree(node):
+    if isinstance(node, bsp.CutNode):
+        return (node.axis, node.position, _tree(node.low), _tree(node.high))
+    return (node.lo, node.hi, node.n)
+
+
+def _assert_same_estimate(got, want):
+    assert got.log_score == want.log_score
+    assert np.array_equal(got.masses, want.masses)
+    assert got.partition.n_leaves == want.partition.n_leaves
+    for a, b in zip(got.partition.leaves, want.partition.leaves):
+        assert (a.lo, a.hi, a.n, a.n_below) == (b.lo, b.hi, b.n, b.n_below)
+        assert np.array_equal(a.idx, b.idx)
+    assert _tree(got.partition.root) == _tree(want.partition.root)
+
+
+def _blob(seed, n, dim):
+    pts = np.random.default_rng(seed).normal(0.35, 0.12, size=(n, dim))
+    return np.clip(pts, 0.0, 0.999)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("seed", [0, 5, 77])
+def test_lockstep_search_matches_the_per_particle_reference(dim, seed):
+    pts = _blob(seed, 400, dim)
+    box = ((0.0,) * dim, (1.0,) * dim)
+    got = bsp_estimate(pts, *box, np.random.default_rng(seed + 1))
+    want = reference_bsp_estimate(pts, *box, np.random.default_rng(seed + 1))
+    _assert_same_estimate(got, want)
+
+
+def test_lockstep_search_matches_the_reference_at_the_leaf_cap():
+    pts = np.random.default_rng(3).uniform(0.0, 1.0, size=(2000, 2))
+    pts[:1000] *= 0.2
+    got = bsp_estimate(pts, (0.0, 0.0), (1.0, 1.0), np.random.default_rng(3), max_leaves=6)
+    want = reference_bsp_estimate(
+        pts, (0.0, 0.0), (1.0, 1.0), np.random.default_rng(3), max_leaves=6
+    )
+    assert got.partition.n_leaves == 6
+    _assert_same_estimate(got, want)
+
+
+def test_lockstep_search_matches_the_reference_across_resampling(monkeypatch):
+    resamples = []
+    original = bsp._systematic_resample
+
+    def counting(weights, rng):
+        resamples.append(weights.size)
+        return original(weights, rng)
+
+    monkeypatch.setattr(bsp, "_systematic_resample", counting)
+    pts = _blob(11, 600, 2)
+    got = bsp_estimate(pts, (0.0, 0.0), (1.0, 1.0), np.random.default_rng(12), n_particles=30)
+    want = reference_bsp_estimate(
+        pts, (0.0, 0.0), (1.0, 1.0), np.random.default_rng(12), n_particles=30
+    )
+    assert resamples  # the ensemble did resample
+    _assert_same_estimate(got, want)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_lockstep_search_matches_the_reference_with_one_particle(dim):
+    pts = _blob(8, 300, dim)
+    box = ((0.0,) * dim, (1.0,) * dim)
+    got = bsp_estimate(pts, *box, np.random.default_rng(9), n_particles=1)
+    want = reference_bsp_estimate(pts, *box, np.random.default_rng(9), n_particles=1)
+    _assert_same_estimate(got, want)
+
+
+def test_batch_pdf_matches_the_per_point_reference_on_faces_and_corners():
+    pts = _blob(4, 500, 2)
+    d = bsp_estimate(pts, (0.0, 0.0), (1.0, 1.0), np.random.default_rng(4))
+    assert d.partition.n_leaves > 4
+    corners = [leaf.lo for leaf in d.partition.leaves]
+    corners += [leaf.hi for leaf in d.partition.leaves]
+    probes = np.vstack(
+        [
+            np.array(corners),  # points on cut faces and on the domain's upper face
+            np.random.default_rng(5).uniform(-0.1, 1.1, size=(300, 2)),
+            [[1.0, 1.0], [0.0, 1.0], [1.0, 0.5], [np.nan, 0.5]],
+        ]
+    )
+    batch = d.pdf(probes)
+    want = [reference_pdf(d, x) for x in probes]
+    assert batch.tolist() == want
+    assert [d.pdf(x) for x in probes] == want
+    located = d.partition.locate_rows(probes)
+    assert [None if i < 0 else i for i in located.tolist()] == [
+        reference_locate(d.partition, x) for x in probes
+    ]

@@ -82,12 +82,16 @@ def test_variable_spec_requires_exactly_one_mean_and_spread():
 
 
 def test_variable_spec_resolution():
+    def one_row(spec, phi):
+        mu, sigma = spec.resolve_batch(np.array([phi]))
+        return float(mu[0]), float(sigma[0])
+
     fixed = RandomVariableSpec("a", mean=3.0, std=0.5)
-    assert fixed.resolve(np.array([9.9])) == (3.0, 0.5)
+    assert one_row(fixed, [9.9]) == (3.0, 0.5)
     tied = RandomVariableSpec("b", mean_design=1, cov=0.05)
-    assert tied.resolve(np.array([10.0, 20.0])) == (20.0, 1.0)
+    assert one_row(tied, [10.0, 20.0]) == (20.0, 1.0)
     cross = RandomVariableSpec("c", mean=0.0, cov=0.1, cov_design=0)
-    assert cross.resolve(np.array([4.0, 0.0])) == (0.0, 0.4)
+    assert one_row(cross, [4.0, 0.0]) == (0.0, 0.4)
 
 
 def test_resolve_parameters_stacks_per_design_row():
@@ -103,7 +107,7 @@ def test_resolve_parameters_stacks_per_design_row():
 def test_resolved_std_must_stay_positive():
     tied = RandomVariableSpec("b", mean_design=0, cov=0.05)
     with pytest.raises(ValueError):
-        tied.resolve(np.array([-1.0]))
+        tied.resolve_batch(np.array([[-1.0]]))
     with pytest.raises(ValueError):
         tied.resolve_batch(np.array([[1.0], [0.0]]))
 

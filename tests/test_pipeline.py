@@ -19,7 +19,7 @@ from fpfkit.pipeline import (
     threshold_from_ratio,
 )
 from fpfkit.regions import Box, RegionIndicator
-from helpers import disjoint_volume_check
+from helpers import disjoint_volume_check, reference_compose_density
 from fpfkit.reliability import ChainParams
 
 
@@ -179,6 +179,30 @@ def test_composite_density_uses_the_deepest_level(toy_case):
         chain.levels[0].conditional_density(phi0)
     )
     assert compose_density(chain.levels, np.array([99.0])) == 0.0
+
+
+@pytest.mark.parametrize("case_name", ["toy_case", "beam_case"])
+def test_batch_composite_density_matches_the_per_point_reference(case_name, request):
+    """Rows through the batch lookup equal the point-by-point deepest-level
+    rule bit for bit, on cut faces and on the domain's upper face too."""
+    case = request.getfixturevalue(case_name)
+    levels = case.chain.levels
+    probes = [case.space.upper, case.space.lower]
+    for level in levels:
+        for leaf in level.raw.partition.leaves:
+            probes += [leaf.lo, leaf.hi, 0.5 * (np.asarray(leaf.lo) + np.asarray(leaf.hi))]
+        for cell in level.cells:
+            probes += [piece.lo for piece in cell.pieces] + [piece.hi for piece in cell.pieces]
+    upper_face = np.array(probes, dtype=float)
+    upper_face[:, 0] = case.space.upper[0]
+    rng = np.random.default_rng(0)
+    widths = case.space.upper - case.space.lower
+    inside = case.space.lower + widths * rng.uniform(-0.05, 1.05, size=(500, case.space.ndim))
+    rows = np.vstack([np.array(probes, dtype=float), upper_face, inside])
+    want = [reference_compose_density(levels, x) for x in rows]
+    assert compose_density(levels, rows).tolist() == want
+    assert [compose_density(levels, x) for x in rows[:50]] == want[:50]
+    assert case.approx.composite_density(rows).tolist() == want
 
 
 def test_fpf_approximation_scales_and_vectorizes(toy_case):

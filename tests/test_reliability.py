@@ -188,6 +188,26 @@ def test_mmh_chain_never_evaluates_or_emits_an_invalid_theta():
     assert np.any(states.theta[..., 0] > 2.0)  # the chains reach the cap
 
 
+def test_mmh_chain_evaluates_only_candidates_inside_the_region():
+    class InRegionOnly(ToyModel):
+        def evaluate_batch(self, phis, thetas):
+            assert np.all(region.contains(phis))
+            return super().evaluate_batch(phis, thetas)
+
+    _, space, specs = _toy()
+    model = InRegionOnly()
+    region = RegionIndicator((Box((1.0,), (1.6,)), Box((2.5,), (3.0,))), (4.0,))
+    pilot = direct_mcs(ToyModel(), space, specs, 2000, np.random.default_rng(4))
+    seeds = pilot.samples[region.contains(pilot.samples.phi)][:6]
+    streams = np.random.SeedSequence(3).spawn(len(seeds))
+    states = mmh_chain(
+        seeds, region, model, space, specs, np.array([0.8]), np.array([1.0]), 100,
+        [np.random.Generator(np.random.PCG64(s)) for s in streams],
+    )
+    assert np.all(region.contains(states.phi.reshape(-1, 1)))
+    assert 0 < model.n_evaluations < states.performance.size
+
+
 def test_populate_region_makes_at_most_one_model_call_per_step():
     _, space, specs = _toy()
     model = CountingToy()
