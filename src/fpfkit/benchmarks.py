@@ -22,8 +22,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import RegularGridInterpolator
-from scipy.stats import norm
+from scipy.special import ndtr
 
 from .model import DesignSpace, LimitStateModel, RandomVariableSpec, resolve_parameters
 
@@ -145,7 +144,7 @@ def toy_variable_specs() -> tuple[RandomVariableSpec, ...]:
 def analytic_toy_fpf(phi):
     """Exact toy FPF: P(theta >= phi) = Phi(-phi)."""
     phi = np.asarray(phi, dtype=float)
-    out = norm.sf(phi if phi.ndim <= 1 else phi[:, 0])
+    out = ndtr(-(phi if phi.ndim <= 1 else phi[:, 0]))
     return float(out) if out.ndim == 0 else out
 
 
@@ -156,7 +155,7 @@ def toy_pf_exact(lo: float = 0.0, hi: float = 4.0) -> float:
     """
 
     def anti(t: float) -> float:
-        return t * norm.sf(t) - norm.pdf(t)
+        return t * ndtr(-t) - np.exp(-t**2 / 2.0) / np.sqrt(2 * np.pi)
 
     return (anti(hi) - anti(lo)) / (hi - lo)
 
@@ -179,6 +178,8 @@ class TableModel(LimitStateModel):
             raise ValueError("table pf values must lie in [0, 1]")
         if pf.shape != tuple(len(a) for a in axes):
             raise ValueError("table shape does not match its axes")
+        from scipy.interpolate import RegularGridInterpolator
+
         self._interp = RegularGridInterpolator(axes, pf, method="linear")
         self.axes = tuple(np.asarray(a, dtype=float) for a in axes)
 
@@ -190,7 +191,7 @@ class TableModel(LimitStateModel):
         return self._interp(phis if phis.ndim == 2 else phis[None, :])
 
     def performance_batch(self, phis: np.ndarray, thetas: np.ndarray) -> np.ndarray:
-        return norm.cdf(thetas[:, 0]) - self._interp(phis)
+        return ndtr(thetas[:, 0]) - self._interp(phis)
 
     def margin(self, performance):
         return performance

@@ -236,7 +236,9 @@ def parse_config(data: dict) -> RunConfig:
     if scales_raw is not None:
         try:
             scales = tuple(float(v) for v in scales_raw)
-            if any(v <= 0 for v in scales):
+            if not scales:
+                errors.append("smoothing.length_scales: must not be empty")
+            elif any(v <= 0 for v in scales):
                 errors.append("smoothing.length_scales: must be positive")
         except (TypeError, ValueError):
             errors.append("smoothing.length_scales: expected a list of numbers")

@@ -65,6 +65,7 @@ def build_problem(config: RunConfig, base_dir: Path | None = None):
             raise ConfigError(f"table file not found: {path}")
         axes, values = load_table_csv(path)
         model = TableModel(axes, values)
+        specs = table_variable_specs()
         space = DesignSpace(config.bounds) if config.bounds else model.design_space()
         table_space = model.design_space()
         for (lo, hi), (tlo, thi) in zip(space.bounds, table_space.bounds):
@@ -74,6 +75,11 @@ def build_problem(config: RunConfig, base_dir: Path | None = None):
                 )
     else:
         raise ConfigError(f"unknown model type {kind!r}")
+    scales = config.smoothing.length_scales
+    if scales is not None and len(scales) != space.ndim:
+        raise ConfigError(
+            f"smoothing.length_scales: expected {space.ndim} (one per axis), got {len(scales)}"
+        )
     return model, space, specs
 
 
@@ -108,11 +114,7 @@ def run_command(config: RunConfig, out_dir: Path, base_dir: Path | None = None) 
     surface = fit_surface(
         support,
         noise_floor=config.smoothing.noise_floor,
-        length_scales=(
-            np.array(config.smoothing.length_scales)
-            if config.smoothing.length_scales
-            else None
-        ),
+        length_scales=config.smoothing.length_scales,
     )
     smoothed = SmoothedFPF(surface, chain.pf, space)
 
@@ -136,28 +138,26 @@ def run_command(config: RunConfig, out_dir: Path, base_dir: Path | None = None) 
 
     pts = grid_points(space, config.output.fpf_grid_resolution)
     composite = approx.fpf(pts)
-    smooth_vals = np.array([smoothed(p) for p in pts])
+    smooth_vals = smoothed(pts)
     header = phi_cols + ["composite_fpf", "smoothed_fpf"]
-    extra = None
+    extra = []
     if isinstance(model, ToyModel):
         header.append("analytic_fpf")
-        extra = analytic_toy_fpf(pts)
+        extra = [analytic_toy_fpf(pts)]
     elif isinstance(model, TableModel):
         header.append("table_fpf")
-        extra = model.table_fpf(pts)
-    rows = []
-    for i in range(len(pts)):
-        row = list(pts[i]) + [composite[i], smooth_vals[i]]
-        if extra is not None:
-            row.append(extra[i])
-        rows.append(row)
-    write_csv(out_dir / "fpf_grid.csv", header, rows)
+        extra = [model.table_fpf(pts)]
+    write_csv(
+        out_dir / "fpf_grid.csv",
+        header,
+        np.column_stack([pts, composite, smooth_vals, *extra]).tolist(),
+    )
 
-    grads = np.array([smoothed.gradient(p) for p in pts])
+    grads = smoothed.gradient(pts)
     write_csv(
         out_dir / "gradient_grid.csv",
         phi_cols + ["smoothed_fpf"] + [f"grad_{i + 1}" for i in range(ndim)],
-        (list(pts[i]) + [smooth_vals[i]] + list(grads[i]) for i in range(len(pts))),
+        np.column_stack([pts, smooth_vals, grads]).tolist(),
     )
 
     optima_summary = []
@@ -301,10 +301,9 @@ def compare_command(
     judged = 0
     within = 0
     abs_ratios = []
-    for i in range(len(oracle.points)):
-        phi = oracle.points[i]
-        opf = float(oracle.pf[i])
-        mpf = float(smoothed(phi))
+    for phi, opf, mpf in zip(
+        oracle.points, oracle.pf.tolist(), smoothed(oracle.points).tolist()
+    ):
         if opf > 0.0:
             ratio = math.log10(mpf / opf)
         else:

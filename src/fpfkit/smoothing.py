@@ -62,12 +62,20 @@ def extract_support_points(chain: RegionChainResult) -> tuple[SupportPoint, ...]
     )
 
 
+def _kernel(diff: np.ndarray, scales: np.ndarray, signal: float) -> np.ndarray:
+    """Squared exponential kernel over the last axis of point differences:
+    signal * exp(-0.5 sum_d (diff_d / l_d)^2)."""
+    r = diff / scales
+    return signal * np.exp(-0.5 * (r * r).sum(axis=-1))
+
+
 @dataclass(frozen=True)
 class RegressionSurface:
     """Fitted kernel ridge surface over log-density values.
 
     predict(phi) = y_mean + sum_i coef_i * k(phi, x_i) with the squared
     exponential kernel k(a, b) = signal_var * exp(-0.5 sum_d ((a_d-b_d)/l_d)^2).
+    ``predict`` and ``gradient`` take a point ``(d,)`` or rows ``(n, d)``.
     """
 
     x: np.ndarray
@@ -77,34 +85,27 @@ class RegressionSurface:
     noise_floor: float
     y_mean: float
 
-    def _kvec(self, phi: np.ndarray) -> np.ndarray:
-        r = (self.x - phi[None, :]) / self.length_scales[None, :]
-        return self.signal_var * np.exp(-0.5 * np.sum(r * r, axis=1))
-
-    def predict(self, phi: np.ndarray) -> float:
+    def predict(self, phi: np.ndarray):
+        """Surface value: a float for a point, an ``(n,)`` array for rows."""
         phi = np.asarray(phi, dtype=float)
-        return float(self.y_mean + self._kvec(phi) @ self.coef)
-
-    def predict_batch(self, phis: np.ndarray) -> np.ndarray:
-        phis = np.asarray(phis, dtype=float)
-        return np.array([self.predict(p) for p in phis])
+        k = _kernel(self.x - phi[..., None, :], self.length_scales, self.signal_var)
+        # a (1, n) @ (n,) product per row is one dot product, the same sum a
+        # lone point's ``k @ coef`` takes; an (m, n) @ (n,) product is not
+        value = self.y_mean + (k[..., None, :] @ self.coef)[..., 0]
+        return float(value) if phi.ndim == 1 else value
 
     def gradient(self, phi: np.ndarray) -> np.ndarray:
-        """Analytic gradient of predict at phi."""
+        """Analytic gradient of predict: ``(d,)`` for a point, ``(n, d)`` for rows."""
         phi = np.asarray(phi, dtype=float)
-        k = self._kvec(phi)
-        return ((self.x - phi[None, :]) / self.length_scales[None, :] ** 2).T @ (
-            k * self.coef
-        )
+        diff = self.x - phi[..., None, :]
+        k = _kernel(diff, self.length_scales, self.signal_var)
+        weighted = (diff / self.length_scales**2).swapaxes(-1, -2)
+        return np.matmul(weighted, (k * self.coef)[..., None])[..., 0]
 
 
-def _loo_sse(
-    k: np.ndarray, y: np.ndarray, lam: float, weights: np.ndarray | None = None
-) -> float:
-    """Leave-one-out squared error of kernel ridge via the closed form.
-
-    ``weights`` scale each point's squared residual; unweighted otherwise.
-    """
+def _loo_sse(k: np.ndarray, y: np.ndarray, lam: float, weights: np.ndarray) -> float:
+    """Leave-one-out squared error of kernel ridge via the closed form, each
+    point's squared residual scaled by its weight."""
     a = k + lam * np.eye(k.shape[0])
     try:
         c = cho_factor(a)
@@ -115,10 +116,7 @@ def _loo_sse(
     diag = np.diag(inv)
     if np.any(diag <= 0):
         return math.inf
-    sq = (coef / diag) ** 2
-    if weights is not None:
-        sq = weights * sq
-    return float(np.sum(sq))
+    return float(np.sum(weights * (coef / diag) ** 2))
 
 
 _MULT_GRID = np.logspace(-1.0, 1.0, 13)
@@ -179,18 +177,16 @@ def fit_surface(
     base = np.where(base > 0, base, spread / math.sqrt(12.0))
     base = np.where(base > 0, base, 1.0)
 
+    r = x[:, None, :] - x[None, :, :]
     noise = noise_floor
     if length_scales is None:
         if n < 3:
             scales = base
         else:
             noise_grid = [max(noise_floor, f * signal) for f in _NOISE_FRACTIONS]
-            r = x[:, None, :] - x[None, :, :]
 
             def score(mults: np.ndarray) -> tuple[float, float]:
-                k = signal * np.exp(
-                    -0.5 * np.sum((r / (base * mults)) ** 2, axis=2)
-                )
+                k = _kernel(r, base * mults, signal)
                 best = (math.inf, noise_grid[0])
                 for lam in noise_grid:
                     sse = _loo_sse(k, yc, lam, w)
@@ -217,8 +213,7 @@ def fit_surface(
         if scales.shape != (d,) or np.any(scales <= 0):
             raise ValueError("length_scales must be positive with one entry per axis")
 
-    r = x[:, None, :] - x[None, :, :]
-    k = signal * np.exp(-0.5 * np.sum((r / scales) ** 2, axis=2))
+    k = _kernel(r, scales, signal)
     c = cho_factor(k + noise * np.eye(n))
     coef = cho_solve(c, yc)
     return RegressionSurface(x, coef, scales, signal, noise, y_mean)
@@ -226,7 +221,8 @@ def fit_surface(
 
 @dataclass(frozen=True)
 class SmoothedFPF:
-    """Scaled smooth FPF: exp(surface) * P(F) / p(phi)."""
+    """Scaled smooth FPF: exp(surface) * P(F) / p(phi), at a point ``(d,)``
+    or rows ``(n, d)``."""
 
     surface: RegressionSurface
     pf: float
@@ -237,13 +233,28 @@ class SmoothedFPF:
         return self.pf * self.space.volume
 
     def __call__(self, phi: np.ndarray):
-        phi = np.asarray(phi, dtype=float)
-        if phi.ndim == 2:
-            return np.array([self(p) for p in phi])
-        return math.exp(self.surface.predict(phi)) * self.scale
+        log_value = self.surface.predict(phi)
+        if isinstance(log_value, float):
+            return math.exp(log_value) * self.scale
+        # math.exp per value: np.exp differs from it in the last bit for some
+        return np.fromiter(map(math.exp, log_value), float, len(log_value)) * self.scale
 
     def gradient(self, phi: np.ndarray) -> np.ndarray:
-        return self(phi) * self.surface.gradient(np.asarray(phi, dtype=float))
+        """Gradient of the scaled smooth FPF, shaped like ``phi``.
+
+        Any point outside the design box raises; on the boundary the value is
+        an analytic one-sided extrapolation, flagged by one warning per call.
+        """
+        phi = np.asarray(phi, dtype=float)
+        outside = np.atleast_2d(phi)[~np.atleast_1d(self.space.contains(phi))]
+        if len(outside):
+            raise ValueError(f"design point {outside[0]} outside the design space")
+        if np.any(phi == self.space.lower) or np.any(phi == self.space.upper):
+            warnings.warn(
+                "gradient requested on the design boundary; value is one-sided",
+                stacklevel=2,
+            )
+        return np.asarray(self(phi))[..., None] * self.surface.gradient(phi)
 
 
 def smoothed_fpf(
@@ -257,21 +268,3 @@ def smoothed_fpf(
         extract_support_points(chain), noise_floor=noise_floor, length_scales=length_scales
     )
     return SmoothedFPF(surface, chain.pf, space)
-
-
-def fpf_gradient(smoothed: SmoothedFPF, phi: np.ndarray) -> np.ndarray:
-    """Gradient of the scaled smooth FPF at phi.
-
-    Outside the design box raises; exactly on the boundary the value is an
-    analytic one-sided extrapolation and a warning flags it.
-    """
-    phi = np.asarray(phi, dtype=float)
-    space = smoothed.space
-    if not space.contains(phi):
-        raise ValueError(f"design point {phi} outside the design space")
-    if np.any(phi == space.lower) or np.any(phi == space.upper):
-        warnings.warn(
-            "gradient requested on the design boundary; value is one-sided",
-            stacklevel=2,
-        )
-    return smoothed.gradient(phi)

@@ -19,6 +19,7 @@ from fpfkit.bsp import (
 )
 from fpfkit.model import DesignSpace
 from fpfkit.regions import Box
+from fpfkit.smoothing import RegressionSurface, SmoothedFPF
 
 
 def disjoint_volume_check(boxes: tuple[Box, ...], tol: float = 1e-9) -> bool:
@@ -176,3 +177,36 @@ def reference_compose_density(levels, phi: np.ndarray) -> float:
         if level.region.contains(phi):
             return reference_pdf(level.raw, phi) / level.captured * level.weight
     return 0.0
+
+
+# ---------------------------------------------------- per-point surface ---
+
+
+def _reference_kvec(surface: RegressionSurface, phi: np.ndarray) -> np.ndarray:
+    r = (surface.x - phi[None, :]) / surface.length_scales[None, :]
+    return surface.signal_var * np.exp(-0.5 * np.sum(r * r, axis=1))
+
+
+def reference_predict(surface: RegressionSurface, phi: np.ndarray) -> float:
+    """Surface value at one point: its kernel vector, then one ``kvec @ coef``."""
+    phi = np.asarray(phi, dtype=float)
+    return float(surface.y_mean + _reference_kvec(surface, phi) @ surface.coef)
+
+
+def reference_surface_gradient(surface: RegressionSurface, phi: np.ndarray) -> np.ndarray:
+    """Analytic surface gradient at one point."""
+    phi = np.asarray(phi, dtype=float)
+    k = _reference_kvec(surface, phi)
+    return ((surface.x - phi[None, :]) / surface.length_scales[None, :] ** 2).T @ (
+        k * surface.coef
+    )
+
+
+def reference_smoothed(smoothed: SmoothedFPF, phi: np.ndarray) -> float:
+    """Scaled smooth FPF at one point."""
+    return math.exp(reference_predict(smoothed.surface, phi)) * smoothed.scale
+
+
+def reference_smoothed_gradient(smoothed: SmoothedFPF, phi: np.ndarray) -> np.ndarray:
+    """Gradient of the scaled smooth FPF at one point (no boundary guard)."""
+    return reference_smoothed(smoothed, phi) * reference_surface_gradient(smoothed.surface, phi)

@@ -54,6 +54,17 @@ def test_bad_thread_count_is_a_config_error(tmp_path):
     assert code == cli.EXIT_CONFIG
 
 
+def test_length_scale_count_mismatch_is_a_config_error(tmp_path):
+    # the toy has one design axis; the mismatch is caught before the pipeline
+    cfg = tmp_path / "run.yaml"
+    _write_small_toy(cfg)
+    cfg.write_text(cfg.read_text() + "smoothing:\n  length_scales: [1.0, 2.0]\n")
+    out = tmp_path / "o"
+    code = cli.main(["run", "--config", str(cfg), "--output", str(out)])
+    assert code == cli.EXIT_CONFIG
+    assert not [p for p in out.rglob("*") if p.is_file()]
+
+
 def test_argparse_surface():
     with pytest.raises(SystemExit) as exc:
         cli.main([])
@@ -108,6 +119,28 @@ def test_run_writes_the_artifact_tree_and_honors_seed_override(tmp_path):
     )
     total = manifest["evaluations"]["total"]
     assert total == sum(v for k, v in manifest["evaluations"].items() if k != "total")
+
+
+def test_run_on_a_table_model_writes_the_table_column(tmp_path):
+    axis = np.linspace(0.0, 1.0, 6).tolist()
+    lines = ["phi_1,phi_2,pf"] + [
+        f"{x!r},{y!r},{0.02 + 0.2 * x * y!r}" for x in axis for y in axis
+    ]
+    (tmp_path / "t.csv").write_text("\n".join(lines) + "\n")
+    cfg = tmp_path / "table.yaml"
+    cfg.write_text(
+        "seed: 3\nmodel:\n  type: table\n  table_path: t.csv\n"
+        "pipeline:\n  pilot_budget: 2000\n  iteration_budget: 2000\n"
+        "  max_iterations: 1\n"
+        "output:\n  fpf_grid_resolution: 3\n"
+    )
+    out = tmp_path / "out"
+    code = cli.main(["run", "--config", str(cfg), "--output", str(out)])
+    assert code == cli.EXIT_OK
+    grid = (out / "fpf_grid.csv").read_text().splitlines()
+    assert grid[0] == "phi_1,phi_2,composite_fpf,smoothed_fpf,table_fpf"
+    assert len(grid) == 1 + 3 * 3
+    assert grid[1].endswith(",0.02")
 
 
 # ----------------------------------------------------------- grid command ---

@@ -136,6 +136,8 @@ def test_smoothing_and_optimization_validation():
         parse_config(_minimal(smoothing={"length_scales": [0.5, -1.0]}))
     with pytest.raises(ConfigError, match="length_scales: expected a list"):
         parse_config(_minimal(smoothing={"length_scales": ["wide"]}))
+    with pytest.raises(ConfigError, match="length_scales: must not be empty"):
+        parse_config(_minimal(smoothing={"length_scales": []}))
     with pytest.raises(ConfigError, match=r"allowable: values must lie in \(0, 1\)"):
         parse_config(_minimal(optimization={"allowable": [0.5, 1.5]}))
     with pytest.raises(ConfigError, match="noise_floor: must be positive"):

@@ -7,6 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
+from fpfkit.benchmarks import grid_points
 from fpfkit.model import DesignSpace
 from fpfkit.pipeline import compose_density
 from fpfkit.smoothing import (
@@ -14,8 +15,13 @@ from fpfkit.smoothing import (
     SupportPoint,
     extract_support_points,
     fit_surface,
-    fpf_gradient,
     smoothed_fpf,
+)
+from helpers import (
+    reference_predict,
+    reference_smoothed,
+    reference_smoothed_gradient,
+    reference_surface_gradient,
 )
 
 
@@ -82,7 +88,7 @@ def test_predict_batch_matches_scalar_predict():
         length_scales=np.array([0.3]),
     )
     phis = np.array([[0.1], [0.55], [0.9]])
-    batch = surface.predict_batch(phis)
+    batch = surface.predict(phis)
     assert batch.shape == (3,)
     for value, phi in zip(batch, phis):
         assert value == surface.predict(phi)
@@ -217,23 +223,101 @@ def test_smoothed_fpf_helper_matches_manual_assembly(toy_case):
     assert rebuilt(phi) > 0
 
 
+# ------------------------------------------------- rows against points ---
+
+
+def _probe_rows(space: DesignSpace) -> np.ndarray:
+    """Grid rows over the closed box (faces and corners included) plus
+    random interior points."""
+    rng = np.random.default_rng(3)
+    inner = rng.uniform(space.lower, space.upper, size=(200, space.ndim))
+    return np.vstack([grid_points(space, 9), inner])
+
+
+@pytest.mark.parametrize("case_name", ["toy_case", "beam_case"])
+def test_row_surface_equals_the_per_point_reference(case_name, request):
+    smoothed = request.getfixturevalue(case_name).smoothed
+    surface = smoothed.surface
+    rows = _probe_rows(smoothed.space)
+    assert np.any(rows == smoothed.space.lower) and np.any(rows == smoothed.space.upper)
+    values = surface.predict(rows)
+    grads = surface.gradient(rows)
+    fpf = smoothed(rows)
+    with pytest.warns(UserWarning, match="one-sided"):
+        fpf_grads = smoothed.gradient(rows)
+    assert values.shape == fpf.shape == (len(rows),)
+    assert grads.shape == fpf_grads.shape == rows.shape
+    assert np.array_equal(values, [reference_predict(surface, p) for p in rows])
+    assert np.array_equal(grads, [reference_surface_gradient(surface, p) for p in rows])
+    assert np.array_equal(fpf, [reference_smoothed(smoothed, p) for p in rows])
+    assert np.array_equal(
+        fpf_grads, [reference_smoothed_gradient(smoothed, p) for p in rows]
+    )
+
+
+@pytest.mark.parametrize("case_name", ["toy_case", "beam_case"])
+def test_a_point_equals_its_one_row_form(case_name, request):
+    smoothed = request.getfixturevalue(case_name).smoothed
+    surface = smoothed.surface
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for p in _probe_rows(smoothed.space)[::7]:
+            value = surface.predict(p)
+            assert isinstance(value, float)
+            assert value == surface.predict(p[None, :])[0]
+            assert np.array_equal(surface.gradient(p), surface.gradient(p[None, :])[0])
+            fpf = smoothed(p)
+            assert isinstance(fpf, float)
+            assert fpf == smoothed(p[None, :])[0]
+            grad = smoothed.gradient(p)
+            assert grad.shape == p.shape
+            assert np.array_equal(grad, smoothed.gradient(p[None, :])[0])
+
+
 # -------------------------------------------------------- gradient guard ---
 
 
 def test_gradient_outside_the_design_space_is_rejected(toy_case):
     with pytest.raises(ValueError, match="outside"):
-        fpf_gradient(toy_case.smoothed, np.array([5.0]))
+        toy_case.smoothed.gradient(np.array([5.0]))
 
 
 def test_gradient_on_the_boundary_warns_one_sided(toy_case):
     with pytest.warns(UserWarning, match="one-sided"):
-        grad = fpf_gradient(toy_case.smoothed, np.array([0.0]))
+        grad = toy_case.smoothed.gradient(np.array([0.0]))
     assert grad.shape == (1,)
 
 
 def test_gradient_in_the_interior_is_warning_free(toy_case):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        grad = fpf_gradient(toy_case.smoothed, np.array([2.0]))
+        grad = toy_case.smoothed.gradient(np.array([2.0]))
     assert grad.shape == (1,)
     assert math.isfinite(grad[0])
+
+
+def test_gradient_rows_with_one_outside_row_are_rejected(toy_case):
+    rows = np.array([[1.0], [2.0], [-0.5], [3.0]])
+    with pytest.raises(ValueError, match=r"\[-0\.5\] outside"):
+        toy_case.smoothed.gradient(rows)
+
+
+def test_gradient_face_rows_warn_once_per_call(toy_case):
+    rows = np.array([[0.0], [1.0], [4.0], [0.0], [2.5]])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        grads = toy_case.smoothed.gradient(rows)
+    assert [str(w.message) for w in caught] == [
+        "gradient requested on the design boundary; value is one-sided"
+    ]
+    assert caught[0].category is UserWarning
+    assert grads.shape == (5, 1)
+
+
+def test_gradient_interior_rows_are_warning_free(toy_case):
+    rows = np.array([[0.5], [2.0], [3.5]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        grads = toy_case.smoothed.gradient(rows)
+    assert grads.shape == (3, 1)
+    assert np.all(np.isfinite(grads))
