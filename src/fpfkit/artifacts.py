@@ -57,7 +57,10 @@ def write_samples_csv(path: Path, samples: SampleSet, theta_names: list[str]) ->
     ndim = samples.phi.shape[1]
     header = [f"phi_{i + 1}" for i in range(ndim)] + theta_names + ["performance", "failed"]
     table = np.hstack([samples.phi, samples.theta, samples.performance[:, None]])
-    write_csv(path, header, (row + [True] for row in table.tolist()))
+    # the bytes write_csv gives: repr per float, "1" for the flag, no quoting
+    lines = [",".join(header)]
+    lines.extend(",".join(map(repr, row)) + ",1" for row in table.tolist())
+    path.write_text("\n".join(lines) + "\n")
 
 
 # ----------------------------------------------------------- grid oracles ---
@@ -73,6 +76,23 @@ def write_oracle_csv(path: Path, oracle) -> None:
     write_csv(path, header, rows)
 
 
+def _read_numeric_csv(path: Path) -> tuple[list[str], np.ndarray]:
+    """Header and a float table of a CSV; ValueError names the file."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        data = [row for row in reader]
+    if header is None or not data:
+        raise ValueError(f"{path}: expected a header and at least one row")
+    try:
+        arr = np.array([[float(v) for v in row] for row in data])
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    if arr.shape[1] != len(header):
+        raise ValueError(f"{path}: rows have {arr.shape[1]} cells, the header {len(header)}")
+    return header, arr
+
+
 def load_oracle_csv(path: Path):
     """Read a grid oracle CSV back into points/pf/n/cov arrays.
 
@@ -81,17 +101,13 @@ def load_oracle_csv(path: Path):
     """
     from .benchmarks import FPFGridOracle
 
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        data = [row for row in reader]
+    header, arr = _read_numeric_csv(path)
     ndim = sum(1 for name in header if name.startswith("phi_"))
     if ndim == 0 or header[:ndim] != [f"phi_{i + 1}" for i in range(ndim)]:
         raise ValueError(f"{path}: expected leading phi_1..phi_n columns")
     for name in ("pf_hat", "n", "cov"):
         if name not in header:
             raise ValueError(f"{path}: missing column {name}")
-    arr = np.array([[float(v) for v in row] for row in data])
     points = arr[:, :ndim]
     pf = arr[:, header.index("pf_hat")]
     n = arr[:, header.index("n")].astype(int)
@@ -106,14 +122,10 @@ def load_oracle_csv(path: Path):
 
 def load_table_csv(path: Path):
     """Tabulated FPF grid (phi_1..phi_n, pf) -> (axes, values) for TableModel."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        data = [row for row in reader]
+    header, arr = _read_numeric_csv(path)
     ndim = sum(1 for name in header if name.startswith("phi_"))
     if ndim == 0 or "pf" not in header:
         raise ValueError(f"{path}: expected phi_1..phi_n and pf columns")
-    arr = np.array([[float(v) for v in row] for row in data])
     points = arr[:, :ndim]
     pf = arr[:, header.index("pf")]
     axes = tuple(np.unique(points[:, d]) for d in range(ndim))

@@ -24,7 +24,13 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtr
 
-from .model import DesignSpace, LimitStateModel, RandomVariableSpec, resolve_parameters
+from .model import (
+    DesignSpace,
+    LimitStateModel,
+    RandomVariableSpec,
+    _draw_theta,
+    resolve_parameters,
+)
 
 # first root of cos(x) * cosh(x) = -1 (clamped-free beam)
 LAMBDA_1 = 1.8751040687119611
@@ -32,21 +38,36 @@ LAMBDA_1 = 1.8751040687119611
 _ORACLE_BATCH = 65536
 
 
+def _as_arrays(*values):
+    """The broadcast shape of ``values`` and the values as float arrays of
+    that shape, at least 1-d so that in-place ufuncs have arrays to write."""
+    arrays = [np.asarray(v, dtype=float) for v in values]
+    shape = np.broadcast_shapes(*(a.shape for a in arrays))
+    return shape, np.broadcast_arrays(*(np.atleast_1d(a) for a in arrays))
+
+
 def beam_section(b, h, t):
     """Area (mm^2) and second moment (mm^4) of a hollow rectangle.
 
     Outer dimensions must exceed twice the wall thickness.
     """
-    b = np.asarray(b, dtype=float)
-    h = np.asarray(h, dtype=float)
-    t = np.asarray(t, dtype=float)
-    if np.any(b <= 2 * t) or np.any(h <= 2 * t):
+    shape, (b, h, t) = _as_arrays(b, h, t)
+    t2 = 2 * t
+    if np.any(b <= t2) or np.any(h <= t2):
         raise ValueError("outer dimensions must exceed twice the wall thickness")
-    bi = b - 2 * t
-    hi = h - 2 * t
-    area = b * h - bi * hi
-    inertia = (b * h**3 - bi * hi**3) / 12.0
-    return area, inertia
+    # three buffers, rounding as b * h - bi * hi and (b * h**3 - bi * hi**3) / 12
+    bi = b - t2
+    hi = np.subtract(h, t2, out=t2)
+    outer = hi**3
+    outer *= bi  # bi * hi**3
+    hi *= bi  # bi * hi
+    area = np.multiply(b, h, out=bi)
+    area -= hi
+    inertia = np.power(h, 3, out=hi)
+    inertia *= b
+    inertia -= outer
+    inertia /= 12.0
+    return area.reshape(shape)[()], inertia.reshape(shape)[()]
 
 
 def beam_frequency(b, h, t, rho, e_gpa, length_mm: float = 500.0):
@@ -54,15 +75,20 @@ def beam_frequency(b, h, t, rho, e_gpa, length_mm: float = 500.0):
 
     b, h, t in mm; rho in kg/m^3; e_gpa in GPa; length in mm.
     """
+    shape, (b, h, t, rho, e_gpa) = _as_arrays(b, h, t, rho, e_gpa)
     area, inertia = beam_section(b, h, t)
-    area_m2 = area * 1e-6
-    inertia_m4 = inertia * 1e-12
-    length_m = length_mm * 1e-3
-    e_pa = np.asarray(e_gpa, dtype=float) * 1e9
-    rho = np.asarray(rho, dtype=float)
-    return LAMBDA_1**2 * np.sqrt(
-        e_pa * inertia_m4 / (rho * area_m2 * length_m**4)
-    )
+    # in place, rounding as
+    # LAMBDA_1**2 * sqrt(E[Pa] * I[m^4] / (rho * A[m^2] * L[m]**4))
+    freq = e_gpa * 1e9
+    inertia *= 1e-12
+    freq *= inertia
+    area *= 1e-6
+    area *= rho
+    area *= (length_mm * 1e-3) ** 4
+    freq /= area
+    np.sqrt(freq, out=freq)
+    freq *= LAMBDA_1**2
+    return freq.reshape(shape)[()]
 
 
 class BoxBeamModel(LimitStateModel):
@@ -99,7 +125,13 @@ class BoxBeamModel(LimitStateModel):
 
     def theta_valid_batch(self, phis: np.ndarray, thetas: np.ndarray) -> np.ndarray:
         b, h, t, rho, e = (thetas[:, j] for j in range(5))
-        return (b > 2 * t) & (h > 2 * t) & (t > 0) & (rho > 0) & (e > 0)
+        t2 = 2 * t
+        valid = b > t2
+        valid &= h > t2
+        valid &= t > 0
+        valid &= rho > 0
+        valid &= e > 0
+        return valid
 
 
 def beam_design_space() -> DesignSpace:
@@ -234,16 +266,19 @@ def _point_estimate(
 ) -> tuple[float, float]:
     rng = np.random.Generator(np.random.PCG64(seq))
     mu, sigma = resolve_parameters(specs, phi[None, :])
+    # one set of buffers per point: row-major normals, and theta stored
+    # variable by variable so the model's column reads are contiguous
+    size = min(_ORACLE_BATCH, n)
+    normals = np.empty((size, mu.shape[1]))
+    columns = np.empty((mu.shape[1], size))
     n_fail = 0
     done = 0
     while done < n:
         m = min(_ORACLE_BATCH, n - done)
-        thetas = rng.normal(mu[0], sigma[0], size=(m, mu.shape[1]))
         phis = np.broadcast_to(phi, (m, phi.size))
-        bad = ~model.theta_valid_batch(phis, thetas)
-        while np.any(bad):
-            thetas[bad] = rng.normal(mu[0], sigma[0], size=(int(np.count_nonzero(bad)), mu.shape[1]))
-            bad = ~model.theta_valid_batch(phis, thetas)
+        thetas = _draw_theta(
+            model, phis, mu[0], sigma[0], rng, normals[:m], columns[:, :m].T
+        )
         _, failed = model.evaluate_batch(phis, thetas)
         n_fail += int(np.count_nonzero(failed))
         done += m

@@ -221,6 +221,42 @@ class LimitStateModel:
 _MAX_REDRAWS = 100
 
 
+def _draw_theta(
+    model: LimitStateModel,
+    phis: np.ndarray,
+    mu: np.ndarray,
+    sigma: np.ndarray,
+    rng: np.random.Generator,
+    normals: np.ndarray,
+    out: np.ndarray,
+) -> np.ndarray:
+    """Fill ``out`` (n, k) with normal theta rows, redrawing the ones the model
+    rejects; ``mu`` and ``sigma`` are (k,) or (n, k).
+
+    ``normals`` is a C-ordered (n, k) buffer for the standard normals, which
+    the stream fills row by row; it may be ``out`` itself, or ``out`` may be a
+    column-major view so that each variable is contiguous for the model. The
+    doubles are those of ``rng.normal(mu, sigma)``, which computes
+    ``mu + sigma * z`` from the same standard normals, without its
+    per-element broadcast or fresh temporaries.
+    """
+    rng.standard_normal(out=normals)
+    np.multiply(normals, sigma, out=out)
+    out += mu
+    bad = ~model.theta_valid_batch(phis, out)
+    tries = 0
+    while np.any(bad):
+        tries += 1
+        if tries > _MAX_REDRAWS:
+            raise RuntimeError("theta redraw limit exceeded; check variable specs")
+        redraw = rng.standard_normal((int(np.count_nonzero(bad)), out.shape[1]))
+        redraw *= np.broadcast_to(sigma, out.shape)[bad]
+        redraw += np.broadcast_to(mu, out.shape)[bad]
+        out[bad] = redraw
+        bad = ~model.theta_valid_batch(phis, out)
+    return out
+
+
 def sample_theta(
     specs: tuple[RandomVariableSpec, ...],
     model: LimitStateModel,
@@ -229,13 +265,5 @@ def sample_theta(
 ) -> np.ndarray:
     """Draw theta rows conditional on each design row, redrawing invalid ones."""
     mus, sigmas = resolve_parameters(specs, phis)
-    thetas = rng.normal(mus, sigmas)
-    bad = ~model.theta_valid_batch(phis, thetas)
-    tries = 0
-    while np.any(bad):
-        tries += 1
-        if tries > _MAX_REDRAWS:
-            raise RuntimeError("theta redraw limit exceeded; check variable specs")
-        thetas[bad] = rng.normal(mus[bad], sigmas[bad])
-        bad = ~model.theta_valid_batch(phis, thetas)
-    return thetas
+    thetas = np.empty_like(mus)
+    return _draw_theta(model, phis, mus, sigmas, rng, thetas, thetas)

@@ -63,8 +63,11 @@ def build_problem(config: RunConfig, base_dir: Path | None = None):
             path = base_dir / path
         if not path.exists():
             raise ConfigError(f"table file not found: {path}")
-        axes, values = load_table_csv(path)
-        model = TableModel(axes, values)
+        try:
+            axes, values = load_table_csv(path)
+            model = TableModel(axes, values)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
         specs = table_variable_specs()
         space = DesignSpace(config.bounds) if config.bounds else model.design_space()
         table_space = model.design_space()
@@ -282,7 +285,10 @@ def compare_command(
     if not oracle_path.exists():
         raise ConfigError(f"oracle file not found: {oracle_path}")
     smoothed = load_surface(surface_path)
-    oracle = load_oracle_csv(oracle_path)
+    try:
+        oracle = load_oracle_csv(oracle_path)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
     mine = tuple((float(lo), float(hi)) for lo, hi in smoothed.space.bounds)
     theirs = tuple((float(lo), float(hi)) for lo, hi in oracle.bounds)

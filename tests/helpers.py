@@ -17,7 +17,8 @@ from fpfkit.bsp import (
     propose_cut,
     root_partition,
 )
-from fpfkit.model import DesignSpace
+from fpfkit.benchmarks import LAMBDA_1
+from fpfkit.model import DesignSpace, resolve_parameters
 from fpfkit.regions import Box
 from fpfkit.smoothing import RegressionSurface, SmoothedFPF
 
@@ -210,3 +211,59 @@ def reference_smoothed(smoothed: SmoothedFPF, phi: np.ndarray) -> float:
 def reference_smoothed_gradient(smoothed: SmoothedFPF, phi: np.ndarray) -> np.ndarray:
     """Gradient of the scaled smooth FPF at one point (no boundary guard)."""
     return reference_smoothed(smoothed, phi) * reference_surface_gradient(smoothed.surface, phi)
+
+
+# ------------------------------------------- allocating draws and physics ---
+
+
+def reference_sample_theta(specs, model, phis, rng) -> np.ndarray:
+    """Per-row theta draws through ``Generator.normal``, redrawing invalid rows."""
+    mus, sigmas = resolve_parameters(specs, phis)
+    thetas = rng.normal(mus, sigmas)
+    bad = ~model.theta_valid_batch(phis, thetas)
+    while np.any(bad):
+        thetas[bad] = rng.normal(mus[bad], sigmas[bad])
+        bad = ~model.theta_valid_batch(phis, thetas)
+    return thetas
+
+
+def reference_point_estimate(model, specs, phi, n, seq) -> tuple[float, float]:
+    """One oracle point: fresh ``Generator.normal`` batches of 65,536 rows with
+    broadcast parameters, invalid rows redrawn the same way."""
+    rng = np.random.Generator(np.random.PCG64(seq))
+    mu, sigma = resolve_parameters(specs, phi[None, :])
+    n_fail = 0
+    done = 0
+    while done < n:
+        m = min(65536, n - done)
+        thetas = rng.normal(mu[0], sigma[0], size=(m, mu.shape[1]))
+        phis = np.broadcast_to(phi, (m, phi.size))
+        bad = ~model.theta_valid_batch(phis, thetas)
+        while np.any(bad):
+            thetas[bad] = rng.normal(
+                mu[0], sigma[0], size=(int(np.count_nonzero(bad)), mu.shape[1])
+            )
+            bad = ~model.theta_valid_batch(phis, thetas)
+        _, failed = model.evaluate_batch(phis, thetas)
+        n_fail += int(np.count_nonzero(failed))
+        done += m
+    pf = n_fail / n
+    cov = math.sqrt((1.0 - pf) / (n * pf)) if pf > 0 else math.inf
+    return pf, cov
+
+
+def reference_beam_frequency(b, h, t, rho, e_gpa, length_mm: float = 500.0):
+    """Beam frequency with one fresh array per operation."""
+    b = np.asarray(b, dtype=float)
+    h = np.asarray(h, dtype=float)
+    t = np.asarray(t, dtype=float)
+    bi = b - 2 * t
+    hi = h - 2 * t
+    area = b * h - bi * hi
+    inertia = (b * h**3 - bi * hi**3) / 12.0
+    area_m2 = area * 1e-6
+    inertia_m4 = inertia * 1e-12
+    length_m = length_mm * 1e-3
+    e_pa = np.asarray(e_gpa, dtype=float) * 1e9
+    rho = np.asarray(rho, dtype=float)
+    return LAMBDA_1**2 * np.sqrt(e_pa * inertia_m4 / (rho * area_m2 * length_m**4))

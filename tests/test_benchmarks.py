@@ -25,6 +25,8 @@ from fpfkit.benchmarks import (
     toy_pf_exact,
     toy_variable_specs,
 )
+from fpfkit.model import sample_theta
+from helpers import reference_beam_frequency, reference_point_estimate
 
 
 # ------------------------------------------------------------ beam physics ---
@@ -77,6 +79,37 @@ def test_beam_frequency_scaling_laws():
     assert beam_frequency(40.0, 40.0, 2.0, 4 * 7800.0, 210.0) == pytest.approx(
         base / 2
     )
+
+
+@pytest.mark.parametrize(
+    "phi", [(30.0, 30.0), (30.0, 50.0), (50.0, 30.0), (50.0, 50.0), (40.0, 40.0)]
+)
+def test_beam_frequency_equals_the_allocating_reference(phi):
+    model = BoxBeamModel(band=(700.0, 900.0))
+    phis = np.broadcast_to(np.array(phi), (65536, 2))
+    thetas = sample_theta(beam_variable_specs(), model, phis, np.random.default_rng(4))
+    got = beam_frequency(*thetas.T)
+    assert got.shape == (65536,)
+    assert np.array_equal(got, reference_beam_frequency(*thetas.T))
+    assert np.array_equal(model.performance_batch(phis, thetas), got)
+    # the column layout the oracle uses gives the same doubles
+    columns = np.ascontiguousarray(thetas.T)
+    assert np.array_equal(model.performance_batch(phis, columns.T), got)
+
+
+def test_beam_frequency_of_scalars_and_mixed_shapes():
+    args = (40.0, 35.0, 2.0, 7800.0, 210.0)
+    got = beam_frequency(*args)
+    assert isinstance(got, np.float64)
+    assert got == reference_beam_frequency(*args)
+    assert beam_frequency(*args, 650.0) == reference_beam_frequency(*args, 650.0)
+    heights = np.array([[31.0, 40.0], [45.0, 49.5]])
+    moduli = np.array([200.0, 220.0])
+    got = beam_frequency(40.0, heights, 2.0, 7800.0, moduli)
+    assert got.shape == (2, 2)
+    assert np.array_equal(got, reference_beam_frequency(40.0, heights, 2.0, 7800.0, moduli))
+    area, inertia = beam_section(40.0, 40.0, 2.0)
+    assert isinstance(area, np.float64) and isinstance(inertia, np.float64)
 
 
 def test_beam_frequency_increases_with_height():
@@ -254,6 +287,46 @@ def test_grid_oracle_is_independent_of_worker_count():
     serial = grid_dmcs_oracle(ToyModel(), **kwargs)
     kwargs["seed_seq"] = np.random.SeedSequence(17)
     threaded = grid_dmcs_oracle(ToyModel(), workers=3, **kwargs)
+    assert np.array_equal(serial.pf, threaded.pf)
+    assert np.array_equal(serial.cov, threaded.cov)
+
+
+class _PickyToy(ToyModel):
+    """Rejects about a sixth of the draws, so the oracle redraws."""
+
+    def theta_valid_batch(self, phis, thetas):
+        return thetas[:, 0] < 1.0
+
+
+@pytest.mark.parametrize(
+    "model, space, specs",
+    [
+        (BoxBeamModel(band=(700.0, 900.0)), beam_design_space(), beam_variable_specs()),
+        (_PickyToy(), toy_design_space(), toy_variable_specs()),
+    ],
+    ids=["beam", "redrawn-toy"],
+)
+def test_grid_oracle_equals_the_allocating_reference(model, space, specs):
+    # 70,000 samples per point: one full batch and one partial batch
+    oracle = grid_dmcs_oracle(model, space, specs, 3, 70000, np.random.SeedSequence(23))
+    seqs = np.random.SeedSequence(23).spawn(len(oracle.points))
+    for i, phi in enumerate(oracle.points):
+        pf, cov = reference_point_estimate(model, specs, phi, 70000, seqs[i])
+        assert (oracle.pf[i], oracle.cov[i]) == (pf, cov)
+
+
+def test_beam_grid_oracle_is_independent_of_worker_count():
+    kwargs = dict(
+        space=beam_design_space(), specs=beam_variable_specs(),
+        resolution=3, n_per_point=70000,
+    )
+    serial = grid_dmcs_oracle(
+        BoxBeamModel(band=(700.0, 900.0)), seed_seq=np.random.SeedSequence(5), **kwargs
+    )
+    threaded = grid_dmcs_oracle(
+        BoxBeamModel(band=(700.0, 900.0)), seed_seq=np.random.SeedSequence(5),
+        workers=2, **kwargs,
+    )
     assert np.array_equal(serial.pf, threaded.pf)
     assert np.array_equal(serial.cov, threaded.cov)
 

@@ -1,6 +1,7 @@
 """End-to-end command line tests, driven through cli.main for real exit codes."""
 
 import json
+import time
 
 import numpy as np
 import pytest
@@ -59,6 +60,16 @@ def test_length_scale_count_mismatch_is_a_config_error(tmp_path):
     cfg = tmp_path / "run.yaml"
     _write_small_toy(cfg)
     cfg.write_text(cfg.read_text() + "smoothing:\n  length_scales: [1.0, 2.0]\n")
+    out = tmp_path / "o"
+    code = cli.main(["run", "--config", str(cfg), "--output", str(out)])
+    assert code == cli.EXIT_CONFIG
+    assert not [p for p in out.rglob("*") if p.is_file()]
+
+
+def test_malformed_table_is_a_config_error(tmp_path):
+    (tmp_path / "t.csv").write_text("phi_1,pf\n0.0,0.1\n1.0,abc\n")
+    cfg = tmp_path / "table.yaml"
+    cfg.write_text("seed: 3\nmodel:\n  type: table\n  table_path: t.csv\n")
     out = tmp_path / "o"
     code = cli.main(["run", "--config", str(cfg), "--output", str(out)])
     assert code == cli.EXIT_CONFIG
@@ -164,6 +175,22 @@ def test_grid_writes_a_loadable_oracle(tmp_path):
     assert manifest["evaluations"]["total"] == 1500
 
 
+def test_grid_exits_with_the_runtime_code_when_theta_is_never_valid(tmp_path):
+    # outer widths near 2.5 mm can never exceed twice the 2 mm wall
+    cfg = tmp_path / "thin.yaml"
+    cfg.write_text(
+        "seed: 0\nmodel:\n  type: beam\n  band: [700.0, 900.0]\n"
+        "design_space:\n  bounds: [[2.0, 3.0], [30.0, 50.0]]\n"
+        "grid:\n  resolution: 2\n  n_per_point: 100\n"
+    )
+    out = tmp_path / "g"
+    start = time.perf_counter()
+    code = cli.main(["grid", "--config", str(cfg), "--output", str(out), "--threads", "2"])
+    assert code == cli.EXIT_RUNTIME
+    assert time.perf_counter() - start < 10.0
+    assert not (out / "oracle.csv").exists()
+
+
 # -------------------------------------------------------- compare command ---
 
 
@@ -214,6 +241,17 @@ def test_compare_rejects_mismatched_design_spaces(tmp_path, toy_run_dir):
          "--output", str(tmp_path / "cmp")]
     )
     assert code == cli.EXIT_CONFIG
+
+
+def test_compare_rejects_a_malformed_oracle(tmp_path, toy_run_dir):
+    oracle = tmp_path / "oracle.csv"
+    oracle.write_text("phi_1,pf_hat,n,cov\n0.0,0.5,100,0.1\n4.0,abc,100,0.1\n")
+    out = tmp_path / "cmp"
+    code = cli.main(
+        ["compare", "--run", str(toy_run_dir), "--oracle", str(oracle), "--output", str(out)]
+    )
+    assert code == cli.EXIT_CONFIG
+    assert not out.exists()
 
 
 def test_compare_requires_both_inputs(tmp_path, toy_run_dir, toy_oracle_dir):

@@ -12,7 +12,7 @@ from fpfkit.model import (
     resolve_parameters,
     sample_theta,
 )
-from helpers import design_prior_density
+from helpers import design_prior_density, reference_sample_theta
 
 
 class LineModel(LimitStateModel):
@@ -185,6 +185,25 @@ def test_sample_theta_redraws_invalid_rows():
     assert np.all(thetas[:, 0] > 0)
     # redraws happen before evaluation, so the counter is untouched
     assert model.n_evaluations == 0
+
+
+def test_sample_theta_equals_generator_normal_draws_with_redraws():
+    # per-row (n, k) parameters; rows whose theta_0 is not positive are redrawn
+    specs = (
+        RandomVariableSpec("t", mean_design=0, std=1.0),
+        RandomVariableSpec("u", mean=3.0, cov=0.1, cov_design=1),
+    )
+    phis = np.random.default_rng(1).uniform(0.0, 2.0, size=(3000, 2))
+    model = PositiveThetaModel()
+    got = sample_theta(specs, model, phis, np.random.default_rng(8))
+    want = reference_sample_theta(specs, model, phis, np.random.default_rng(8))
+    assert np.array_equal(got, want)
+    first = np.random.default_rng(8).normal(*resolve_parameters(specs, phis))
+    assert np.any(first[:, 0] <= 0) and np.all(got[:, 0] > 0)
+    # without rejections too
+    got = sample_theta(specs, LineModel(), phis, np.random.default_rng(9))
+    want = reference_sample_theta(specs, LineModel(), phis, np.random.default_rng(9))
+    assert np.array_equal(got, want)
 
 
 def test_sample_theta_gives_up_on_impossible_validity():
