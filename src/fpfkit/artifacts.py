@@ -2,7 +2,7 @@
 
 Floats are written with repr (shortest round-trip form), so artifacts from a
 fixed seed are byte-identical across runs and reload to bit-identical
-estimators.
+surfaces.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .bsp import BinaryPartition, CutNode, LeafCell, PiecewiseConstantDensity
+from .bsp import LeafCell, PiecewiseConstantDensity
 from .model import DesignSpace, SampleSet
 from .pipeline import PartitionLevel, RegionChainResult
 from .regions import Box, RegionIndicator
@@ -168,36 +168,6 @@ def density_record(density: PiecewiseConstantDensity) -> dict:
     }
 
 
-def _node_from_record(rec: dict, leaves: list[LeafCell]):
-    if "leaf" in rec:
-        leaf = LeafCell(tuple(rec["leaf"]["lo"]), tuple(rec["leaf"]["hi"]), rec["leaf"]["n"])
-        leaves.append(leaf)
-        return leaf
-    low = _node_from_record(rec["low"], leaves)
-    high = _node_from_record(rec["high"], leaves)
-    return CutNode(rec["axis"], rec["position"], low, high)
-
-
-def density_from_record(rec: dict) -> PiecewiseConstantDensity:
-    leaves: list[LeafCell] = []
-    root = _node_from_record(rec["tree"], leaves)
-    part = BinaryPartition(
-        tuple(rec["domain_lo"]),
-        tuple(rec["domain_hi"]),
-        root,
-        tuple(leaves),
-        rec["n_samples"],
-        points=None,
-    )
-    return PiecewiseConstantDensity(
-        part,
-        np.array(rec["masses"], dtype=float),
-        rec["alpha"],
-        rec["beta"],
-        rec["log_score"],
-    )
-
-
 def _boxes_record(region: RegionIndicator) -> list:
     return [{"lo": list(b.lo), "hi": list(b.hi)} for b in region.boxes]
 
@@ -258,4 +228,8 @@ def surface_from_record(rec: dict) -> SmoothedFPF:
 
 
 def load_surface(path: Path) -> SmoothedFPF:
-    return surface_from_record(json.loads(Path(path).read_text()))
+    """Raises ValueError naming the file when it is not a surface record."""
+    try:
+        return surface_from_record(json.loads(Path(path).read_text()))
+    except (ValueError, KeyError, TypeError) as exc:
+        raise ValueError(f"{path}: not a surface record ({type(exc).__name__}: {exc})") from None

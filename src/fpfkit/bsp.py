@@ -10,6 +10,10 @@ up to a data-only constant) by
 
 with B the multivariate beta function. Leaf masses of the returned estimate
 are posterior means theta_i = (n_i + alpha) / (N + t*alpha).
+
+The search splits the samples once, on arrays (``_Particles``); the returned
+partition holds no points and is built from the winner's cut log and leaf
+counts.
 """
 
 from __future__ import annotations
@@ -24,22 +28,11 @@ from scipy.special import loggamma
 
 @dataclass(frozen=True)
 class LeafCell:
-    """Leaf box with its sample count.
-
-    ``idx`` (indices into the estimate's point array) and ``n_below`` (per-axis
-    counts strictly below the midpoint) are carried only on partitions that
-    still hold their points; deserialized partitions have them as None.
-    """
+    """Leaf box with its sample count."""
 
     lo: tuple[float, ...]
     hi: tuple[float, ...]
     n: int
-    idx: np.ndarray | None = None
-    n_below: tuple[int, ...] | None = None
-
-    @property
-    def ndim(self) -> int:
-        return len(self.lo)
 
     @property
     def volume(self) -> float:
@@ -62,8 +55,8 @@ class BinaryPartition:
     """Binary tree of midpoint cuts over a domain box.
 
     ``leaves`` lists the tree's leaves in left-to-right (low-before-high)
-    order. ``points`` is the sample array the counts refer to, or None for a
-    partition reconstructed from its serialized record.
+    order. The partition holds counts, not points: ``bsp_estimate`` builds it
+    from the winning cut log.
     """
 
     lo: tuple[float, ...]
@@ -71,7 +64,6 @@ class BinaryPartition:
     root: CutNode | LeafCell
     leaves: tuple[LeafCell, ...]
     n_samples: int
-    points: np.ndarray | None = None
 
     @property
     def ndim(self) -> int:
@@ -80,13 +72,6 @@ class BinaryPartition:
     @property
     def n_leaves(self) -> int:
         return len(self.leaves)
-
-    @property
-    def domain_volume(self) -> float:
-        v = 1.0
-        for a, b in zip(self.lo, self.hi):
-            v *= b - a
-        return v
 
     @cached_property
     def _tree(self) -> tuple[np.ndarray, ...]:
@@ -120,83 +105,40 @@ class BinaryPartition:
             walking = walking[leaf[node[walking]] < 0]
         return np.where(inside, leaf[node], -1)
 
-    def locate(self, x: np.ndarray) -> int:
-        """Index of the leaf containing the point x; ties on a cut go to the
-        high child.
 
-        Raises ValueError outside the domain.
-        """
-        i = int(self.locate_rows(np.asarray(x, dtype=float)[None, :])[0])
-        if i < 0:
-            raise ValueError(f"point {x} outside partition domain")
-        return i
-
-
-def _make_leaf(
-    lo: tuple[float, ...], hi: tuple[float, ...], idx: np.ndarray, points: np.ndarray
-) -> LeafCell:
-    below = []
-    for d in range(len(lo)):
-        mid = 0.5 * (lo[d] + hi[d])
-        below.append(int(np.count_nonzero(points[idx, d] < mid)))
-    return LeafCell(lo, hi, int(idx.size), idx, tuple(below))
-
-
-def root_partition(
-    points: np.ndarray, lo: tuple[float, ...], hi: tuple[float, ...]
+def _partition(
+    lo: tuple[float, ...],
+    hi: tuple[float, ...],
+    cuts: np.ndarray,
+    counts: np.ndarray,
+    n_samples: int,
 ) -> BinaryPartition:
-    """Single-leaf partition over the domain box; all points must lie inside."""
-    points = np.asarray(points, dtype=float)
-    if points.ndim != 2 or points.shape[1] != len(lo):
-        raise ValueError("points must be (n, d) matching the domain")
-    if np.any(points < np.asarray(lo)) or np.any(points > np.asarray(hi)):
-        raise ValueError("samples outside the partition domain")
-    leaf = _make_leaf(tuple(lo), tuple(hi), np.arange(points.shape[0]), points)
-    return BinaryPartition(tuple(lo), tuple(hi), leaf, (leaf,), points.shape[0], points)
+    """Replay a (leaf, axis) cut log over the domain box. Each cut halves a
+    leaf at its midpoint; the low child keeps the leaf's slot and the high
+    child takes the next one. ``counts`` are the final leaves' sample counts
+    in slot order."""
+    boxes = [(lo, hi)]
+    slots = [0]  # tree node id of each leaf slot
+    cut_at: dict[int, tuple] = {}  # node id -> (axis, position, low id, high id)
+    for leaf, axis in cuts.tolist():
+        (a, b), node = boxes[leaf], slots[leaf]
+        mid = 0.5 * (a[axis] + b[axis])
+        boxes[leaf : leaf + 1] = [
+            (a, b[:axis] + (mid,) + b[axis + 1 :]),
+            (a[:axis] + (mid,) + a[axis + 1 :], b),
+        ]
+        slots[leaf : leaf + 1] = children = [2 * len(cut_at) + 1, 2 * len(cut_at) + 2]
+        cut_at[node] = (axis, mid, *children)
+    leaves = tuple(LeafCell(a, b, int(n)) for (a, b), n in zip(boxes, counts))
+    leaf_at = dict(zip(slots, leaves))
 
+    def build(node: int):
+        if node in leaf_at:
+            return leaf_at[node]
+        axis, mid, low, high = cut_at[node]
+        return CutNode(axis, mid, build(low), build(high))
 
-def _replace_leaf(node, target: LeafCell, repl: CutNode):
-    if node is target:
-        return repl
-    if isinstance(node, LeafCell):
-        return node
-    low = _replace_leaf(node.low, target, repl)
-    high = _replace_leaf(node.high, target, repl)
-    if low is node.low and high is node.high:
-        return node
-    return CutNode(node.axis, node.position, low, high)
-
-
-def propose_cut(partition: BinaryPartition, leaf_index: int, axis: int) -> BinaryPartition:
-    """New partition with the given leaf split at its midpoint on ``axis``.
-
-    A point exactly on the cut goes to the high child. The input partition is
-    unchanged (trees share structure).
-    """
-    if partition.points is None:
-        raise ValueError("partition was reconstructed without points; cannot cut")
-    if not 0 <= leaf_index < partition.n_leaves:
-        raise IndexError(f"leaf index {leaf_index} out of range")
-    leaf = partition.leaves[leaf_index]
-    if not 0 <= axis < partition.ndim:
-        raise IndexError(f"axis {axis} out of range")
-    mid = 0.5 * (leaf.lo[axis] + leaf.hi[axis])
-    coords = partition.points[leaf.idx, axis]
-    below = coords < mid
-    lo_hi = tuple(mid if d == axis else leaf.hi[d] for d in range(partition.ndim))
-    hi_lo = tuple(mid if d == axis else leaf.lo[d] for d in range(partition.ndim))
-    low_leaf = _make_leaf(leaf.lo, lo_hi, leaf.idx[below], partition.points)
-    high_leaf = _make_leaf(hi_lo, leaf.hi, leaf.idx[~below], partition.points)
-    node = CutNode(axis, mid, low_leaf, high_leaf)
-    root = _replace_leaf(partition.root, leaf, node)
-    leaves = (
-        partition.leaves[:leaf_index]
-        + (low_leaf, high_leaf)
-        + partition.leaves[leaf_index + 1 :]
-    )
-    return BinaryPartition(
-        partition.lo, partition.hi, root, leaves, partition.n_samples, partition.points
-    )
+    return BinaryPartition(lo, hi, build(0), leaves, n_samples)
 
 
 def log_partition_score(partition: BinaryPartition, alpha: float, beta: float) -> float:
@@ -298,16 +240,24 @@ class _Particles:
     cuts: np.ndarray
 
     @classmethod
-    def start(cls, root: LeafCell, n_particles: int, max_leaves: int) -> "_Particles":
+    def start(
+        cls, lo: tuple[float, ...], hi: tuple[float, ...], coords: np.ndarray,
+        n_particles: int, max_leaves: int,
+    ) -> "_Particles":
+        """Every particle at the one-leaf partition of the domain box;
+        ``coords`` is the (d, N) transpose of the points."""
+        lo_arr, hi_arr = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+        n_below = _row_counts(coords < 0.5 * (lo_arr + hi_arr)[:, None])
+
         def fill(values, dtype) -> np.ndarray:
             return np.tile(np.asarray(values, dtype=dtype), (n_particles, 1, 1))
 
         return cls(
-            fill(root.lo, float),
-            fill(root.hi, float),
-            fill(root.n_below, np.int64),
-            np.full((n_particles, 1), root.n, dtype=np.int64),
-            np.zeros((n_particles, root.n), dtype=np.min_scalar_type(max_leaves)),
+            fill(lo_arr, float),
+            fill(hi_arr, float),
+            fill(n_below, np.int64),
+            np.full((n_particles, 1), coords.shape[1], dtype=np.int64),
+            np.zeros((n_particles, coords.shape[1]), dtype=np.min_scalar_type(max_leaves)),
             np.zeros((n_particles, max_leaves - 1, 2), dtype=np.intp),
         )
 
@@ -411,9 +361,9 @@ def bsp_estimate(
     levels without improvement of the best score seen; the highest-posterior
     partition encountered is returned with posterior-mean leaf masses.
 
-    All particles advance together on arrays (``_Particles``); the returned
-    partition is rebuilt from the winner's cut log. ``beta`` defaults to
-    log(N).
+    All particles advance together on arrays (``_Particles``), the only place
+    the points are split; the returned partition is built from the winner's
+    cut log and leaf counts. ``beta`` defaults to log(N).
     """
     points = np.asarray(points, dtype=float)
     if points.ndim == 1:
@@ -428,14 +378,20 @@ def bsp_estimate(
     if beta is None:
         beta = math.log(n) if n > 1 else 0.0
 
-    base = root_partition(points, lo, hi)
-    base_score = log_partition_score(base, alpha, beta)
+    lo, hi = tuple(lo), tuple(hi)
+    if points.ndim != 2 or points.shape[1] != len(lo):
+        raise ValueError("points must be (n, d) matching the domain")
+    if np.any(points < np.asarray(lo)) or np.any(points > np.asarray(hi)):
+        raise ValueError("samples outside the partition domain")
+
     coords = np.ascontiguousarray(points.T)
-    swarm = _Particles.start(base.leaves[0], n_particles, max_leaves)
+    swarm = _Particles.start(lo, hi, coords, n_particles, max_leaves)
+    base = _partition(lo, hi, swarm.cuts[0, :0], swarm.n[0], n)
+    base_score = log_partition_score(base, alpha, beta)
     rows = np.arange(n_particles)
     scores = np.full(n_particles, base_score)
     log_w = np.zeros(n_particles)
-    best_cuts, best_score = swarm.cuts[0, :0], base_score
+    best_cuts, best_counts, best_score = swarm.cuts[0, :0], swarm.n[0].copy(), base_score
     stagnant = 0
 
     while swarm.n_leaves < max_leaves and stagnant < 2:
@@ -456,6 +412,7 @@ def bsp_estimate(
         arg = int(np.argmax(scores))
         if scores[arg] > best_score:
             best_cuts = swarm.cuts[arg, : swarm.n_leaves - 1].copy()
+            best_counts = swarm.n[arg].copy()
             best_score = float(scores[arg])
             stagnant = 0
         else:
@@ -469,9 +426,7 @@ def bsp_estimate(
             scores = scores[keep]
             log_w = np.zeros(n_particles)
 
-    best_partition = base
-    for leaf_index, axis_index in best_cuts.tolist():
-        best_partition = propose_cut(best_partition, leaf_index, axis_index)
+    best_partition = _partition(lo, hi, best_cuts, best_counts, n)
     return PiecewiseConstantDensity(
         best_partition,
         _posterior_masses(best_partition, alpha),

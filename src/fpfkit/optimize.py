@@ -13,6 +13,11 @@ from scipy.optimize import minimize
 from .errors import InfeasibleProblemError
 from .model import DesignSpace
 
+GRID_PER_DIM = 3  # grid starts per axis
+N_RANDOM_STARTS = 8  # uniform starts added to the grid
+PENALTY = 1e6  # weight of the relative FPF violation
+ACTIVE_MARGIN = 0.05  # relative distance to the allowable that counts as active
+
 
 def objective_mean_area(phi: np.ndarray, wall: float = 2.0) -> float:
     """Mean cross-sectional area of a hollow rectangular section, mm^2.
@@ -66,33 +71,28 @@ class OptimalDesign:
     starts: tuple[StartRecord, ...]
 
 
-def _starts(space: DesignSpace, grid_per_dim: int, n_random: int, rng) -> np.ndarray:
+def _starts(space: DesignSpace, rng) -> np.ndarray:
     lo, hi = space.lower, space.upper
     margin = 0.02 * (hi - lo)
-    axes = [np.linspace(lo[d] + margin[d], hi[d] - margin[d], grid_per_dim) for d in range(space.ndim)]
+    axes = [np.linspace(lo[d] + margin[d], hi[d] - margin[d], GRID_PER_DIM) for d in range(space.ndim)]
     grid = np.array(list(itertools.product(*axes)))
-    if n_random > 0:
-        rand = rng.uniform(lo + margin, hi - margin, size=(n_random, space.ndim))
-        return np.vstack([grid, rand])
-    return grid
+    rand = rng.uniform(lo + margin, hi - margin, size=(N_RANDOM_STARTS, space.ndim))
+    return np.vstack([grid, rand])
 
 
 def optimize(
-    problem: DesignProblem,
-    seed_seq: np.random.SeedSequence | None = None,
-    grid_per_dim: int = 3,
-    n_random_starts: int = 8,
-    penalty: float = 1e6,
-    active_margin: float = 0.05,
+    problem: DesignProblem, seed_seq: np.random.SeedSequence | None = None
 ) -> OptimalDesign:
     """Multistart Nelder-Mead with an exact penalty and feasibility filter.
 
-    Each start minimizes objective + penalty * max(0, pf/allowable - 1) within
-    the box; candidates are then filtered by pf <= allowable * (1 + slack) and
-    the best feasible objective wins (ties broken lexicographically by phi).
-    Raises InfeasibleProblemError with the least-violating candidate when no
-    start ends feasible. The returned design is flagged ``active`` when its
-    pf sits within ``active_margin`` (relative) of the allowable.
+    The starts are a ``GRID_PER_DIM`` grid per axis plus ``N_RANDOM_STARTS``
+    uniform points, inset 2% from the faces. Each start minimizes
+    objective + PENALTY * max(0, pf/allowable - 1) within the box; candidates
+    are then filtered by pf <= allowable * (1 + slack) and the best feasible
+    objective wins (ties broken lexicographically by phi). Raises
+    InfeasibleProblemError with the least-violating candidate when no start
+    ends feasible. The returned design is flagged ``active`` when its pf sits
+    within ``ACTIVE_MARGIN`` (relative) of the allowable.
     """
     rng = np.random.Generator(
         np.random.PCG64(seed_seq if seed_seq is not None else np.random.SeedSequence(0))
@@ -102,10 +102,10 @@ def optimize(
     def penalized(phi: np.ndarray) -> float:
         pf = float(problem.fpf(phi))
         violation = max(0.0, pf / problem.allowable - 1.0)
-        return float(problem.objective(phi)) + penalty * violation
+        return float(problem.objective(phi)) + PENALTY * violation
 
     records: list[StartRecord] = []
-    for start in _starts(space, grid_per_dim, n_random_starts, rng):
+    for start in _starts(space, rng):
         res = minimize(
             penalized,
             start,
@@ -139,7 +139,7 @@ def optimize(
             best_candidate=least,
         )
     best = min(feasible, key=lambda r: (r.objective, tuple(r.phi)))
-    active = best.pf >= problem.allowable * (1.0 - active_margin)
+    active = best.pf >= problem.allowable * (1.0 - ACTIVE_MARGIN)
     return OptimalDesign(
         phi=best.phi,
         objective=best.objective,

@@ -250,9 +250,6 @@ class FPFApproximation:
     def fpf(self, phi: np.ndarray):
         return scale_to_fpf(self.composite_density(phi), self.chain.pf, self.space)
 
-    def __call__(self, phi: np.ndarray):
-        return self.fpf(phi)
-
 
 @dataclass(frozen=True)
 class BSPParams:

@@ -284,8 +284,8 @@ def compare_command(
         oracle_path = oracle_path / "oracle.csv"
     if not oracle_path.exists():
         raise ConfigError(f"oracle file not found: {oracle_path}")
-    smoothed = load_surface(surface_path)
     try:
+        smoothed = load_surface(surface_path)
         oracle = load_oracle_csv(oracle_path)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc

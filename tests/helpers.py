@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import loggamma, logsumexp
@@ -10,12 +11,11 @@ from scipy.special import loggamma, logsumexp
 from fpfkit.bsp import (
     BinaryPartition,
     CutNode,
+    LeafCell,
     PiecewiseConstantDensity,
     _posterior_masses,
     _systematic_resample,
     log_partition_score,
-    propose_cut,
-    root_partition,
 )
 from fpfkit.benchmarks import LAMBDA_1
 from fpfkit.model import DesignSpace, resolve_parameters
@@ -50,6 +50,90 @@ def design_prior_density(space: DesignSpace, phi: np.ndarray) -> float:
 
 
 # ------------------------------------------------ per-particle BSP search ---
+
+
+@dataclass(frozen=True)
+class PointLeaf(LeafCell):
+    """Leaf that keeps its points: ``idx`` (indices into the partition's
+    point array) and ``n_below`` (per-axis counts strictly below the
+    midpoint)."""
+
+    idx: np.ndarray | None = None
+    n_below: tuple[int, ...] | None = None
+
+
+@dataclass(frozen=True)
+class PointPartition(BinaryPartition):
+    """Partition that keeps the sample array its counts refer to."""
+
+    points: np.ndarray | None = None
+
+
+def _make_leaf(
+    lo: tuple[float, ...], hi: tuple[float, ...], idx: np.ndarray, points: np.ndarray
+) -> PointLeaf:
+    below = []
+    for d in range(len(lo)):
+        mid = 0.5 * (lo[d] + hi[d])
+        below.append(int(np.count_nonzero(points[idx, d] < mid)))
+    return PointLeaf(lo, hi, int(idx.size), idx, tuple(below))
+
+
+def root_partition(
+    points: np.ndarray, lo: tuple[float, ...], hi: tuple[float, ...]
+) -> PointPartition:
+    """Single-leaf partition over the domain box; all points must lie inside."""
+    points = np.asarray(points, dtype=float)
+    if points.ndim != 2 or points.shape[1] != len(lo):
+        raise ValueError("points must be (n, d) matching the domain")
+    if np.any(points < np.asarray(lo)) or np.any(points > np.asarray(hi)):
+        raise ValueError("samples outside the partition domain")
+    leaf = _make_leaf(tuple(lo), tuple(hi), np.arange(points.shape[0]), points)
+    return PointPartition(tuple(lo), tuple(hi), leaf, (leaf,), points.shape[0], points)
+
+
+def _replace_leaf(node, target: PointLeaf, repl: CutNode):
+    if node is target:
+        return repl
+    if isinstance(node, LeafCell):
+        return node
+    low = _replace_leaf(node.low, target, repl)
+    high = _replace_leaf(node.high, target, repl)
+    if low is node.low and high is node.high:
+        return node
+    return CutNode(node.axis, node.position, low, high)
+
+
+def propose_cut(partition: PointPartition, leaf_index: int, axis: int) -> PointPartition:
+    """New partition with the given leaf split at its midpoint on ``axis``.
+
+    A point exactly on the cut goes to the high child. The input partition is
+    unchanged (trees share structure).
+    """
+    if partition.points is None:
+        raise ValueError("partition was reconstructed without points; cannot cut")
+    if not 0 <= leaf_index < partition.n_leaves:
+        raise IndexError(f"leaf index {leaf_index} out of range")
+    leaf = partition.leaves[leaf_index]
+    if not 0 <= axis < partition.ndim:
+        raise IndexError(f"axis {axis} out of range")
+    mid = 0.5 * (leaf.lo[axis] + leaf.hi[axis])
+    coords = partition.points[leaf.idx, axis]
+    below = coords < mid
+    lo_hi = tuple(mid if d == axis else leaf.hi[d] for d in range(partition.ndim))
+    hi_lo = tuple(mid if d == axis else leaf.lo[d] for d in range(partition.ndim))
+    low_leaf = _make_leaf(leaf.lo, lo_hi, leaf.idx[below], partition.points)
+    high_leaf = _make_leaf(hi_lo, leaf.hi, leaf.idx[~below], partition.points)
+    node = CutNode(axis, mid, low_leaf, high_leaf)
+    root = _replace_leaf(partition.root, leaf, node)
+    leaves = (
+        partition.leaves[:leaf_index]
+        + (low_leaf, high_leaf)
+        + partition.leaves[leaf_index + 1 :]
+    )
+    return PointPartition(
+        partition.lo, partition.hi, root, leaves, partition.n_samples, partition.points
+    )
 
 
 def reference_cut_deltas(partition: BinaryPartition, alpha: float, beta: float) -> np.ndarray:
@@ -150,6 +234,36 @@ def reference_bsp_estimate(
 
 
 # ------------------------------------------------------- point densities ---
+
+
+def _node_from_record(rec: dict, leaves: list[LeafCell]):
+    if "leaf" in rec:
+        leaf = LeafCell(tuple(rec["leaf"]["lo"]), tuple(rec["leaf"]["hi"]), rec["leaf"]["n"])
+        leaves.append(leaf)
+        return leaf
+    low = _node_from_record(rec["low"], leaves)
+    high = _node_from_record(rec["high"], leaves)
+    return CutNode(rec["axis"], rec["position"], low, high)
+
+
+def density_from_record(rec: dict) -> PiecewiseConstantDensity:
+    """The estimate an ``artifacts.density_record`` describes."""
+    leaves: list[LeafCell] = []
+    root = _node_from_record(rec["tree"], leaves)
+    part = BinaryPartition(
+        tuple(rec["domain_lo"]),
+        tuple(rec["domain_hi"]),
+        root,
+        tuple(leaves),
+        rec["n_samples"],
+    )
+    return PiecewiseConstantDensity(
+        part,
+        np.array(rec["masses"], dtype=float),
+        rec["alpha"],
+        rec["beta"],
+        rec["log_score"],
+    )
 
 
 def reference_locate(partition: BinaryPartition, x: np.ndarray) -> int | None:

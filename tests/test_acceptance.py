@@ -20,13 +20,14 @@ from fpfkit.benchmarks import (
     toy_design_space,
     toy_variable_specs,
 )
-from fpfkit.bsp import log_partition_score, propose_cut, root_partition
+from fpfkit.bsp import log_partition_score
 from fpfkit.model import resolve_parameters
 from fpfkit.optimize import DesignProblem, optimize
 from fpfkit.pipeline import compose_density
 from fpfkit.regions import Box, RegionIndicator
 from fpfkit.reliability import _seed_scales, direct_mcs, mmh_chain
 from fpfkit.runner import compare_command, run_command
+from helpers import propose_cut, root_partition
 from tests.conftest import CONFIG_DIR
 
 from fpfkit.config import load_config

@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 
 import fpfkit.bsp as bsp
-from fpfkit.bsp import (
-    bsp_estimate,
-    log_partition_score,
+from fpfkit.bsp import bsp_estimate, log_partition_score
+from helpers import (
     propose_cut,
+    reference_bsp_estimate,
+    reference_locate,
+    reference_pdf,
     root_partition,
 )
-from helpers import reference_bsp_estimate, reference_locate, reference_pdf
 
 TWO_POINTS = np.array([[0.25], [0.75]])
 
@@ -23,6 +24,12 @@ def test_single_leaf_score_hand_value():
     part = root_partition(TWO_POINTS, (0.0,), (1.0,))
     s = log_partition_score(part, alpha=0.5, beta=1.0)
     assert math.exp(s) == pytest.approx(math.exp(-1.0), abs=1e-12)
+    # the same leaf through the estimator alone, with no cut allowed
+    d = bsp_estimate(
+        TWO_POINTS, (0.0,), (1.0,), np.random.default_rng(0), alpha=0.5, beta=1.0, max_leaves=1
+    )
+    assert d.partition.n_leaves == 1
+    assert math.exp(d.log_score) == pytest.approx(math.exp(-1.0), abs=1e-12)
 
 
 def test_midpoint_cut_score_hand_value():
@@ -67,7 +74,7 @@ def test_point_on_cut_goes_to_high_child():
     pts = np.array([[0.5], [0.25]])
     cut = propose_cut(root_partition(pts, (0.0,), (1.0,)), 0, 0)
     assert [leaf.n for leaf in cut.leaves] == [1, 1]
-    assert cut.locate(np.array([0.5])) == 1
+    assert cut.locate_rows(np.array([[0.5]])).tolist() == [1]
 
 
 def test_propose_cut_leaves_parent_untouched():
@@ -83,10 +90,8 @@ def test_propose_cut_leaves_parent_untouched():
 def test_locate_walks_to_the_right_leaf():
     pts = np.array([[0.1, 0.1], [0.9, 0.9]])
     part = propose_cut(root_partition(pts, (0.0, 0.0), (1.0, 1.0)), 0, 1)
-    assert part.locate(np.array([0.3, 0.2])) == 0
-    assert part.locate(np.array([0.3, 0.8])) == 1
-    with pytest.raises(ValueError):
-        part.locate(np.array([1.5, 0.5]))
+    probes = np.array([[0.3, 0.2], [0.3, 0.8], [1.5, 0.5]])
+    assert part.locate_rows(probes).tolist() == [0, 1, -1]
 
 
 def test_posterior_mean_masses():
@@ -119,7 +124,7 @@ def test_masses_sum_to_one_and_pdf_integrates():
 def test_pdf_matches_mass_over_volume_and_vanishes_outside():
     pts = np.clip(np.random.default_rng(4).normal(0.5, 0.2, size=(200, 1)), 0.0, 0.999)
     d = bsp_estimate(pts, (0.0,), (1.0,), np.random.default_rng(4))
-    i = d.partition.locate(np.array([0.51]))
+    i = int(d.partition.locate_rows(np.array([[0.51]]))[0])
     leaf = d.partition.leaves[i]
     assert d.pdf(np.array([0.51])) == pytest.approx(
         float(d.masses[i]) / leaf.volume, rel=1e-15
@@ -173,6 +178,18 @@ def test_estimate_rejects_zero_samples():
         bsp_estimate(np.zeros((0, 1)), (0.0,), (1.0,), np.random.default_rng(0))
 
 
+def test_estimate_rejects_points_outside_or_off_the_domain():
+    rng = np.random.default_rng(0)
+    with pytest.raises(ValueError, match="outside the partition domain"):
+        bsp_estimate(np.array([[0.5], [1.5]]), (0.0,), (1.0,), rng)
+    with pytest.raises(ValueError, match="outside the partition domain"):
+        bsp_estimate(np.array([0.5, -0.1]), (0.0,), (1.0,), rng)
+    with pytest.raises(ValueError, match=r"must be \(n, d\) matching the domain"):
+        bsp_estimate(np.array([[0.5, 0.5]]), (0.0,), (1.0,), rng)
+    with pytest.raises(ValueError, match=r"must be \(n, d\) matching the domain"):
+        bsp_estimate(np.array([[0.5]]), (0.0, 0.0), (1.0, 1.0), rng)
+
+
 def test_score_validation():
     part = root_partition(TWO_POINTS, (0.0,), (1.0,))
     with pytest.raises(ValueError):
@@ -193,8 +210,7 @@ def _assert_same_estimate(got, want):
     assert np.array_equal(got.masses, want.masses)
     assert got.partition.n_leaves == want.partition.n_leaves
     for a, b in zip(got.partition.leaves, want.partition.leaves):
-        assert (a.lo, a.hi, a.n, a.n_below) == (b.lo, b.hi, b.n, b.n_below)
-        assert np.array_equal(a.idx, b.idx)
+        assert (a.lo, a.hi, a.n) == (b.lo, b.hi, b.n)
     assert _tree(got.partition.root) == _tree(want.partition.root)
 
 

@@ -254,6 +254,34 @@ def test_compare_rejects_a_malformed_oracle(tmp_path, toy_run_dir):
     assert not out.exists()
 
 
+def _compare_with_surface(tmp_path, text, oracle_dir):
+    run = tmp_path / "run"
+    run.mkdir()
+    (run / "surface.json").write_text(text)
+    out = tmp_path / "cmp"
+    code = cli.main(
+        ["compare", "--run", str(run), "--oracle", str(oracle_dir), "--output", str(out)]
+    )
+    assert not out.exists()
+    return code
+
+
+def test_compare_rejects_a_truncated_surface(tmp_path, caplog, toy_oracle_dir):
+    code = _compare_with_surface(tmp_path, '{"x": [', toy_oracle_dir)
+    assert code == cli.EXIT_CONFIG
+    assert "surface.json" in caplog.text
+
+
+def test_compare_rejects_a_surface_without_coefficients(
+    tmp_path, caplog, toy_run_dir, toy_oracle_dir
+):
+    record = json.loads((toy_run_dir / "surface.json").read_text())
+    del record["coef"]
+    code = _compare_with_surface(tmp_path, json.dumps(record), toy_oracle_dir)
+    assert code == cli.EXIT_CONFIG
+    assert "surface.json" in caplog.text
+
+
 def test_compare_requires_both_inputs(tmp_path, toy_run_dir, toy_oracle_dir):
     code = cli.main(
         ["compare", "--run", str(tmp_path / "empty"), "--oracle",

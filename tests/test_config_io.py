@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from fpfkit.artifacts import (
-    density_from_record,
     density_record,
     fmt,
     level_record,
@@ -28,6 +27,7 @@ from fpfkit.bsp import bsp_estimate
 from fpfkit.config import RunConfig, load_config, parse_config
 from fpfkit.errors import ConfigError
 from fpfkit.model import DesignSpace, SampleSet
+from helpers import density_from_record
 
 
 def _minimal(**extra) -> dict:

@@ -215,7 +215,7 @@ def test_fpf_approximation_scales_and_vectorizes(toy_case):
     for phi, v in zip(phis, vals):
         dens = compose_density(chain.levels, phi)
         assert v == pytest.approx(dens * chain.pf * space.volume)
-        assert approx(phi) == pytest.approx(v)
+        assert approx.fpf(phi) == pytest.approx(v)
     assert np.all(vals > 0.0)
 
 
