@@ -307,21 +307,14 @@ def grid_dmcs_oracle(
         raise ValueError("n_per_point must be positive")
     pts = grid_points(space, resolution)
     seqs = seed_seq.spawn(len(pts))
-    pf = np.empty(len(pts))
-    cov = np.empty(len(pts))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(
-                pool.map(
-                    lambda i: _point_estimate(model, specs, pts[i], n_per_point, seqs[i]),
-                    range(len(pts)),
-                )
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        estimates = list(
+            pool.map(
+                lambda i: _point_estimate(model, specs, pts[i], n_per_point, seqs[i]),
+                range(len(pts)),
             )
-        for i, (p, c) in enumerate(results):
-            pf[i], cov[i] = p, c
-    else:
-        for i in range(len(pts)):
-            pf[i], cov[i] = _point_estimate(model, specs, pts[i], n_per_point, seqs[i])
+        )
+    pf, cov = np.array(estimates).T
     return FPFGridOracle(
         points=pts,
         pf=pf,

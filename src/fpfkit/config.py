@@ -77,40 +77,88 @@ class RunConfig:
 
 
 class _Reader:
-    """Pulls typed values out of nested mappings, accumulating errors."""
+    """Pulls typed values out of nested mappings, accumulating errors. Each
+    hand-read key is popped from a copy of its section before ``fields``."""
 
     def __init__(self, errors: list[str]):
         self.errors = errors
 
     def section(self, mapping: dict, key: str, path: str) -> dict:
-        val = mapping.get(key)
+        val = mapping.pop(key, None)
         if val is None:
             return {}
         if not isinstance(val, dict):
             self.errors.append(f"{path}{key}: expected a mapping")
             return {}
-        return val
+        return dict(val)
 
-    def value(self, mapping, key, default, kind, path, check=None, note=""):
-        if key not in mapping or mapping[key] is None:
-            return default
-        val = mapping[key]
+    def value(self, val, path: str, kind: type, check=None, note: str = ""):
+        """``val`` coerced to ``kind``, or None once its problem is recorded."""
         if kind is float and isinstance(val, int) and not isinstance(val, bool):
             val = float(val)
         if kind is int and isinstance(val, float) and val.is_integer():
             val = int(val)
         if not isinstance(val, kind) or isinstance(val, bool):
-            self.errors.append(f"{path}{key}: expected {kind.__name__}")
-            return default
+            self.errors.append(f"{path}: expected {kind.__name__}")
+            return None
         if check is not None and not check(val):
-            self.errors.append(f"{path}{key}: {note}")
-            return default
+            self.errors.append(f"{path}: {note}")
+            return None
         return val
 
-    def reject_unknown(self, mapping: dict, known: set[str], path: str) -> None:
-        for key in mapping:
-            if key not in known:
+    def required(self, mapping: dict, key: str, path: str, kind: type, check, note):
+        val = mapping.pop(key, None)
+        if val is not None:
+            val = self.value(val, path + key, kind, check, note)
+        if val is None:
+            self.errors.append(f"{path}{key}: required")
+        return val
+
+    def fields(self, mapping: dict, table: dict, path: str, **read) -> dict:
+        """The valid settings ``mapping`` sets, with the ``read`` values that
+        are set; keys outside ``table`` are unknown."""
+        out = {key: val for key, val in read.items() if val is not None}
+        for key, val in mapping.items():
+            if key not in table:
                 self.errors.append(f"{path}{key}: unknown key")
+            elif val is not None:
+                val = self.value(val, path + key, *table[key])
+                if val is not None:
+                    out[key] = val
+        return out
+
+
+_POSITIVE = (lambda v: v > 0, "must be positive")
+_AT_LEAST_0 = (lambda v: v >= 0, "must be >= 0")
+_AT_LEAST_1 = (lambda v: v >= 1, "must be >= 1")
+_AT_LEAST_2 = (lambda v: v >= 2, "must be >= 2")
+_OPEN_UNIT = (lambda v: 0 < v < 1, "must lie in (0, 1)")
+
+# The scalar settings of each section: key -> (type, check, message).
+_MODEL = {"length_mm": (float, *_POSITIVE), "table_path": (str,)}
+_PIPELINE = {
+    "pilot_budget": (int, *_POSITIVE),
+    "iteration_budget": (int, *_POSITIVE),
+    "max_iterations": (int, *_AT_LEAST_0),
+    "mass_ratio": (float, *_OPEN_UNIT),
+    "pf_floor": (float, *_POSITIVE),
+}
+_BSP = {
+    "alpha": (float, *_POSITIVE),
+    "beta": (float,),
+    "particles": (int, *_AT_LEAST_1),
+    "max_leaves": (int, *_AT_LEAST_2),
+}
+_MMH = {
+    "burn_in": (int, *_AT_LEAST_0),
+    "max_chains": (int, *_AT_LEAST_1),
+    "scale_factor": (float, *_POSITIVE),
+}
+_SUBSET = {"p0": (float, *_OPEN_UNIT), "max_levels": (int, *_AT_LEAST_1)}
+_SMOOTHING = {"noise_floor": (float, *_POSITIVE)}
+_OPTIMIZATION = {"wall_mm": (float, *_POSITIVE)}
+_GRID = {"resolution": (int, *_AT_LEAST_2), "n_per_point": (int, *_POSITIVE)}
+_OUTPUT = {"fpf_grid_resolution": (int, *_AT_LEAST_2)}
 
 
 def _parse_bounds(raw, errors: list[str], path: str):
@@ -128,34 +176,34 @@ def _parse_bounds(raw, errors: list[str], path: str):
     return bounds
 
 
+def _parse_numbers(raw, errors: list[str], path: str, check, note: str):
+    if raw is None:
+        return None
+    try:
+        values = tuple(float(v) for v in raw)
+    except (TypeError, ValueError):
+        errors.append(f"{path}: expected a list of numbers")
+        return None
+    if not all(check(v) for v in values):
+        errors.append(f"{path}: {note}")
+    return values
+
+
 def parse_config(data: dict) -> RunConfig:
     """Validate a parsed mapping; raises ConfigError listing all problems."""
-    errors: list[str] = []
-    r = _Reader(errors)
     if not isinstance(data, dict):
         raise ConfigError("config root must be a mapping")
-    r.reject_unknown(
-        data,
-        {"seed", "model", "design_space", "pipeline", "smoothing",
-         "optimization", "grid", "output"},
-        "",
-    )
-
-    seed = r.value(data, "seed", None, int, "", lambda v: v >= 0, "must be >= 0")
-    if seed is None:
-        errors.append("seed: required")
-        seed = 0
+    errors: list[str] = []
+    r = _Reader(errors)
+    data = dict(data)
+    seed = r.required(data, "seed", "", int, *_AT_LEAST_0)
 
     m = r.section(data, "model", "")
-    r.reject_unknown(m, {"type", "band", "length_mm", "table_path"}, "model.")
-    mtype = r.value(m, "type", None, str, "model.",
-                    lambda v: v in ("beam", "toy", "table"),
-                    "must be one of beam, toy, table")
-    if mtype is None:
-        errors.append("model.type: required")
-        mtype = "toy"
-    band_raw = m.get("band")
-    band = (550.0, 600.0)
+    mtype = r.required(m, "type", "model.", str,
+                       lambda v: v in ("beam", "toy", "table"),
+                       "must be one of beam, toy, table")
+    band_raw = m.pop("band", None)
+    band = None
     if band_raw is not None:
         try:
             band = (float(band_raw[0]), float(band_raw[1]))
@@ -163,64 +211,23 @@ def parse_config(data: dict) -> RunConfig:
                 errors.append("model.band: must be an increasing pair")
         except (TypeError, ValueError, IndexError):
             errors.append("model.band: expected [low, high]")
-    length = r.value(m, "length_mm", 500.0, float, "model.",
-                     lambda v: v > 0, "must be positive")
-    table_path = r.value(m, "table_path", None, str, "model.")
-    if mtype == "table" and table_path is None:
+    model = ModelConfig(**r.fields(m, _MODEL, "model.", type=mtype, band=band))
+    if model.type == "table" and model.table_path is None:
         errors.append("model.table_path: required for the table model")
-    model = ModelConfig(mtype, band, length, table_path)
 
     ds = r.section(data, "design_space", "")
-    r.reject_unknown(ds, {"bounds"}, "design_space.")
-    bounds = _parse_bounds(ds.get("bounds"), errors, "design_space.bounds")
+    bounds = _parse_bounds(ds.pop("bounds", None), errors, "design_space.bounds")
+    r.fields(ds, {}, "design_space.")
 
     p = r.section(data, "pipeline", "")
-    r.reject_unknown(
-        p,
-        {"pilot_budget", "iteration_budget", "max_iterations", "mass_ratio",
-         "pf_floor", "bsp", "mmh", "subset"},
-        "pipeline.",
-    )
-    pilot = r.value(p, "pilot_budget", 8000, int, "pipeline.",
-                    lambda v: v > 0, "must be positive")
-    iter_budget = r.value(p, "iteration_budget", 8000, int, "pipeline.",
-                          lambda v: v > 0, "must be positive")
-    max_iter = r.value(p, "max_iterations", 4, int, "pipeline.",
-                       lambda v: v >= 0, "must be >= 0")
-    ratio = r.value(p, "mass_ratio", 0.1, float, "pipeline.",
-                    lambda v: 0 < v < 1, "must lie in (0, 1)")
-    floor = r.value(p, "pf_floor", 1e-4, float, "pipeline.",
-                    lambda v: v > 0, "must be positive")
-    b = r.section(p, "bsp", "pipeline.")
-    r.reject_unknown(b, {"alpha", "beta", "particles", "max_leaves"}, "pipeline.bsp.")
-    bsp = BSPParams(
-        alpha=r.value(b, "alpha", 0.5, float, "pipeline.bsp.",
-                      lambda v: v > 0, "must be positive"),
-        beta=r.value(b, "beta", None, float, "pipeline.bsp."),
-        particles=r.value(b, "particles", 100, int, "pipeline.bsp.",
-                          lambda v: v >= 1, "must be >= 1"),
-        max_leaves=r.value(b, "max_leaves", 64, int, "pipeline.bsp.",
-                           lambda v: v >= 2, "must be >= 2"),
-    )
-    mm = r.section(p, "mmh", "pipeline.")
-    r.reject_unknown(mm, {"burn_in", "max_chains", "scale_factor"}, "pipeline.mmh.")
-    chains = ChainParams(
-        burn_in=r.value(mm, "burn_in", 10, int, "pipeline.mmh.",
-                        lambda v: v >= 0, "must be >= 0"),
-        max_chains=r.value(mm, "max_chains", 100, int, "pipeline.mmh.",
-                           lambda v: v >= 1, "must be >= 1"),
-        scale_factor=r.value(mm, "scale_factor", 1.0, float, "pipeline.mmh.",
-                             lambda v: v > 0, "must be positive"),
-    )
-    su = r.section(p, "subset", "pipeline.")
-    r.reject_unknown(su, {"p0", "max_levels"}, "pipeline.subset.")
-    subset = SubsetParams(
-        p0=r.value(su, "p0", 0.1, float, "pipeline.subset.",
-                   lambda v: 0 < v < 1, "must lie in (0, 1)"),
-        max_levels=r.value(su, "max_levels", 8, int, "pipeline.subset.",
-                           lambda v: v >= 1, "must be >= 1"),
-    )
-    n0 = pilot * subset.p0
+    bsp, mmh, su = (r.section(p, key, "pipeline.") for key in ("bsp", "mmh", "subset"))
+    pipeline = PipelineConfig(**r.fields(
+        p, _PIPELINE, "pipeline.",
+        bsp=BSPParams(**r.fields(bsp, _BSP, "pipeline.bsp.")),
+        chains=ChainParams(**r.fields(mmh, _MMH, "pipeline.mmh.")),
+        subset=SubsetParams(**r.fields(su, _SUBSET, "pipeline.subset.")),
+    ))
+    n0 = pipeline.pilot_budget * pipeline.subset.p0
     if abs(n0 - round(n0)) > 1e-9 or round(n0) < 2:
         errors.append(
             "pipeline.pilot_budget: times subset.p0 must be an integer >= 2 "
@@ -228,52 +235,26 @@ def parse_config(data: dict) -> RunConfig:
         )
 
     s = r.section(data, "smoothing", "")
-    r.reject_unknown(s, {"noise_floor", "length_scales"}, "smoothing.")
-    noise = r.value(s, "noise_floor", 1e-4, float, "smoothing.",
-                    lambda v: v > 0, "must be positive")
-    scales_raw = s.get("length_scales")
-    scales = None
-    if scales_raw is not None:
-        try:
-            scales = tuple(float(v) for v in scales_raw)
-            if not scales:
-                errors.append("smoothing.length_scales: must not be empty")
-            elif any(v <= 0 for v in scales):
-                errors.append("smoothing.length_scales: must be positive")
-        except (TypeError, ValueError):
-            errors.append("smoothing.length_scales: expected a list of numbers")
-    smoothing = SmoothingConfig(noise, scales)
+    scales = _parse_numbers(s.pop("length_scales", None), errors,
+                            "smoothing.length_scales", *_POSITIVE)
+    if scales == ():
+        errors.append("smoothing.length_scales: must not be empty")
+    smoothing = SmoothingConfig(
+        **r.fields(s, _SMOOTHING, "smoothing.", length_scales=scales)
+    )
 
     o = r.section(data, "optimization", "")
-    r.reject_unknown(o, {"allowable", "wall_mm"}, "optimization.")
-    allow_raw = o.get("allowable", [])
-    allowable: tuple[float, ...] = ()
-    if allow_raw:
-        try:
-            allowable = tuple(float(v) for v in allow_raw)
-            if any(not 0 < v < 1 for v in allowable):
-                errors.append("optimization.allowable: values must lie in (0, 1)")
-        except (TypeError, ValueError):
-            errors.append("optimization.allowable: expected a list of numbers")
-    wall = r.value(o, "wall_mm", 2.0, float, "optimization.",
-                   lambda v: v > 0, "must be positive")
-    optimization = OptimizationConfig(allowable, wall)
-
-    g = r.section(data, "grid", "")
-    r.reject_unknown(g, {"resolution", "n_per_point"}, "grid.")
-    grid = GridConfig(
-        resolution=r.value(g, "resolution", 21, int, "grid.",
-                           lambda v: v >= 2, "must be >= 2"),
-        n_per_point=r.value(g, "n_per_point", 130000, int, "grid.",
-                            lambda v: v > 0, "must be positive"),
+    # A false or empty value means no optimization.
+    allowable = _parse_numbers(o.pop("allowable", None) or None, errors,
+                               "optimization.allowable", lambda v: 0 < v < 1,
+                               "values must lie in (0, 1)")
+    optimization = OptimizationConfig(
+        **r.fields(o, _OPTIMIZATION, "optimization.", allowable=allowable)
     )
 
-    out = r.section(data, "output", "")
-    r.reject_unknown(out, {"fpf_grid_resolution"}, "output.")
-    output = OutputConfig(
-        fpf_grid_resolution=r.value(out, "fpf_grid_resolution", 21, int, "output.",
-                                    lambda v: v >= 2, "must be >= 2"),
-    )
+    grid = GridConfig(**r.fields(r.section(data, "grid", ""), _GRID, "grid."))
+    output = OutputConfig(**r.fields(r.section(data, "output", ""), _OUTPUT, "output."))
+    r.fields(data, {}, "")  # every top-level key left over is unknown
 
     if errors:
         raise ConfigError("invalid configuration:\n  " + "\n  ".join(errors))
@@ -281,16 +262,7 @@ def parse_config(data: dict) -> RunConfig:
         seed=seed,
         model=model,
         bounds=bounds,
-        pipeline=PipelineConfig(
-            pilot_budget=pilot,
-            iteration_budget=iter_budget,
-            max_iterations=max_iter,
-            mass_ratio=ratio,
-            pf_floor=floor,
-            bsp=bsp,
-            chains=chains,
-            subset=subset,
-        ),
+        pipeline=pipeline,
         smoothing=smoothing,
         optimization=optimization,
         grid=grid,

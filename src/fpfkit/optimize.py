@@ -17,6 +17,7 @@ GRID_PER_DIM = 3  # grid starts per axis
 N_RANDOM_STARTS = 8  # uniform starts added to the grid
 PENALTY = 1e6  # weight of the relative FPF violation
 ACTIVE_MARGIN = 0.05  # relative distance to the allowable that counts as active
+SLACK = 1e-6  # relative excess over the allowable that still counts as feasible
 
 
 def objective_mean_area(phi: np.ndarray, wall: float = 2.0) -> float:
@@ -39,16 +40,13 @@ class DesignProblem:
     fpf: object  # callable(phi) -> float
     space: DesignSpace
     allowable: float
-    slack: float = 1e-6
 
     def __post_init__(self) -> None:
         if not 0.0 < self.allowable < 1.0:
             raise ValueError("allowable failure probability must lie in (0, 1)")
-        if self.slack < 0:
-            raise ValueError("slack must be non-negative")
 
     def feasible(self, pf: float) -> bool:
-        return pf <= self.allowable * (1.0 + self.slack)
+        return pf <= self.allowable * (1.0 + SLACK)
 
 
 @dataclass(frozen=True)
@@ -88,7 +86,7 @@ def optimize(
     The starts are a ``GRID_PER_DIM`` grid per axis plus ``N_RANDOM_STARTS``
     uniform points, inset 2% from the faces. Each start minimizes
     objective + PENALTY * max(0, pf/allowable - 1) within the box; candidates
-    are then filtered by pf <= allowable * (1 + slack) and the best feasible
+    are then filtered by pf <= allowable * (1 + SLACK) and the best feasible
     objective wins (ties broken lexicographically by phi). Raises
     InfeasibleProblemError with the least-violating candidate when no start
     ends feasible. The returned design is flagged ``active`` when its pf sits

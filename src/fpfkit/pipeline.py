@@ -326,7 +326,7 @@ def run_pipeline(
     mark = model.n_evaluations
     pilot_rng = np.random.Generator(np.random.PCG64(seed_seq.spawn(1)[0]))
     pilot = direct_mcs(model, space, specs, config.pilot_budget, pilot_rng)
-    if pilot.escalate:
+    if pilot.pf == 0.0:
         logger.info("pilot saw no failures; escalating to subset simulation")
         pilot = subset_simulation(
             model,

@@ -47,7 +47,6 @@ class FailureEstimate:
     samples: SampleSet
     method: str
     n_levels: int = 1
-    escalate: bool = False
 
 
 def direct_mcs(
@@ -60,8 +59,8 @@ def direct_mcs(
     """Direct Monte Carlo over the augmented space.
 
     pf_hat = n_fail / n with c.o.v. sqrt((1 - pf) / (n * pf)). Zero observed
-    failures return pf = 0 with ``escalate`` set so callers can switch to
-    subset simulation.
+    failures return pf = 0 with an infinite c.o.v.; callers switch to subset
+    simulation on pf = 0.
     """
     if n <= 0:
         raise ValueError("sample count must be positive")
@@ -77,7 +76,7 @@ def direct_mcs(
     samples = SampleSet.concat(failures)
     pf = len(samples) / n
     if pf == 0.0:
-        return FailureEstimate(0.0, math.inf, n, samples, "direct-mcs", escalate=True)
+        return FailureEstimate(0.0, math.inf, n, samples, "direct-mcs")
     cov = math.sqrt((1.0 - pf) / (n * pf))
     return FailureEstimate(pf, cov, n, samples, "direct-mcs")
 
@@ -305,7 +304,6 @@ def subset_simulation(
                 pop[failed],
                 "subset-simulation",
                 n_levels=level + 1,
-                escalate=pf == 0.0,
             )
         level += 1
         if level >= max_levels:

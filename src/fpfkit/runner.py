@@ -171,28 +171,20 @@ def run_command(config: RunConfig, out_dir: Path, base_dir: Path | None = None) 
             problem = DesignProblem(objective, smoothed, space, allowable)
             opt_seq = seed_seq.spawn(1)[0]
             try:
-                result = optimize(problem, opt_seq)
-                rows.append(
-                    [allowable] + list(result.phi)
-                    + [result.objective, result.pf, result.feasible, result.active,
-                       len(result.starts)]
-                )
-                optima_summary.append(
-                    {"allowable": allowable, "phi": [float(v) for v in result.phi],
-                     "objective": result.objective, "pf": result.pf,
-                     "feasible": True, "active": result.active}
-                )
+                record = optimize(problem, opt_seq)
+                feasible, active, n_starts = True, record.active, len(record.starts)
             except InfeasibleProblemError as exc:
-                cand = exc.best_candidate
-                rows.append(
-                    [allowable] + list(cand.phi)
-                    + [cand.objective, cand.pf, False, False, 0]
-                )
-                optima_summary.append(
-                    {"allowable": allowable, "phi": [float(v) for v in cand.phi],
-                     "objective": cand.objective, "pf": cand.pf,
-                     "feasible": False, "active": False}
-                )
+                record = exc.best_candidate
+                feasible, active, n_starts = False, False, 0
+            rows.append(
+                [allowable] + list(record.phi)
+                + [record.objective, record.pf, feasible, active, n_starts]
+            )
+            optima_summary.append(
+                {"allowable": allowable, "phi": [float(v) for v in record.phi],
+                 "objective": record.objective, "pf": record.pf,
+                 "feasible": feasible, "active": active}
+            )
         write_csv(
             out_dir / "optima.csv",
             ["allowable"] + phi_cols + ["objective", "pf", "feasible", "active", "n_starts"],

@@ -186,6 +186,101 @@ def test_with_seed_and_resolved_echo():
     json.dumps(echo)  # manifest-ready
 
 
+_EVERY_KEY = {
+    "seed": 9,
+    "model": {"type": "beam", "band": [700, 900], "length_mm": 450,
+              "table_path": "t.csv"},
+    "design_space": {"bounds": [[1, 2], [3, 4]]},
+    "pipeline": {
+        "pilot_budget": 5000, "iteration_budget": 6000, "max_iterations": 2,
+        "mass_ratio": 0.2, "pf_floor": 1e-3,
+        "bsp": {"alpha": 0.7, "beta": 3.5, "particles": 50, "max_leaves": 32},
+        "mmh": {"burn_in": 5, "max_chains": 40, "scale_factor": 1.5},
+        "subset": {"p0": 0.2, "max_levels": 6},
+    },
+    "smoothing": {"noise_floor": 1e-3, "length_scales": [0.3, 0.6]},
+    "optimization": {"allowable": [0.05], "wall_mm": 3},
+    "grid": {"resolution": 11, "n_per_point": 5000},
+    "output": {"fpf_grid_resolution": 9},
+}
+
+
+def _leaves(tree, path=""):
+    if isinstance(tree, dict):
+        for key, val in tree.items():
+            yield from _leaves(val, f"{path}{key}.")
+    else:
+        yield path[:-1], tree
+
+
+def test_every_key_lands_on_its_own_field():
+    echo = parse_config(_EVERY_KEY).resolved()
+    assert echo == {
+        "seed": 9,
+        "model": {"type": "beam", "band": [700.0, 900.0], "length_mm": 450.0,
+                  "table_path": "t.csv"},
+        "bounds": [[1.0, 2.0], [3.0, 4.0]],
+        "pipeline": {
+            "pilot_budget": 5000, "iteration_budget": 6000, "max_iterations": 2,
+            "mass_ratio": 0.2, "pf_floor": 1e-3,
+            "bsp": {"alpha": 0.7, "beta": 3.5, "particles": 50, "max_leaves": 32},
+            "chains": {"burn_in": 5, "max_chains": 40, "scale_factor": 1.5},
+            "subset": {"p0": 0.2, "max_levels": 6},
+        },
+        "smoothing": {"noise_floor": 1e-3, "length_scales": [0.3, 0.6]},
+        "optimization": {"allowable": [0.05], "wall_mm": 3.0},
+        "grid": {"resolution": 11, "n_per_point": 5000},
+        "output": {"fpf_grid_resolution": 9},
+    }
+    defaults = dict(_leaves(parse_config(_minimal()).resolved()))
+    for path, val in _leaves(echo):
+        assert val != defaults[path], path
+        assert type(val) is type(defaults[path]) or defaults[path] in (None, []), path
+
+
+@pytest.mark.parametrize(
+    "path, bad, message",
+    [
+        ("seed", -1, "must be >= 0"),
+        ("model.type", "cube", "must be one of beam, toy, table"),
+        ("model.length_mm", 0, "must be positive"),
+        ("pipeline.pilot_budget", 0, "must be positive"),
+        ("pipeline.iteration_budget", 0, "must be positive"),
+        ("pipeline.max_iterations", -1, "must be >= 0"),
+        ("pipeline.mass_ratio", 1.0, "must lie in (0, 1)"),
+        ("pipeline.pf_floor", 0, "must be positive"),
+        ("pipeline.bsp.alpha", 0, "must be positive"),
+        ("pipeline.bsp.particles", 0, "must be >= 1"),
+        ("pipeline.bsp.max_leaves", 1, "must be >= 2"),
+        ("pipeline.mmh.burn_in", -1, "must be >= 0"),
+        ("pipeline.mmh.max_chains", 0, "must be >= 1"),
+        ("pipeline.mmh.scale_factor", 0, "must be positive"),
+        ("pipeline.subset.p0", 0.0, "must lie in (0, 1)"),
+        ("pipeline.subset.max_levels", 0, "must be >= 1"),
+        ("smoothing.noise_floor", 0, "must be positive"),
+        ("optimization.wall_mm", 0, "must be positive"),
+        ("grid.resolution", 1, "must be >= 2"),
+        ("grid.n_per_point", 0, "must be positive"),
+        ("output.fpf_grid_resolution", 1, "must be >= 2"),
+        ("model.length_mm", "long", "expected float"),
+        ("model.table_path", 3, "expected str"),
+        ("pipeline.bsp.beta", "wide", "expected float"),
+        ("grid.resolution", 2.5, "expected int"),
+    ],
+)
+def test_each_scalar_rule_names_its_full_key_path(path, bad, message):
+    data = _minimal()
+    *sections, key = path.split(".")
+    node = data
+    for name in sections:
+        node = node.setdefault(name, {})
+    node[key] = bad
+    with pytest.raises(ConfigError) as exc:
+        parse_config(data)
+    lines = [line.strip() for line in str(exc.value).splitlines()[1:]]
+    assert f"{path}: {message}" in lines
+
+
 # --------------------------------------------------------------- loading ---
 
 

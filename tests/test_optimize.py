@@ -51,8 +51,6 @@ def test_problem_validation():
     for allowable in (0.0, 1.0, 1.5, -0.1):
         with pytest.raises(ValueError, match="allowable"):
             DesignProblem(lambda p: 0.0, lambda p: 0.0, space, allowable)
-    with pytest.raises(ValueError, match="slack"):
-        DesignProblem(lambda p: 0.0, lambda p: 0.0, space, 0.5, slack=-1e-9)
 
 
 def test_feasibility_allows_the_stated_slack():

@@ -43,7 +43,6 @@ def test_direct_mcs_matches_exact_toy_probability():
     assert est.method == "direct-mcs"
     assert est.n_evaluations == 40000
     assert model.n_evaluations == 40000
-    assert not est.escalate
 
 
 def test_direct_mcs_cov_formula_and_samples():
@@ -62,7 +61,6 @@ def test_direct_mcs_flags_escalation_on_zero_failures():
     # design box far in the tail: failures are essentially unreachable
     est = direct_mcs(model, DesignSpace(((8.0, 9.0),)), specs, 2000, np.random.default_rng(3))
     assert est.pf == 0.0
-    assert est.escalate
     assert len(est.samples) == 0
     assert est.cov == math.inf
 
