@@ -229,7 +229,9 @@ class _Particles:
     ``lo``/``hi`` (P, t, d) are the leaf boxes, ``n_below`` (P, t, d) the
     per-axis counts strictly below each leaf's midpoint, ``n`` (P, t) the
     leaf counts, ``label`` (P, N) the leaf of every point, and ``cuts``
-    (P, max_leaves - 1, 2) the (leaf, axis) of each cut so far.
+    (P, max_leaves - 1, 2) the (leaf, axis) of each cut so far. ``masks``
+    (3, P, N) is work space for ``split``, allocated once per search so that
+    no cut allocates a (P, N) array.
     """
 
     lo: np.ndarray
@@ -238,6 +240,7 @@ class _Particles:
     n: np.ndarray
     label: np.ndarray
     cuts: np.ndarray
+    masks: np.ndarray
 
     @classmethod
     def start(
@@ -259,6 +262,7 @@ class _Particles:
             np.full((n_particles, 1), coords.shape[1], dtype=np.int64),
             np.zeros((n_particles, coords.shape[1]), dtype=np.min_scalar_type(max_leaves)),
             np.zeros((n_particles, max_leaves - 1, 2), dtype=np.intp),
+            np.empty((3, n_particles, coords.shape[1]), dtype=bool),
         )
 
     @property
@@ -268,7 +272,7 @@ class _Particles:
     def take(self, keep: np.ndarray) -> "_Particles":
         return _Particles(
             self.lo[keep], self.hi[keep], self.n_below[keep], self.n[keep],
-            self.label[keep], self.cuts[keep],
+            self.label[keep], self.cuts[keep], self.masks,
         )
 
     def cut_deltas(self, n_total: int, alpha: float, beta: float) -> np.ndarray:
@@ -299,6 +303,10 @@ class _Particles:
         ``axis[p]``. The low child keeps the leaf's slot, the high child takes
         the next one and later leaves move up a slot; points on the cut go to
         the high child. ``coords`` is the (d, N) transpose of the points.
+
+        Every (P, N) result goes into ``label`` or ``masks``. A comparison
+        that only some particles need runs on those rows alone, compacted
+        into the head of a free mask.
         """
         p = np.arange(leaf.size)
         t = self.n_leaves
@@ -311,16 +319,15 @@ class _Particles:
         mid = 0.5 * (self.lo[p, leaf, axis] + self.hi[p, leaf, axis])
         self.hi[p, leaf, axis] = mid
         self.lo[p, leaf + 1, axis] = mid
+        rows = [np.flatnonzero(axis == d) for d in range(coords.shape[0])]
 
-        label = self.label
+        label, (inside, low, high) = self.label, self.masks
         own = leaf.astype(label.dtype)[:, None]
-        label += label > own
-        inside = label == own
-        low = np.empty_like(inside)
-        for d in range(coords.shape[0]):
-            on = axis == d
-            low[on] = coords[d] < mid[on, None]
-        high = inside & ~low
+        label += np.greater(label, own, out=inside)
+        np.equal(label, own, out=inside)
+        for d, on in enumerate(rows):
+            low[on] = np.less(coords[d], mid[on, None], out=high[: on.size])
+        np.greater(inside, low, out=high)  # inside and not low
         low &= inside
         label += high
 
@@ -331,14 +338,19 @@ class _Particles:
         self.n[p, leaf + 1] = n_leaf - self.n[p, leaf]
         low_mid = 0.5 * (self.lo[p, leaf] + self.hi[p, leaf])
         high_mid = 0.5 * (self.lo[p, leaf + 1] + self.hi[p, leaf + 1])
+        # ``inside`` is spare from here on, and ``low`` once its counts are
+        # taken. take(mode="clip") copies straight into ``out``; the default
+        # mode copies through a temporary.
         for d in range(coords.shape[0]):
-            below = _row_counts(low & (coords[d] < low_mid[:, d, None]))
+            mask = np.less(coords[d], low_mid[:, d, None], out=inside)
+            mask &= low
+            below = _row_counts(mask)
             self.n_below[p, leaf, d] = below
             self.n_below[p, leaf + 1, d] = below_leaf[:, d] - below
-            on = np.flatnonzero(axis == d)
-            self.n_below[on, leaf[on] + 1, d] = _row_counts(
-                high[on] & (coords[d] < high_mid[on, d, None])
-            )
+        for d, on in enumerate(rows):
+            mask = np.less(coords[d], high_mid[on, d, None], out=inside[: on.size])
+            mask &= np.take(high, on, axis=0, out=low[: on.size], mode="clip")
+            self.n_below[on, leaf[on] + 1, d] = _row_counts(mask)
 
 
 def bsp_estimate(

@@ -206,11 +206,13 @@ def parse_config(data: dict) -> RunConfig:
     band = None
     if band_raw is not None:
         try:
-            band = (float(band_raw[0]), float(band_raw[1]))
-            if not band[0] < band[1]:
-                errors.append("model.band: must be an increasing pair")
-        except (TypeError, ValueError, IndexError):
+            low, high = (float(v) for v in band_raw)
+        except (TypeError, ValueError):
             errors.append("model.band: expected [low, high]")
+        else:
+            band = (low, high)
+            if not low < high:
+                errors.append("model.band: must be an increasing pair")
     model = ModelConfig(**r.fields(m, _MODEL, "model.", type=mtype, band=band))
     if model.type == "table" and model.table_path is None:
         errors.append("model.table_path: required for the table model")
@@ -244,8 +246,8 @@ def parse_config(data: dict) -> RunConfig:
     )
 
     o = r.section(data, "optimization", "")
-    # A false or empty value means no optimization.
-    allowable = _parse_numbers(o.pop("allowable", None) or None, errors,
+    # An absent key or an empty list means no optimization.
+    allowable = _parse_numbers(o.pop("allowable", None), errors,
                                "optimization.allowable", lambda v: 0 < v < 1,
                                "values must lie in (0, 1)")
     optimization = OptimizationConfig(

@@ -1,4 +1,5 @@
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -219,7 +220,7 @@ def _blob(seed, n, dim):
     return np.clip(pts, 0.0, 0.999)
 
 
-@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("dim", [1, 2, 3])
 @pytest.mark.parametrize("seed", [0, 5, 77])
 def test_lockstep_search_matches_the_per_particle_reference(dim, seed):
     pts = _blob(seed, 400, dim)
@@ -227,6 +228,74 @@ def test_lockstep_search_matches_the_per_particle_reference(dim, seed):
     got = bsp_estimate(pts, *box, np.random.default_rng(seed + 1))
     want = reference_bsp_estimate(pts, *box, np.random.default_rng(seed + 1))
     _assert_same_estimate(got, want)
+
+
+def _cut_nodes(node):
+    if isinstance(node, bsp.CutNode):
+        yield node
+        yield from _cut_nodes(node.low)
+        yield from _cut_nodes(node.high)
+
+
+def _half_open_counts(partition, pts):
+    """Points in each leaf's box [lo, hi): a point on a cut counts in the
+    high child only."""
+    return [
+        int(np.all((np.asarray(leaf.lo) <= pts) & (pts < np.asarray(leaf.hi)), axis=1).sum())
+        for leaf in partition.leaves
+    ]
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_points_on_cut_midpoints_go_to_the_high_child(dim):
+    # a blob on the 1/64 lattice: its points sit on the midpoints of the
+    # first six halvings of [0, 1)
+    pts = np.minimum(np.round(_blob(dim, 500, dim) * 64.0), 63.0) / 64.0
+    box = ((0.0,) * dim, (1.0,) * dim)
+    got = bsp_estimate(pts, *box, np.random.default_rng(dim + 1))
+    want = reference_bsp_estimate(pts, *box, np.random.default_rng(dim + 1))
+    _assert_same_estimate(got, want)
+    positions = {(cut.axis, cut.position) for cut in _cut_nodes(got.partition.root)}
+    assert any(np.any(pts[:, axis] == position) for axis, position in positions)
+    assert _half_open_counts(got.partition, pts) == [leaf.n for leaf in got.partition.leaves]
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_lockstep_search_matches_the_reference_on_repeated_points(dim):
+    pts = _blob(dim, 300, dim)
+    pts = np.vstack([pts, np.repeat(pts[:1], 150, axis=0), np.full((60, dim), 0.25)])
+    box = ((0.0,) * dim, (1.0,) * dim)
+    # a repeated point is never separated from its copies, so the search
+    # keeps cutting towards it: a cap keeps the reference quick
+    got = bsp_estimate(pts, *box, np.random.default_rng(dim), max_leaves=20)
+    want = reference_bsp_estimate(pts, *box, np.random.default_rng(dim), max_leaves=20)
+    _assert_same_estimate(got, want)
+    assert _half_open_counts(got.partition, pts) == [leaf.n for leaf in got.partition.leaves]
+
+
+def test_concurrent_searches_return_their_sequential_results():
+    jobs = [(_blob(21, 3000, 2), 22), (_blob(23, 2500, 3), 24)]
+
+    def search(pts, seed):
+        box = ((0.0,) * pts.shape[1], (1.0,) * pts.shape[1])
+        return bsp_estimate(pts, *box, np.random.default_rng(seed))
+
+    sequential = [search(*job) for job in jobs]
+    results = [None] * len(jobs)
+    start = threading.Barrier(len(jobs))
+
+    def worker(i):
+        start.wait(timeout=60)
+        results[i] = search(*jobs[i])
+
+    threads = [threading.Thread(target=worker, args=(i,)) for i in range(len(jobs))]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=120)
+        assert not thread.is_alive()
+    for got, want in zip(results, sequential):
+        _assert_same_estimate(got, want)
 
 
 def test_lockstep_search_matches_the_reference_at_the_leaf_cap():

@@ -102,6 +102,9 @@ def test_band_validation():
         parse_config(_minimal(model={"type": "beam", "band": [900, 700]}))
     with pytest.raises(ConfigError, match=r"expected \[low, high\]"):
         parse_config(_minimal(model={"type": "beam", "band": 5}))
+    for wrong_length in ([700], [700, 900, 1000]):
+        with pytest.raises(ConfigError, match=r"model.band: expected \[low, high\]"):
+            parse_config(_minimal(model={"type": "beam", "band": wrong_length}))
     cfg = parse_config(_minimal(model={"type": "beam", "band": [700, 900]}))
     assert cfg.model.band == (700.0, 900.0)
 
@@ -150,6 +153,19 @@ def test_smoothing_and_optimization_validation():
     )
     assert cfg.smoothing.length_scales == (0.4,)
     assert cfg.optimization.allowable == (0.1, 0.01)
+
+
+@pytest.mark.parametrize("value", [0, False, 0.01])
+def test_allowable_that_is_not_a_list_is_rejected(value):
+    with pytest.raises(ConfigError, match="optimization.allowable: expected a list of numbers"):
+        parse_config(_minimal(optimization={"allowable": value}))
+
+
+def test_absent_or_empty_allowable_skips_optimization():
+    assert parse_config(_minimal()).optimization.allowable == ()
+    for value in (None, []):
+        cfg = parse_config(_minimal(optimization={"allowable": value}))
+        assert cfg.optimization.allowable == ()
 
 
 def test_every_problem_lands_in_one_error():
