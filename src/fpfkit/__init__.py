@@ -60,6 +60,7 @@ from .reliability import (
     subset_simulation,
 )
 from .smoothing import SmoothedFPF, extract_support_points, fit_surface, smoothed_fpf
+from .streams import Streams
 
 __all__ = [
     "BinaryPartition",
@@ -86,6 +87,7 @@ __all__ = [
     "RunConfig",
     "SampleSet",
     "SmoothedFPF",
+    "Streams",
     "TableModel",
     "ToyModel",
     "analytic_toy_fpf",

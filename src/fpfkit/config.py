@@ -235,6 +235,11 @@ def parse_config(data: dict) -> RunConfig:
             "pipeline.pilot_budget: times subset.p0 must be an integer >= 2 "
             "(needed if the pilot escalates to subset simulation)"
         )
+    elif pipeline.pilot_budget % round(n0):
+        errors.append(
+            "pipeline.pilot_budget: must be a multiple of pilot_budget * subset.p0 "
+            "(subset simulation regrows each level as equal-length chains)"
+        )
 
     s = r.section(data, "smoothing", "")
     scales = _parse_numbers(s.pop("length_scales", None), errors,

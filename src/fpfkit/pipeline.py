@@ -36,6 +36,7 @@ from .reliability import (
     populate_region,
     subset_simulation,
 )
+from .streams import Streams
 
 logger = logging.getLogger(__name__)
 
@@ -311,7 +312,7 @@ def run_pipeline(
     space: DesignSpace,
     specs: tuple[RandomVariableSpec, ...],
     config: PipelineConfig,
-    seed_seq: np.random.SeedSequence,
+    streams: Streams,
 ) -> tuple[RegionChainResult, FPFApproximation]:
     """Run pilot + iterations and return the chain with its FPF evaluator.
 
@@ -324,8 +325,7 @@ def run_pipeline(
     """
     evals: dict[str, int] = {}
     mark = model.n_evaluations
-    pilot_rng = np.random.Generator(np.random.PCG64(seed_seq.spawn(1)[0]))
-    pilot = direct_mcs(model, space, specs, config.pilot_budget, pilot_rng)
+    pilot = direct_mcs(model, space, specs, config.pilot_budget, streams.generator())
     if pilot.pf == 0.0:
         logger.info("pilot saw no failures; escalating to subset simulation")
         pilot = subset_simulation(
@@ -334,7 +334,7 @@ def run_pipeline(
             specs,
             config.pilot_budget,
             config.subset.p0,
-            seed_seq,
+            streams,
             max_levels=config.subset.max_levels,
         )
     if pilot.pf == 0.0 or not pilot.samples:
@@ -360,12 +360,11 @@ def run_pipeline(
 
     for k in range(config.max_iterations + 1):
         bbox = region.bounding_box()
-        bsp_rng = np.random.Generator(np.random.PCG64(seed_seq.spawn(1)[0]))
         raw = bsp_estimate(
             samples.phi,
             bbox.lo,
             bbox.hi,
-            bsp_rng,
+            streams.generator(),
             alpha=config.bsp.alpha,
             beta=config.bsp.beta,
             n_particles=config.bsp.particles,
@@ -408,7 +407,7 @@ def run_pipeline(
         mark = model.n_evaluations
         samples = populate_region(
             samples, region, model, space, specs, n_target,
-            config.chains, seed_seq,
+            config.chains, streams,
         )
         evals[f"level_{k + 1}"] = model.n_evaluations - mark
 

@@ -30,6 +30,7 @@ from .model import (
     sample_theta,
 )
 from .regions import RegionIndicator
+from .streams import Streams
 
 logger = logging.getLogger(__name__)
 
@@ -123,24 +124,24 @@ def mmh_chain(
     specs: tuple[RandomVariableSpec, ...],
     scales_phi: np.ndarray,
     scales_u: np.ndarray,
-    n_steps: int,
-    rngs: list[np.random.Generator],
+    draws: np.ndarray,
     tau: float = 0.0,
 ) -> SampleSet:
     """Lockstep component-wise MMH chains, one per seed row.
 
-    Chain c draws only from ``rngs[c]`` and targets p(phi, theta |
-    margin <= tau, phi in region); ``region`` None conditions on the margin
-    alone. Each step proposes every design coordinate (uniform half-widths
-    ``scales_phi``, kept inside the design box) and every u coordinate
-    (half-widths ``scales_u``, standard-normal ratio accept). Candidates that
-    moved, lie in ``region`` and have a valid theta are evaluated in one
-    batch; the rest repeat their state, as do those whose margin exceeds
-    ``tau``. Returns the states as (len(seeds), n_steps) leading axes;
-    repeats are genuine output.
+    Chain c consumes only ``draws[c]``, of shape (n_steps, d_phi + 2 d_u):
+    per step, one uniform per design coordinate, then a (proposal, accept)
+    pair per u coordinate. It targets p(phi, theta | margin <= tau, phi in
+    region); ``region`` None conditions on the margin alone. Each step
+    proposes every design coordinate (uniform half-widths ``scales_phi``,
+    kept inside the design box) and every u coordinate (half-widths
+    ``scales_u``, standard-normal ratio accept). Candidates that moved, lie
+    in ``region`` and have a valid theta are evaluated in one batch; the rest
+    repeat their state, as do those whose margin exceeds ``tau``. Returns the
+    states as (len(seeds), n_steps) leading axes; repeats are genuine output.
     """
-    if len(rngs) != len(seeds):
-        raise ValueError("mmh_chain needs one generator per seed")
+    if len(draws) != len(seeds):
+        raise ValueError("mmh_chain needs one row of draws per seed")
     if not np.all(np.asarray(model.margin(seeds.performance)) <= tau):
         raise ValueError(f"chain seed must be a failure sample (margin <= {tau})")
     if region is not None and not np.all(region.contains(seeds.phi)):
@@ -152,19 +153,17 @@ def mmh_chain(
     mus, sigmas = resolve_parameters(specs, phi)
     u = (theta - mus) / sigmas
     m, d_phi = phi.shape
+    n_steps = draws.shape[1]
+    if draws.shape[2:] != (d_phi + 2 * u.shape[1],):
+        raise ValueError("mmh_chain draws must have d_phi + 2 * d_u columns per step")
     lower, upper = space.lower, space.upper
-    # per step and chain: one uniform per design coordinate, then a
-    # (proposal, accept) pair per u coordinate
-    draws = np.stack(
-        [rng.random((n_steps, d_phi + 2 * u.shape[1])) for rng in rngs], axis=1
-    )
     out = SampleSet(
         np.empty((m, n_steps, d_phi)),
         np.empty((m, n_steps, theta.shape[1])),
         np.empty((m, n_steps)),
     )
     for t in range(n_steps):
-        r = draws[t]
+        r = draws[:, t]
         prop = phi + scales_phi * (2.0 * r[:, :d_phi] - 1.0)
         cand_phi = np.where((lower <= prop) & (prop <= upper), prop, phi)
         prop = u + scales_u * (2.0 * r[:, d_phi::2] - 1.0)
@@ -193,8 +192,28 @@ def mmh_chain(
     return out
 
 
-def _chain_rngs(seed_seq: np.random.SeedSequence, n: int) -> list[np.random.Generator]:
-    return [np.random.Generator(np.random.PCG64(s)) for s in seed_seq.spawn(n)]
+def _chain_draws(streams: Streams, seeds: SampleSet, n_steps: int) -> np.ndarray:
+    """``mmh_chain`` draws for one chain per seed row, each from its own
+    child stream."""
+    width = seeds.phi.shape[1] + 2 * seeds.theta.shape[1]
+    return streams.uniforms(len(seeds), (n_steps, width))
+
+
+def _distinct_states(phi: np.ndarray) -> int:
+    """Distinct design rows within each chain, summed over chains.
+
+    ``phi`` is (chains, steps, d). One lexsort over (chain, phi) rows puts
+    equal rows of a chain next to each other.
+    """
+    m, n, d = phi.shape
+    if m * n == 0:
+        return 0
+    rows = phi.reshape(m * n, d)
+    chain = np.repeat(np.arange(m), n)
+    order = np.lexsort((*rows.T, chain))
+    rows, chain = rows[order], chain[order]
+    new = (chain[1:] != chain[:-1]) | (rows[1:] != rows[:-1]).any(axis=1)
+    return 1 + int(np.count_nonzero(new))
 
 
 def populate_region(
@@ -205,14 +224,14 @@ def populate_region(
     specs: tuple[RandomVariableSpec, ...],
     n_target: int,
     params: ChainParams,
-    seed_seq: np.random.SeedSequence,
+    streams: Streams,
 ) -> SampleSet:
     """Grow the failure population of ``region`` to at least ``n_target``.
 
     Seeds are the in-region samples of ``prev`` and are all retained. When
     more samples are needed, chains start from an evenly strided subset of at
     most ``params.max_chains`` seeds (burn-in discarded per chain, no
-    thinning), each chain drawing from its own spawned stream, and the merged
+    thinning), each chain drawing from its own child stream, and the merged
     output is ordered by chain index so the result is deterministic.
     """
     seeds = prev[region.contains(prev.phi)]
@@ -234,12 +253,13 @@ def populate_region(
     us = (seeds.theta - mus) / sigmas
     scales_phi, scales_u = _seed_scales(space, seeds.phi, us, params.scale_factor)
 
+    starts = seeds[starters]
     states = mmh_chain(
-        seeds[starters], region, model, space, specs, scales_phi, scales_u,
-        params.burn_in + emissions, _chain_rngs(seed_seq, n_chains),
+        starts, region, model, space, specs, scales_phi, scales_u,
+        _chain_draws(streams, starts, params.burn_in + emissions),
     )[:, params.burn_in :]
     total = states.performance.size
-    distinct = sum(len(np.unique(p, axis=0)) for p in states.phi)
+    distinct = _distinct_states(states.phi)
     if total and distinct / total < 0.05:
         logger.warning(
             "stuck chains while populating region: %.1f%% distinct states "
@@ -255,7 +275,7 @@ def subset_simulation(
     specs: tuple[RandomVariableSpec, ...],
     n_per_level: int,
     p0: float,
-    seed_seq: np.random.SeedSequence,
+    streams: Streams,
     max_levels: int = 8,
 ) -> FailureEstimate:
     """Subset simulation with percentile intermediate levels.
@@ -275,8 +295,12 @@ def subset_simulation(
     if abs(n0 - round(n0)) > 1e-9 or round(n0) < 2:
         raise ValueError("n_per_level * p0 must be an integer >= 2")
     n0 = int(round(n0))
+    if n_per_level % n0:
+        # each level regrows n_per_level states as n0 chains of equal length,
+        # and the estimate p0**m counts on keeping exactly that share
+        raise ValueError("n_per_level must be a multiple of n_per_level * p0")
 
-    rng = np.random.Generator(np.random.PCG64(seed_seq.spawn(1)[0]))
+    rng = streams.generator()
     n_evals_start = model.n_evaluations
 
     phis = space.sample(rng, n_per_level)
@@ -318,6 +342,6 @@ def subset_simulation(
         scales_phi, scales_u = _seed_scales(space, seeds.phi, s_us, 1.0)
         states = mmh_chain(
             seeds, None, model, space, specs, scales_phi, scales_u,
-            n_per_level // n0 - 1, _chain_rngs(seed_seq, n0), tau=tau,
+            _chain_draws(streams, seeds, n_per_level // n0 - 1), tau=tau,
         )
         pop = SampleSet.concat([seeds[:, None], states], axis=1).flatten()

@@ -44,6 +44,7 @@ from .model import DesignSpace
 from .optimize import DesignProblem, objective_mean_area, optimize
 from .pipeline import run_pipeline
 from .smoothing import extract_support_points, fit_surface, SmoothedFPF
+from .streams import Streams
 
 
 def build_problem(config: RunConfig, base_dir: Path | None = None):
@@ -110,8 +111,8 @@ def run_command(config: RunConfig, out_dir: Path, base_dir: Path | None = None) 
     (out_dir / "levels").mkdir(exist_ok=True)
 
     model, space, specs = build_problem(config, base_dir)
-    seed_seq = np.random.SeedSequence(config.seed)
-    chain, approx = run_pipeline(model, space, specs, config.pipeline, seed_seq)
+    streams = Streams(np.random.SeedSequence(config.seed))
+    chain, approx = run_pipeline(model, space, specs, config.pipeline, streams)
 
     support = extract_support_points(chain)
     surface = fit_surface(
@@ -169,9 +170,8 @@ def run_command(config: RunConfig, out_dir: Path, base_dir: Path | None = None) 
         rows = []
         for allowable in config.optimization.allowable:
             problem = DesignProblem(objective, smoothed, space, allowable)
-            opt_seq = seed_seq.spawn(1)[0]
             try:
-                record = optimize(problem, opt_seq)
+                record = optimize(problem, streams.child())
                 feasible, active, n_starts = True, record.active, len(record.starts)
             except InfeasibleProblemError as exc:
                 record = exc.best_candidate

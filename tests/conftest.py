@@ -18,6 +18,7 @@ from fpfkit.model import DesignSpace, LimitStateModel, RandomVariableSpec
 from fpfkit.pipeline import FPFApproximation, RegionChainResult, run_pipeline
 from fpfkit.runner import build_problem, grid_command, run_command
 from fpfkit.smoothing import SmoothedFPF, smoothed_fpf
+from fpfkit.streams import Streams
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 CONFIG_DIR = REPO_ROOT / "configs"
@@ -40,7 +41,7 @@ def _run_case(name: str) -> PipelineCase:
     config = load_config(CONFIG_DIR / f"{name}.yaml")
     model, space, specs = build_problem(config, base_dir=CONFIG_DIR)
     chain, approx = run_pipeline(
-        model, space, specs, config.pipeline, np.random.SeedSequence(config.seed)
+        model, space, specs, config.pipeline, Streams(np.random.SeedSequence(config.seed))
     )
     scales = (
         None

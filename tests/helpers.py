@@ -381,3 +381,9 @@ def reference_beam_frequency(b, h, t, rho, e_gpa, length_mm: float = 500.0):
     e_pa = np.asarray(e_gpa, dtype=float) * 1e9
     rho = np.asarray(rho, dtype=float)
     return LAMBDA_1**2 * np.sqrt(e_pa * inertia_m4 / (rho * area_m2 * length_m**4))
+
+
+def reference_chain_draws(rngs, n_steps: int, k: int) -> np.ndarray:
+    """``mmh_chain`` draws as one generator per chain gives them: chain c's
+    row is ``rngs[c].random((n_steps, k))``."""
+    return np.stack([rng.random((n_steps, k)) for rng in rngs])

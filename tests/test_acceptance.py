@@ -27,6 +27,7 @@ from fpfkit.pipeline import compose_density
 from fpfkit.regions import Box, RegionIndicator
 from fpfkit.reliability import _seed_scales, direct_mcs, mmh_chain
 from fpfkit.runner import compare_command, run_command
+from fpfkit.streams import Streams
 from helpers import propose_cut, root_partition
 from tests.conftest import CONFIG_DIR
 
@@ -184,10 +185,9 @@ def test_chain_states_reach_the_conditional_failure_distribution():
     model = ToyModel()
     space = toy_design_space()
     specs = toy_variable_specs()
-    seq = np.random.SeedSequence(2024)
+    streams = Streams(np.random.SeedSequence(2024))
 
-    pilot_rng = np.random.Generator(np.random.PCG64(seq.spawn(1)[0]))
-    pilot = direct_mcs(model, space, specs, 4000, pilot_rng)
+    pilot = direct_mcs(model, space, specs, 4000, streams.generator())
     region = RegionIndicator(
         (Box(tuple(space.lower), tuple(space.upper)),), tuple(space.upper)
     )
@@ -199,10 +199,9 @@ def test_chain_states_reach_the_conditional_failure_distribution():
         space, seeds.phi, (seeds.theta - mus) / sigmas, 1.0
     )
 
-    chain_rng = np.random.Generator(np.random.PCG64(seq.spawn(1)[0]))
     states = mmh_chain(
         seeds[:1], region, model, space, specs, scales_phi, scales_u,
-        210000, [chain_rng],
+        streams.uniforms(1, (210000, 3)),
     )[0]
     kept = states[10000::20]
     assert len(kept) == 10000

@@ -123,6 +123,12 @@ def test_pilot_budget_must_split_under_subset_simulation():
         parse_config(_minimal(pipeline={"pilot_budget": 10}))
     cfg = parse_config(_minimal(pipeline={"pilot_budget": 2000}))
     assert cfg.pipeline.pilot_budget == 2000
+    for p0 in (0.3, 0.4):  # 2400 or 3200 seeds cannot regrow 8000 in equal chains
+        with pytest.raises(ConfigError, match="multiple of pilot_budget"):
+            parse_config(_minimal(pipeline={"pilot_budget": 8000, "subset": {"p0": p0}}))
+    for p0 in (0.2, 0.25, 0.5):
+        cfg = parse_config(_minimal(pipeline={"pilot_budget": 8000, "subset": {"p0": p0}}))
+        assert cfg.pipeline.subset.p0 == p0
 
 
 def test_bounds_validation():

@@ -21,6 +21,7 @@ from fpfkit.pipeline import (
 from fpfkit.regions import Box, RegionIndicator
 from helpers import disjoint_volume_check, reference_compose_density
 from fpfkit.reliability import ChainParams
+from fpfkit.streams import Streams
 
 
 def test_threshold_splits_off_the_lowest_density_mass():
@@ -225,7 +226,7 @@ def test_pipeline_escalates_pilot_to_subset_simulation():
     space = DesignSpace(((3.0, 4.0),))
     cfg = PipelineConfig(pilot_budget=2000, iteration_budget=2000, max_iterations=2)
     chain, approx = run_pipeline(
-        model, space, toy_variable_specs(), cfg, np.random.SeedSequence(4)
+        model, space, toy_variable_specs(), cfg, Streams(np.random.SeedSequence(4))
     )
     assert chain.pilot.method == "subset-simulation"
     exact = float(toy_pf_exact(3.0, 4.0))
@@ -239,7 +240,7 @@ def test_pipeline_raises_when_even_subset_finds_nothing():
     space = DesignSpace(((8.0, 9.0),))
     cfg = PipelineConfig(pilot_budget=1000, iteration_budget=1000, max_iterations=1)
     with pytest.raises(ConvergenceError):
-        run_pipeline(model, space, toy_variable_specs(), cfg, np.random.SeedSequence(0))
+        run_pipeline(model, space, toy_variable_specs(), cfg, Streams(np.random.SeedSequence(0)))
 
 
 def test_pipeline_rejects_degenerate_first_level():
@@ -251,7 +252,7 @@ def test_pipeline_rejects_degenerate_first_level():
         bsp=BSPParams(max_leaves=1),
     )
     with pytest.raises(DegenerateThresholdError):
-        run_pipeline(model, space, toy_variable_specs(), cfg, np.random.SeedSequence(1))
+        run_pipeline(model, space, toy_variable_specs(), cfg, Streams(np.random.SeedSequence(1)))
 
 
 def test_pipeline_requires_budget_beyond_burn_in():
@@ -262,7 +263,7 @@ def test_pipeline_requires_budget_beyond_burn_in():
         chains=ChainParams(burn_in=10),
     )
     with pytest.raises(ConvergenceError, match="burn-in"):
-        run_pipeline(model, space, toy_variable_specs(), cfg, np.random.SeedSequence(1))
+        run_pipeline(model, space, toy_variable_specs(), cfg, Streams(np.random.SeedSequence(1)))
 
 
 def test_pipeline_config_validation():

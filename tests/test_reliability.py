@@ -17,11 +17,14 @@ from fpfkit.model import DesignSpace, SampleSet, sample_theta
 from fpfkit.regions import Box, RegionIndicator
 from fpfkit.reliability import (
     ChainParams,
+    _distinct_states,
     direct_mcs,
     mmh_chain,
     populate_region,
     subset_simulation,
 )
+from fpfkit.streams import Streams
+from helpers import reference_chain_draws
 
 
 def _toy():
@@ -78,7 +81,8 @@ def test_mmh_chain_emits_failed_in_region_states():
     seed = pilot.samples[region.contains(pilot.samples.phi)][:1]
     states = mmh_chain(
         seed, region, model, space, specs,
-        np.array([0.5]), np.array([0.8]), 300, [np.random.default_rng(5)],
+        np.array([0.5]), np.array([0.8]),
+        reference_chain_draws([np.random.default_rng(5)], 300, 3),
     )[0]
     assert len(states) == 300
     assert np.all(model.margin(states.performance) <= 0.0)
@@ -94,16 +98,20 @@ def test_mmh_chain_rejects_bad_seeds():
     region = RegionIndicator((Box((3.5,), (4.0,)),), (4.0,))
     ok = pilot.samples[:1]
     not_failed = SampleSet(ok.phi, ok.theta, np.array([0.5]))
+    draws = reference_chain_draws([np.random.default_rng(0)], 10, 3)
     with pytest.raises(ValueError, match="failure"):
         mmh_chain(not_failed, region, model, space, specs,
-                  np.array([0.5]), np.array([0.8]), 10, [np.random.default_rng(0)])
+                  np.array([0.5]), np.array([0.8]), draws)
     outside = pilot.samples[~region.contains(pilot.samples.phi)][:1]
     with pytest.raises(ValueError, match="region"):
         mmh_chain(outside, region, model, space, specs,
-                  np.array([0.5]), np.array([0.8]), 10, [np.random.default_rng(0)])
-    with pytest.raises(ValueError, match="generator"):
+                  np.array([0.5]), np.array([0.8]), draws)
+    with pytest.raises(ValueError, match="draws per seed"):
         mmh_chain(ok, None, model, space, specs,
-                  np.array([0.5]), np.array([0.8]), 10, [])
+                  np.array([0.5]), np.array([0.8]), np.empty((0, 10, 3)))
+    with pytest.raises(ValueError, match="columns"):
+        mmh_chain(ok, None, model, space, specs,
+                  np.array([0.5]), np.array([0.8]), np.empty((1, 10, 4)))
 
 
 class CountingToy(ToyModel):
@@ -145,17 +153,19 @@ def test_lockstep_chains_match_chains_run_one_at_a_time(case):
     scales_phi = 0.1 * (space.upper - space.lower)
     scales_u = np.full(len(specs), 0.8)
     streams = np.random.SeedSequence(3).spawn(len(seeds))
+    width = space.ndim + 2 * len(specs)
 
     def rngs():
         return [np.random.Generator(np.random.PCG64(s)) for s in streams]
 
     together = mmh_chain(seeds, region, model, space, specs, scales_phi, scales_u,
-                         40, rngs(), tau=tau)
+                         reference_chain_draws(rngs(), 40, width), tau=tau)
     assert together.phi.shape == (len(seeds), 40, space.ndim)
     assert together.performance.shape == (len(seeds), 40)
     for i, rng in enumerate(rngs()):
         alone = mmh_chain(seeds[i : i + 1], region, model, space, specs,
-                          scales_phi, scales_u, 40, [rng], tau=tau)
+                          scales_phi, scales_u, reference_chain_draws([rng], 40, width),
+                          tau=tau)
         assert np.array_equal(together.phi[i], alone.phi[0])
         assert np.array_equal(together.theta[i], alone.theta[0])
         assert np.array_equal(together.performance[i], alone.performance[0])
@@ -179,8 +189,10 @@ def test_mmh_chain_never_evaluates_or_emits_an_invalid_theta():
     seeds = pilot.samples[region.contains(pilot.samples.phi)][:4]
     streams = np.random.SeedSequence(9).spawn(len(seeds))
     states = mmh_chain(
-        seeds, region, model, space, specs, np.array([0.5]), np.array([1.5]), 200,
-        [np.random.Generator(np.random.PCG64(s)) for s in streams],
+        seeds, region, model, space, specs, np.array([0.5]), np.array([1.5]),
+        reference_chain_draws(
+            [np.random.Generator(np.random.PCG64(s)) for s in streams], 200, 3
+        ),
     )
     assert np.all(states.theta[..., 0] < 2.5)
     assert np.any(states.theta[..., 0] > 2.0)  # the chains reach the cap
@@ -199,8 +211,10 @@ def test_mmh_chain_evaluates_only_candidates_inside_the_region():
     seeds = pilot.samples[region.contains(pilot.samples.phi)][:6]
     streams = np.random.SeedSequence(3).spawn(len(seeds))
     states = mmh_chain(
-        seeds, region, model, space, specs, np.array([0.8]), np.array([1.0]), 100,
-        [np.random.Generator(np.random.PCG64(s)) for s in streams],
+        seeds, region, model, space, specs, np.array([0.8]), np.array([1.0]),
+        reference_chain_draws(
+            [np.random.Generator(np.random.PCG64(s)) for s in streams], 100, 3
+        ),
     )
     assert np.all(region.contains(states.phi.reshape(-1, 1)))
     assert 0 < model.n_evaluations < states.performance.size
@@ -219,7 +233,7 @@ def test_populate_region_makes_at_most_one_model_call_per_step():
     before = model.n_evaluations
     model.calls.clear()
     populate_region(pilot.samples, region, model, space, specs, 400, params,
-                    np.random.SeedSequence(7))
+                    Streams(np.random.SeedSequence(7)))
     assert 0 < len(model.calls) <= steps
     assert sum(model.calls) == model.n_evaluations - before
 
@@ -228,7 +242,7 @@ def test_subset_simulation_makes_at_most_one_model_call_per_step():
     _, _, specs = _toy()
     model = CountingToy()
     est = subset_simulation(model, DesignSpace(((3.0, 4.0),)), specs, 2000, 0.1,
-                            np.random.SeedSequence(10))
+                            Streams(np.random.SeedSequence(10)))
     steps_per_level = 2000 // 200 - 1
     assert est.n_levels >= 3
     assert model.calls[0] == 2000
@@ -244,7 +258,7 @@ def test_populate_region_reaches_target_and_keeps_seeds():
     assert 0 < len(seeds) < 400
     out = populate_region(
         pilot.samples, region, model, space, specs, 400,
-        ChainParams(), np.random.SeedSequence(7),
+        ChainParams(), Streams(np.random.SeedSequence(7)),
     )
     assert len(out) >= 400
     # retained seeds lead the output, in order
@@ -258,9 +272,9 @@ def test_populate_region_is_deterministic():
     pilot = direct_mcs(model, space, specs, 3000, np.random.default_rng(6))
     region = RegionIndicator((Box((1.5,), (4.0,)),), (4.0,))
     a = populate_region(pilot.samples, region, ToyModel(), space, specs, 400,
-                        ChainParams(), np.random.SeedSequence(7))
+                        ChainParams(), Streams(np.random.SeedSequence(7)))
     b = populate_region(pilot.samples, region, ToyModel(), space, specs, 400,
-                        ChainParams(), np.random.SeedSequence(7))
+                        ChainParams(), Streams(np.random.SeedSequence(7)))
     assert len(a) == len(b)
     assert np.array_equal(a.phi, b.phi) and np.array_equal(a.theta, b.theta)
 
@@ -271,7 +285,7 @@ def test_populate_region_short_circuits_when_seeds_suffice():
     region = _full_region(space)
     before = model.n_evaluations
     out = populate_region(pilot.samples, region, model, space, specs,
-                          10, ChainParams(), np.random.SeedSequence(0))
+                          10, ChainParams(), Streams(np.random.SeedSequence(0)))
     assert len(out) == len(pilot.samples)
     assert model.n_evaluations == before  # no chain steps needed
 
@@ -283,7 +297,7 @@ def test_populate_region_requires_a_seed_inside():
     assert not region.contains(pilot.samples.phi).any()
     with pytest.raises(RegionPopulationError) as exc:
         populate_region(pilot.samples, region, model, space, specs, 100,
-                        ChainParams(), np.random.SeedSequence(0))
+                        ChainParams(), Streams(np.random.SeedSequence(0)))
     assert exc.value.partial is pilot.samples
 
 
@@ -292,7 +306,7 @@ def test_subset_simulation_estimates_a_rare_toy_probability():
     model, _, specs = _toy()
     space = DesignSpace(((3.0, 4.0),))
     est = subset_simulation(model, space, specs, 2000, 0.1,
-                            np.random.SeedSequence(10))
+                            Streams(np.random.SeedSequence(10)))
     exact = toy_pf_exact(3.0, 4.0)
     assert est.method == "subset-simulation"
     assert est.n_levels >= 3
@@ -305,7 +319,7 @@ def test_subset_simulation_estimates_a_rare_toy_probability():
 def test_subset_simulation_agrees_with_direct_mcs_when_failures_are_common():
     model, space, specs = _toy()
     est = subset_simulation(model, space, specs, 4000, 0.1,
-                            np.random.SeedSequence(11))
+                            Streams(np.random.SeedSequence(11)))
     assert est.n_levels == 1  # fails at level zero already
     assert est.pf == pytest.approx(toy_pf_exact(), rel=0.15)
 
@@ -313,11 +327,33 @@ def test_subset_simulation_agrees_with_direct_mcs_when_failures_are_common():
 def test_subset_simulation_validates_inputs():
     model, space, specs = _toy()
     with pytest.raises(ValueError):
-        subset_simulation(model, space, specs, 0, 0.1, np.random.SeedSequence(0))
+        subset_simulation(model, space, specs, 0, 0.1, Streams(np.random.SeedSequence(0)))
     with pytest.raises(ValueError):
-        subset_simulation(model, space, specs, 1000, 1.5, np.random.SeedSequence(0))
+        subset_simulation(model, space, specs, 1000, 1.5, Streams(np.random.SeedSequence(0)))
     with pytest.raises(ValueError, match="integer"):
-        subset_simulation(model, space, specs, 1001, 0.1, np.random.SeedSequence(0))
+        subset_simulation(model, space, specs, 1001, 0.1, Streams(np.random.SeedSequence(0)))
+
+
+@pytest.mark.parametrize("p0", [0.3, 0.4])
+def test_subset_simulation_rejects_a_level_that_is_not_whole_chains(p0):
+    """8000 * 0.3 = 2400 seeds cannot regrow 8000 states in equal chains."""
+    model, space, specs = _toy()
+    with pytest.raises(ValueError, match="multiple"):
+        subset_simulation(model, space, specs, 8000, p0, Streams(np.random.SeedSequence(0)))
+    assert model.n_evaluations == 0
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_distinct_states_match_a_per_chain_unique(d):
+    rng = np.random.default_rng(d)
+    pool = rng.random((5, d))
+    # few distinct rows, so rows repeat inside chains and across chains
+    phi = pool[rng.integers(0, len(pool), size=(7, 12))]
+    phi[3] = pool[0]  # one stuck chain
+    expected = sum(len(np.unique(p, axis=0)) for p in phi)
+    assert _distinct_states(phi) == expected
+    assert _distinct_states(phi[:, 1:]) == sum(len(np.unique(p, axis=0)) for p in phi[:, 1:])
+    assert _distinct_states(phi[:0]) == 0
 
 
 def test_subset_simulation_gives_up_beyond_max_levels():
@@ -325,7 +361,7 @@ def test_subset_simulation_gives_up_beyond_max_levels():
     space = DesignSpace(((8.0, 9.0),))  # pf ~ 1e-16, unreachable in 3 levels
     with pytest.raises(ConvergenceError):
         subset_simulation(model, space, specs, 1000, 0.1,
-                          np.random.SeedSequence(12), max_levels=3)
+                          Streams(np.random.SeedSequence(12)), max_levels=3)
 
 
 def test_chain_params_validation():
