@@ -11,9 +11,11 @@ up to a data-only constant) by
 with B the multivariate beta function. Leaf masses of the returned estimate
 are posterior means theta_i = (n_i + alpha) / (N + t*alpha).
 
-The search splits the samples once, on arrays (``_Particles``); the returned
-partition holds no points and is built from the winner's cut log and leaf
-counts.
+The search advances every particle together, on arrays (``_Particles``).
+Particles hold leaf boxes and counts, not points: the samples are sorted once
+on axis 0, and each level counts the points of each distinct cut box once,
+however many particles make that cut. The returned partition holds no points
+either; it is built from the winner's cut log and leaf counts.
 """
 
 from __future__ import annotations
@@ -205,7 +207,8 @@ def _systematic_resample(weights: np.ndarray, rng: np.random.Generator) -> np.nd
 
 
 def _logsumexp_rows(x: np.ndarray) -> np.ndarray:
-    """Log-sum-exp of each row of a finite (m, k) array, with the arithmetic
+    """Log-sum-exp of each row of an (m, k) array whose rows each hold a
+    finite maximum (other entries may be -inf), with the arithmetic
     of ``scipy.special.logsumexp``: the row maximum and the count m of entries
     equal to it are split off the sum s of the rest's shifted exponentials,
     giving log1p(s / m) + log(m) + max."""
@@ -216,9 +219,50 @@ def _logsumexp_rows(x: np.ndarray) -> np.ndarray:
     return (np.log1p(s / m) + np.log(m) + top)[:, 0]
 
 
-def _row_counts(mask: np.ndarray) -> np.ndarray:
-    """True entries per row of a (P, N) mask (int32 sums run fastest)."""
-    return mask.sum(axis=1, dtype=np.int32)
+def _box_counts(coords: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Points x with lo <= x < hi on every axis, for each row of the (B, d)
+    corners ``lo`` and ``hi``. ``coords`` is the (d, N) transpose of the
+    points sorted on axis 0, so a box's candidates are one slice of columns:
+    in 1-D the count is that slice's length, and above 1-D the other axes are
+    tested on the slices alone."""
+    first = np.searchsorted(coords[0], lo[:, 0])
+    last = np.searchsorted(coords[0], hi[:, 0])
+    if coords.shape[0] == 1:
+        return last - first
+    size = last - first
+    box = np.repeat(np.arange(lo.shape[0]), size)
+    col = np.arange(box.size) + np.repeat(first - np.cumsum(size) + size, size)
+    inside = np.ones(box.size, dtype=bool)
+    for k in range(1, coords.shape[0]):
+        x = coords[k, col]
+        inside &= (lo[box, k] <= x) & (x < hi[box, k])
+    return np.bincount(box[inside], minlength=lo.shape[0])
+
+
+def _distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Index of one row per distinct row of a 2-D float array, and each row's
+    group: ``rows[first][group] == rows``. Rows compare by their bytes."""
+    rows = np.ascontiguousarray(rows)
+    keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
+    _, first, group = np.unique(keys, return_index=True, return_inverse=True)
+    return first, group.reshape(-1)
+
+
+def _cut_gains(
+    n_below: np.ndarray, n: np.ndarray, lo: np.ndarray, hi: np.ndarray, alpha: float, beta: float
+) -> np.ndarray:
+    """Score change of halving each leaf on each axis, less the term that
+    depends only on the leaf count (see ``_Particles.cut_deltas``), for
+    per-axis counts ``n_below`` (..., d), leaf counts ``n`` (...) and leaf
+    boxes ``lo``/``hi`` (..., d). A leaf whose midpoint on an axis rounds onto
+    one of its ends cannot be halved there; that cut gets -inf."""
+    nl = n_below.astype(float)
+    n = np.broadcast_to(n.astype(float)[..., None], nl.shape)
+    lg = loggamma(np.stack((nl, n - nl, n)) + alpha)
+    gains = -beta + lg[0] + lg[1] - lg[2] + n * math.log(2.0)
+    mid = 0.5 * (lo + hi)
+    gains[(mid <= lo) | (hi <= mid)] = -np.inf
+    return gains
 
 
 @dataclass
@@ -228,29 +272,37 @@ class _Particles:
 
     ``lo``/``hi`` (P, t, d) are the leaf boxes, ``n_below`` (P, t, d) the
     per-axis counts strictly below each leaf's midpoint, ``n`` (P, t) the
-    leaf counts, ``label`` (P, N) the leaf of every point, and ``cuts``
-    (P, max_leaves - 1, 2) the (leaf, axis) of each cut so far. ``masks``
-    (3, P, N) is work space for ``split``, allocated once per search so that
-    no cut allocates a (P, N) array.
+    leaf counts, ``gains`` (P, t, d) each candidate cut's ``_cut_gains`` and
+    ``cuts`` (P, max_leaves - 1, 2) the (leaf, axis) of each cut so far. A
+    cut changes two leaves, so it recomputes two leaves' gains.
+
+    No particle holds its points: a leaf's points are those in its box,
+    lo <= x < hi on every axis, closed (x <= hi) where the box's upper face
+    lies on the domain's. Cuts send ties to the high child and only halve a
+    leaf whose midpoint lies strictly inside it, so this is the set the cut
+    sequence routes to the leaf.
     """
 
     lo: np.ndarray
     hi: np.ndarray
     n_below: np.ndarray
     n: np.ndarray
-    label: np.ndarray
+    gains: np.ndarray
     cuts: np.ndarray
-    masks: np.ndarray
+    alpha: float
+    beta: float
 
     @classmethod
     def start(
         cls, lo: tuple[float, ...], hi: tuple[float, ...], coords: np.ndarray,
-        n_particles: int, max_leaves: int,
+        n_particles: int, max_leaves: int, alpha: float, beta: float,
     ) -> "_Particles":
         """Every particle at the one-leaf partition of the domain box;
         ``coords`` is the (d, N) transpose of the points."""
         lo_arr, hi_arr = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
-        n_below = _row_counts(coords < 0.5 * (lo_arr + hi_arr)[:, None])
+        n_below = np.count_nonzero(coords < 0.5 * (lo_arr + hi_arr)[:, None], axis=1)
+        n = np.array(coords.shape[1])
+        gains = _cut_gains(n_below, n, lo_arr, hi_arr, alpha, beta)
 
         def fill(values, dtype) -> np.ndarray:
             return np.tile(np.asarray(values, dtype=dtype), (n_particles, 1, 1))
@@ -259,10 +311,11 @@ class _Particles:
             fill(lo_arr, float),
             fill(hi_arr, float),
             fill(n_below, np.int64),
-            np.full((n_particles, 1), coords.shape[1], dtype=np.int64),
-            np.zeros((n_particles, coords.shape[1]), dtype=np.min_scalar_type(max_leaves)),
+            np.full((n_particles, 1), n, dtype=np.int64),
+            fill(gains, float),
             np.zeros((n_particles, max_leaves - 1, 2), dtype=np.intp),
-            np.empty((3, n_particles, coords.shape[1]), dtype=bool),
+            alpha,
+            beta,
         )
 
     @property
@@ -272,19 +325,20 @@ class _Particles:
     def take(self, keep: np.ndarray) -> "_Particles":
         return _Particles(
             self.lo[keep], self.hi[keep], self.n_below[keep], self.n[keep],
-            self.label[keep], self.cuts[keep], self.masks,
+            self.gains[keep], self.cuts[keep], self.alpha, self.beta,
         )
 
-    def cut_deltas(self, n_total: int, alpha: float, beta: float) -> np.ndarray:
+    def cut_deltas(self, n_total: int) -> np.ndarray:
         """Score change of every candidate (leaf, axis) cut, (P, t*d) in
-        leaf-major order. Each candidate is O(1) from the cached counts:
+        leaf-major order:
 
             delta = -beta + lg(nL+a) + lg(nR+a) - lg(n+a) + n*log 2 + level_term
 
-        where level_term collects the pieces depending only on (t, N).
+        where level_term collects the pieces depending only on (t, N) and the
+        rest is the cached ``gains``.
         """
-        n_particles, t, ndim = self.n_below.shape
-        a = alpha
+        n_particles, t, ndim = self.gains.shape
+        a = self.alpha
         level_term = (
             -loggamma(n_total + (t + 1) * a)
             + loggamma(n_total + t * a)
@@ -292,65 +346,65 @@ class _Particles:
             + loggamma((t + 1) * a)
             - loggamma(t * a)
         )
-        nl = self.n_below.astype(float)
-        n = np.broadcast_to(self.n.astype(float)[:, :, None], nl.shape)
-        lg = loggamma(np.stack((nl, n - nl, n)) + a)
-        deltas = -beta + lg[0] + lg[1] - lg[2] + n * math.log(2.0) + level_term
-        return deltas.reshape(n_particles, t * ndim)
+        return (self.gains + level_term).reshape(n_particles, t * ndim)
 
-    def split(self, leaf: np.ndarray, axis: np.ndarray, coords: np.ndarray) -> None:
+    def split(
+        self, leaf: np.ndarray, axis: np.ndarray, coords: np.ndarray, top: np.ndarray
+    ) -> None:
         """Cut leaf ``leaf[p]`` of each particle p at its midpoint on
         ``axis[p]``. The low child keeps the leaf's slot, the high child takes
         the next one and later leaves move up a slot; points on the cut go to
-        the high child. ``coords`` is the (d, N) transpose of the points.
+        the high child. ``coords`` is the (d, N) transpose of the points
+        sorted on axis 0 and ``top`` the domain's upper corner.
 
-        Every (P, N) result goes into ``label`` or ``masks``. A comparison
-        that only some particles need runs on those rows alone, compacted
-        into the head of a free mask.
+        Particles are mostly copies of each other, so the counts are taken
+        once per distinct (leaf box, axis) cut: the low child's points, the
+        low child's points below its midpoint on each axis, and the high
+        child's below its midpoint on the cut axis. The rest follow by
+        subtraction.
         """
         p = np.arange(leaf.size)
-        t = self.n_leaves
+        t, ndim = self.n_leaves, coords.shape[0]
         self.cuts[:, t - 1, 0] = leaf
         self.cuts[:, t - 1, 1] = axis
         slot = np.arange(t + 1)
         src = p[:, None], slot - (slot > leaf[:, None])
         self.lo, self.hi = self.lo[src], self.hi[src]
-        self.n_below, self.n = self.n_below[src], self.n[src]
-        mid = 0.5 * (self.lo[p, leaf, axis] + self.hi[p, leaf, axis])
-        self.hi[p, leaf, axis] = mid
-        self.lo[p, leaf + 1, axis] = mid
-        rows = [np.flatnonzero(axis == d) for d in range(coords.shape[0])]
+        self.n_below, self.n, self.gains = self.n_below[src], self.n[src], self.gains[src]
 
-        label, (inside, low, high) = self.label, self.masks
-        own = leaf.astype(label.dtype)[:, None]
-        label += np.greater(label, own, out=inside)
-        np.equal(label, own, out=inside)
-        for d, on in enumerate(rows):
-            low[on] = np.less(coords[d], mid[on, None], out=high[: on.size])
-        np.greater(inside, low, out=high)  # inside and not low
-        low &= inside
-        label += high
+        lo, hi = self.lo[p, leaf], self.hi[p, leaf]
+        first, group = _distinct_rows(np.column_stack((lo, hi, axis)))
+        lo, hi, on = lo[first], hi[first], axis[first]
+        g = np.arange(first.size)
+        mid = 0.5 * (lo[g, on] + hi[g, on])
+        low_mid = 0.5 * (lo + hi)
+        low_mid[g, on] = 0.5 * (lo[g, on] + mid)
+        # Boxes to count, with upper faces open (a face on the domain's moves
+        # to +inf): the low child; the low child below its midpoint on each
+        # axis; the high child below its midpoint on the cut axis.
+        box_lo = np.repeat(lo[None], ndim + 2, axis=0)
+        box_hi = np.repeat(np.where(hi < top, hi, np.inf)[None], ndim + 2, axis=0)
+        box_hi[:-1, g, on] = mid
+        for d in range(ndim):
+            box_hi[d + 1, :, d] = low_mid[:, d]
+        box_lo[-1, g, on] = mid
+        box_hi[-1, g, on] = 0.5 * (mid + hi[g, on])
+        counts = _box_counts(coords, box_lo.reshape(-1, ndim), box_hi.reshape(-1, ndim))
+        counts = counts.reshape(ndim + 2, -1)[:, group]
 
         # Off the cut axis both children keep the leaf's midpoint, so the high
         # child's counts there are the leaf's minus the low child's.
         n_leaf, below_leaf = self.n[p, leaf], self.n_below[p, leaf]
-        self.n[p, leaf] = _row_counts(low)
-        self.n[p, leaf + 1] = n_leaf - self.n[p, leaf]
-        low_mid = 0.5 * (self.lo[p, leaf] + self.hi[p, leaf])
-        high_mid = 0.5 * (self.lo[p, leaf + 1] + self.hi[p, leaf + 1])
-        # ``inside`` is spare from here on, and ``low`` once its counts are
-        # taken. take(mode="clip") copies straight into ``out``; the default
-        # mode copies through a temporary.
-        for d in range(coords.shape[0]):
-            mask = np.less(coords[d], low_mid[:, d, None], out=inside)
-            mask &= low
-            below = _row_counts(mask)
-            self.n_below[p, leaf, d] = below
-            self.n_below[p, leaf + 1, d] = below_leaf[:, d] - below
-        for d, on in enumerate(rows):
-            mask = np.less(coords[d], high_mid[on, d, None], out=inside[: on.size])
-            mask &= np.take(high, on, axis=0, out=low[: on.size], mode="clip")
-            self.n_below[on, leaf[on] + 1, d] = _row_counts(mask)
+        self.n[p, leaf] = counts[0]
+        self.n[p, leaf + 1] = n_leaf - counts[0]
+        self.n_below[p, leaf] = counts[1:-1].T
+        self.n_below[p, leaf + 1] = below_leaf - counts[1:-1].T
+        self.n_below[p, leaf + 1, axis] = counts[-1]
+        self.hi[p, leaf, axis] = self.lo[p, leaf + 1, axis] = mid[group]
+        both = p[:, None], leaf[:, None] + [0, 1]
+        self.gains[both] = _cut_gains(
+            self.n_below[both], self.n[both], self.lo[both], self.hi[both], self.alpha, self.beta
+        )
 
 
 def bsp_estimate(
@@ -369,13 +423,15 @@ def bsp_estimate(
     one proportionally to its posterior score, and updates its importance
     weight by the score ratio over the proposal probability. Systematic
     resampling triggers when the effective sample size drops below half the
-    ensemble. The search stops at ``max_leaves`` or after two consecutive
-    levels without improvement of the best score seen; the highest-posterior
+    ensemble. The search stops at ``max_leaves``, when some particle has no
+    leaf left that its midpoint can halve, or after two consecutive levels
+    without improvement of the best score seen; the highest-posterior
     partition encountered is returned with posterior-mean leaf masses.
 
-    All particles advance together on arrays (``_Particles``), the only place
-    the points are split; the returned partition is built from the winner's
-    cut log and leaf counts. ``beta`` defaults to log(N).
+    All particles advance together on arrays (``_Particles``), which count
+    the points of each distinct cut box once per level; the returned
+    partition is built from the winner's cut log and leaf counts. ``beta``
+    defaults to log(N).
     """
     points = np.asarray(points, dtype=float)
     if points.ndim == 1:
@@ -389,15 +445,22 @@ def bsp_estimate(
         raise ValueError("max_leaves must be >= 1")
     if beta is None:
         beta = math.log(n) if n > 1 else 0.0
+    if not 0 < alpha < math.inf:
+        raise ValueError("alpha must be positive and finite")
+    if not math.isfinite(beta):
+        raise ValueError("beta must be finite")
 
     lo, hi = tuple(lo), tuple(hi)
     if points.ndim != 2 or points.shape[1] != len(lo):
         raise ValueError("points must be (n, d) matching the domain")
+    if not np.isfinite(points).all():
+        raise ValueError("samples must be finite")
     if np.any(points < np.asarray(lo)) or np.any(points > np.asarray(hi)):
         raise ValueError("samples outside the partition domain")
 
-    coords = np.ascontiguousarray(points.T)
-    swarm = _Particles.start(lo, hi, coords, n_particles, max_leaves)
+    coords = np.ascontiguousarray(points[np.argsort(points[:, 0])].T)
+    top = np.asarray(hi, dtype=float)
+    swarm = _Particles.start(lo, hi, coords, n_particles, max_leaves, alpha, beta)
     base = _partition(lo, hi, swarm.cuts[0, :0], swarm.n[0], n)
     base_score = log_partition_score(base, alpha, beta)
     rows = np.arange(n_particles)
@@ -407,7 +470,9 @@ def bsp_estimate(
     stagnant = 0
 
     while swarm.n_leaves < max_leaves and stagnant < 2:
-        deltas = swarm.cut_deltas(n, alpha, beta)
+        deltas = swarm.cut_deltas(n)
+        if np.any(deltas.max(axis=1) == -np.inf):
+            break  # some particle cannot halve any of its leaves
         norm = _logsumexp_rows(deltas)
         prob = np.exp(deltas - norm[:, None])
         prob /= prob.sum(axis=1, keepdims=True)
@@ -420,7 +485,7 @@ def bsp_estimate(
         log_w += norm
         scores += deltas[rows, choice]
         leaf, axis = np.divmod(choice, points.shape[1])
-        swarm.split(leaf, axis, coords)
+        swarm.split(leaf, axis, coords, top)
         arg = int(np.argmax(scores))
         if scores[arg] > best_score:
             best_cuts = swarm.cuts[arg, : swarm.n_leaves - 1].copy()

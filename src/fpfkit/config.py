@@ -5,6 +5,7 @@ manifest. Field reference: docs/config-schema.md."""
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -101,6 +102,9 @@ class _Reader:
         if not isinstance(val, kind) or isinstance(val, bool):
             self.errors.append(f"{path}: expected {kind.__name__}")
             return None
+        if kind is float and not math.isfinite(val):
+            self.errors.append(f"{path}: must be finite")
+            return None
         if check is not None and not check(val):
             self.errors.append(f"{path}: {note}")
             return None
@@ -170,6 +174,9 @@ def _parse_bounds(raw, errors: list[str], path: str):
         errors.append(f"{path}: expected a list of [lo, hi] pairs")
         return None
     for lo, hi in bounds:
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            errors.append(f"{path}: bound ({lo}, {hi}) is not finite")
+            return None
         if not lo < hi:
             errors.append(f"{path}: bound ({lo}, {hi}) is not increasing")
             return None

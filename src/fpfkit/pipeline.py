@@ -317,17 +317,20 @@ def run_pipeline(
     """Run pilot + iterations and return the chain with its FPF evaluator.
 
     The pilot is direct Monte Carlo, escalating to subset simulation when it
-    observes no failures. Each iteration estimates the current region's
-    conditional density, splits off the low-density mass, and repopulates the
-    new region with MMH chains sized so that chain steps stay within the
-    iteration budget. Per-stage evaluation counts are taken from the model's
+    observes fewer than 2·d failures, too few to seed the first density
+    estimate. Each iteration estimates the current region's conditional
+    density, splits off the low-density mass, and repopulates the new region
+    with MMH chains sized so that chain steps stay within the iteration
+    budget. Per-stage evaluation counts are taken from the model's
     counter and reported in the result.
     """
     evals: dict[str, int] = {}
     mark = model.n_evaluations
     pilot = direct_mcs(model, space, specs, config.pilot_budget, streams.generator())
-    if pilot.pf == 0.0:
-        logger.info("pilot saw no failures; escalating to subset simulation")
+    if len(pilot.samples) < 2 * space.ndim:
+        logger.info(
+            "pilot saw %d failures; escalating to subset simulation", len(pilot.samples)
+        )
         pilot = subset_simulation(
             model,
             space,

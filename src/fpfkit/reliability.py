@@ -60,8 +60,8 @@ def direct_mcs(
     """Direct Monte Carlo over the augmented space.
 
     pf_hat = n_fail / n with c.o.v. sqrt((1 - pf) / (n * pf)). Zero observed
-    failures return pf = 0 with an infinite c.o.v.; callers switch to subset
-    simulation on pf = 0.
+    failures return pf = 0 with an infinite c.o.v.; ``run_pipeline`` switches
+    to subset simulation below 2·d failures.
     """
     if n <= 0:
         raise ValueError("sample count must be positive")

@@ -140,6 +140,8 @@ def reference_cut_deltas(partition: BinaryPartition, alpha: float, beta: float) 
     """Score change of every candidate (leaf, axis) cut of one partition, (t, d).
 
         delta = -beta + lg(nL+a) + lg(nR+a) - lg(n+a) + n*log 2 + level_term
+
+    A cut whose midpoint is not strictly inside its leaf gets -inf.
     """
     t = partition.n_leaves
     n_total = partition.n_samples
@@ -163,6 +165,9 @@ def reference_cut_deltas(partition: BinaryPartition, alpha: float, beta: float) 
             + leaf.n * math.log(2.0)
             + level_term
         )
+        for d in range(partition.ndim):
+            if not leaf.lo[d] < 0.5 * (leaf.lo[d] + leaf.hi[d]) < leaf.hi[d]:
+                deltas[i, d] = -np.inf
     return deltas
 
 
@@ -178,7 +183,8 @@ def reference_bsp_estimate(
 ) -> PiecewiseConstantDensity:
     """The SIS search one particle at a time, each holding a partition tree:
     scipy's ``logsumexp`` and one ``Generator.choice`` per particle and level,
-    and ``propose_cut`` for every cut."""
+    and ``propose_cut`` for every cut. The search stops before a level at
+    which some particle has no candidate cut left."""
     points = np.asarray(points, dtype=float)
     if points.ndim == 1:
         points = points[:, None]
@@ -195,10 +201,12 @@ def reference_bsp_estimate(
     stagnant = 0
 
     while particles[0].n_leaves < max_leaves and stagnant < 2:
+        level_deltas = [reference_cut_deltas(part, alpha, beta).ravel() for part in particles]
+        if any(np.all(deltas == -np.inf) for deltas in level_deltas):
+            break
         level_best = -np.inf
-        for j in range(n_particles):
+        for j, deltas in enumerate(level_deltas):
             part = particles[j]
-            deltas = reference_cut_deltas(part, alpha, beta).ravel()
             norm = logsumexp(deltas)
             prob = np.exp(deltas - norm)
             prob /= prob.sum()

@@ -189,6 +189,20 @@ def test_estimate_rejects_points_outside_or_off_the_domain():
         bsp_estimate(np.array([[0.5, 0.5]]), (0.0,), (1.0,), rng)
     with pytest.raises(ValueError, match=r"must be \(n, d\) matching the domain"):
         bsp_estimate(np.array([[0.5]]), (0.0, 0.0), (1.0, 1.0), rng)
+    with pytest.raises(ValueError, match="samples must be finite"):
+        bsp_estimate(np.array([[0.5, np.nan]]), (0.0, 0.0), (1.0, 1.0), rng)
+    with pytest.raises(ValueError, match="samples must be finite"):
+        bsp_estimate(np.array([0.5, np.inf]), (0.0,), (np.inf,), rng)
+
+
+def test_estimate_rejects_non_finite_settings():
+    rng = np.random.default_rng(0)
+    for alpha in (0.0, np.inf, np.nan):
+        with pytest.raises(ValueError, match="alpha must be positive and finite"):
+            bsp_estimate(TWO_POINTS, (0.0,), (1.0,), rng, alpha=alpha)
+    for beta in (np.inf, -np.inf, np.nan):
+        with pytest.raises(ValueError, match="beta must be finite"):
+            bsp_estimate(TWO_POINTS, (0.0,), (1.0,), rng, beta=beta)
 
 
 def test_score_validation():
@@ -238,12 +252,15 @@ def _cut_nodes(node):
 
 
 def _half_open_counts(partition, pts):
-    """Points in each leaf's box [lo, hi): a point on a cut counts in the
-    high child only."""
-    return [
-        int(np.all((np.asarray(leaf.lo) <= pts) & (pts < np.asarray(leaf.hi)), axis=1).sum())
-        for leaf in partition.leaves
-    ]
+    """Points in each leaf's box [lo, hi), closed where the box's upper face
+    lies on the domain's: a point on a cut counts in the high child only."""
+    top = np.asarray(partition.hi)
+    counts = []
+    for leaf in partition.leaves:
+        hi = np.asarray(leaf.hi)
+        below = (pts < hi) | ((pts == hi) & (hi == top))
+        counts.append(int(np.all((np.asarray(leaf.lo) <= pts) & below, axis=1).sum()))
+    return counts
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
@@ -271,6 +288,48 @@ def test_lockstep_search_matches_the_reference_on_repeated_points(dim):
     want = reference_bsp_estimate(pts, *box, np.random.default_rng(dim), max_leaves=20)
     _assert_same_estimate(got, want)
     assert _half_open_counts(got.partition, pts) == [leaf.n for leaf in got.partition.leaves]
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_a_domain_a_few_ulps_wide_matches_the_reference(dim):
+    """The last axis spans four ulps, so its second halving rounds onto a
+    leaf end and may not be cut. Points sit on that axis's every float, on
+    the domain's upper face and on the 1/64 lattice of the other axes."""
+    eps = np.finfo(float).eps
+    rng = np.random.default_rng(dim)
+    pts = np.minimum(np.round(_blob(dim + 30, 400, dim) * 64.0), 64.0) / 64.0
+    pts[:, -1] = 1.0 + eps * rng.integers(0, 5, size=pts.shape[0])
+    pts[:40, 0] = 1.0
+    lo, hi = (0.0,) * (dim - 1) + (1.0,), (1.0,) * (dim - 1) + (1.0 + 4 * eps,)
+    got = bsp_estimate(pts, lo, hi, np.random.default_rng(dim + 2))
+    want = reference_bsp_estimate(pts, lo, hi, np.random.default_rng(dim + 2))
+    _assert_same_estimate(got, want)
+    widths = np.array([np.subtract(leaf.hi, leaf.lo) for leaf in got.partition.leaves])
+    assert np.all(widths > 0.0)
+    assert _half_open_counts(got.partition, pts) == [leaf.n for leaf in got.partition.leaves]
+    if dim == 1:
+        # four one-ulp leaves leave no particle a cut
+        assert got.partition.n_leaves <= 4
+
+
+@pytest.mark.parametrize("dim, max_leaves", [(1, 64), (2, 128)])
+def test_a_repeated_point_is_never_wrapped_in_a_zero_width_leaf(dim, max_leaves):
+    """36 copies of one point pull the search into halving the leaf around it
+    down to a few ulps, where a midpoint rounds onto a leaf end."""
+    pts = _blob(dim, 300, dim)
+    pts = np.vstack([pts, np.repeat(pts[:1], 36, axis=0)])
+    box = ((0.0,) * dim, (1.0,) * dim)
+    got = bsp_estimate(pts, *box, np.random.default_rng(dim), max_leaves=max_leaves)
+    leaves = got.partition.leaves
+    widths = np.array([np.subtract(leaf.hi, leaf.lo) for leaf in leaves])
+    assert np.all(widths > 0.0)
+    assert widths.min() < 1e-15  # the search did reach the atom's ulps
+    assert _half_open_counts(got.partition, pts) == [leaf.n for leaf in leaves]
+    if dim == 1:
+        want = reference_bsp_estimate(
+            pts, *box, np.random.default_rng(dim), max_leaves=max_leaves
+        )
+        _assert_same_estimate(got, want)
 
 
 def test_concurrent_searches_return_their_sequential_results():

@@ -46,6 +46,14 @@ def test_invalid_config_values_are_a_config_error(tmp_path):
     assert code == cli.EXIT_CONFIG
 
 
+@pytest.mark.parametrize("setting", ["beta: .nan", "beta: .inf", "beta: -.inf", "alpha: .inf"])
+def test_non_finite_bsp_setting_is_a_config_error(tmp_path, setting):
+    cfg = tmp_path / "bad.yaml"
+    cfg.write_text(f"seed: 1\nmodel:\n  type: toy\npipeline:\n  bsp:\n    {setting}\n")
+    code = cli.main(["run", "--config", str(cfg), "--output", str(tmp_path / "o")])
+    assert code == cli.EXIT_CONFIG
+
+
 def test_bad_thread_count_is_a_config_error(tmp_path):
     cfg = tmp_path / "run.yaml"
     _write_small_toy(cfg)

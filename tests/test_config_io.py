@@ -136,6 +136,9 @@ def test_bounds_validation():
     assert cfg.bounds == ((0.0, 4.0),)
     with pytest.raises(ConfigError, match="not increasing"):
         parse_config(_minimal(design_space={"bounds": [[4, 0]]}))
+    for lo, hi in ((0.0, math.inf), (-math.inf, 4.0), (math.nan, 4.0)):
+        with pytest.raises(ConfigError, match="is not finite"):
+            parse_config(_minimal(design_space={"bounds": [[lo, hi]]}))
     with pytest.raises(ConfigError, match=r"list of \[lo, hi\] pairs"):
         parse_config(_minimal(design_space={"bounds": "wide"}))
 
@@ -301,6 +304,19 @@ def test_each_scalar_rule_names_its_full_key_path(path, bad, message):
         parse_config(data)
     lines = [line.strip() for line in str(exc.value).splitlines()[1:]]
     assert f"{path}: {message}" in lines
+
+
+@pytest.mark.parametrize(
+    "key, text",
+    [("beta", ".nan"), ("beta", ".inf"), ("beta", "-.inf"), ("alpha", ".inf")],
+)
+def test_non_finite_bsp_settings_are_rejected(tmp_path, key, text):
+    path = tmp_path / "run.yaml"
+    path.write_text(f"seed: 1\nmodel:\n  type: toy\npipeline:\n  bsp:\n    {key}: {text}\n")
+    with pytest.raises(ConfigError) as exc:
+        load_config(path)
+    lines = [line.strip() for line in str(exc.value).splitlines()[1:]]
+    assert lines == [f"pipeline.bsp.{key}: must be finite"]
 
 
 # --------------------------------------------------------------- loading ---

@@ -20,7 +20,7 @@ from fpfkit.pipeline import (
 )
 from fpfkit.regions import Box, RegionIndicator
 from helpers import disjoint_volume_check, reference_compose_density
-from fpfkit.reliability import ChainParams
+from fpfkit.reliability import ChainParams, direct_mcs
 from fpfkit.streams import Streams
 
 
@@ -232,6 +232,24 @@ def test_pipeline_escalates_pilot_to_subset_simulation():
     exact = float(toy_pf_exact(3.0, 4.0))
     assert 0.5 * exact < chain.pf < 2.0 * exact
     assert chain.stopping in ("threshold-floor", "iteration-cap")
+    assert approx.fpf(np.array([3.0])) > 0.0
+
+
+def test_pipeline_escalates_a_pilot_with_a_single_failure():
+    """One pilot failure cannot seed a density estimate (2·d are needed), so
+    the run switches to subset simulation instead of aborting."""
+    model = ToyModel()
+    space = DesignSpace(((3.0, 4.0),))
+    specs = toy_variable_specs()
+    streams = Streams(np.random.SeedSequence(5))
+    pilot = direct_mcs(model, space, specs, 2000, Streams(np.random.SeedSequence(5)).generator())
+    assert len(pilot.samples) == 1
+    cfg = PipelineConfig(pilot_budget=2000, iteration_budget=2000, max_iterations=2)
+    chain, approx = run_pipeline(model, space, specs, cfg, streams)
+    assert chain.pilot.method == "subset-simulation"
+    assert len(chain.pilot.samples) >= 2
+    exact = float(toy_pf_exact(3.0, 4.0))
+    assert 0.5 * exact < chain.pf < 2.0 * exact
     assert approx.fpf(np.array([3.0])) > 0.0
 
 
