@@ -124,7 +124,7 @@ def main(argv: list[str] | None = None) -> int:
     except FpfkitError as exc:
         log.error("runtime failure: %s", exc)
         return EXIT_RUNTIME
-    except (AssertionError, RuntimeError) as exc:
+    except (AssertionError, RuntimeError, ValueError) as exc:
         log.error("runtime failure: %s", exc)
         return EXIT_RUNTIME
     return EXIT_OK

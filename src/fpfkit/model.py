@@ -98,34 +98,29 @@ class RandomVariableSpec:
                     f"{self.name!r}: cov needs a design coordinate reference"
                 )
 
-    def resolve_batch(self, phis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(mean, std) at each row of ``phis`` (n, d_phi), as two (n,) arrays."""
-        phis = np.asarray(phis, dtype=float)
-        n = phis.shape[0]
-        mu = (
-            np.full(n, self.mean)
-            if self.mean is not None
-            else phis[:, self.mean_design].copy()
-        )
-        if self.std is not None:
-            sigma = np.full(n, self.std)
-        else:
-            ref = self.cov_design if self.cov_design is not None else self.mean_design
-            sigma = self.cov * phis[:, ref]
-        if np.any(sigma <= 0):
-            raise ValueError(f"{self.name!r}: resolved std is not positive")
-        return mu, sigma
-
 
 def resolve_parameters(
     specs: tuple[RandomVariableSpec, ...], phis: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Stacked (mu, sigma) arrays of shape (n, n_theta) for design points."""
+    """Stacked (mu, sigma) arrays of shape (n, n_theta) for design rows
+    ``phis`` (n, d_phi), filled one spec's column at a time.
+
+    A fixed mean or std fills its column as a scalar; a design-tied one is
+    the (scaled) design column. Only design-tied stds need a positivity check,
+    since ``RandomVariableSpec`` checks fixed ones when it is built.
+    """
     phis = np.asarray(phis, dtype=float)
     mus = np.empty((phis.shape[0], len(specs)))
     sigmas = np.empty_like(mus)
     for j, spec in enumerate(specs):
-        mus[:, j], sigmas[:, j] = spec.resolve_batch(phis)
+        mus[:, j] = spec.mean if spec.mean is not None else phis[:, spec.mean_design]
+        if spec.std is not None:
+            sigmas[:, j] = spec.std
+            continue
+        ref = spec.cov_design if spec.cov_design is not None else spec.mean_design
+        sigma = np.multiply(spec.cov, phis[:, ref], out=sigmas[:, j])
+        if (sigma <= 0).any():
+            raise ValueError(f"{spec.name!r}: resolved std is not positive")
     return mus, sigmas
 
 

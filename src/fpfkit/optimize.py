@@ -8,7 +8,6 @@ import itertools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .errors import InfeasibleProblemError
 from .model import DesignSpace
@@ -20,24 +19,32 @@ ACTIVE_MARGIN = 0.05  # relative distance to the allowable that counts as active
 SLACK = 1e-6  # relative excess over the allowable that still counts as feasible
 
 
-def objective_mean_area(phi: np.ndarray, wall: float = 2.0) -> float:
-    """Mean cross-sectional area of a hollow rectangular section, mm^2.
+def objective_mean_area(phi: np.ndarray, wall: float = 2.0):
+    """Mean cross-sectional area of a hollow rectangular section, mm^2: a
+    float for a point ``(2,)``, an ``(n,)`` array for rows ``(n, 2)``.
 
     phi = (outer width, outer height) at their mean values; ``wall`` is the
     mean wall thickness. Both outer dimensions must exceed twice the wall.
     """
-    b, h = float(phi[0]), float(phi[1])
-    if b <= 2 * wall or h <= 2 * wall:
-        raise ValueError(f"section {b} x {h} too small for wall {wall}")
-    return b * h - (b - 2 * wall) * (h - 2 * wall)
+    phi = np.asarray(phi, dtype=float)
+    b, h = phi[..., 0], phi[..., 1]
+    thin = np.atleast_1d((b <= 2 * wall) | (h <= 2 * wall))
+    if thin.any():
+        bad = np.atleast_2d(phi)[np.argmax(thin)]
+        raise ValueError(f"section {bad[0]} x {bad[1]} too small for wall {wall}")
+    area = b * h - (b - 2 * wall) * (h - 2 * wall)
+    return float(area) if phi.ndim == 1 else area
 
 
 @dataclass(frozen=True)
 class DesignProblem:
-    """Objective + FPF constraint over a design space."""
+    """Objective + FPF constraint over a design space.
 
-    objective: object  # callable(phi) -> float
-    fpf: object  # callable(phi) -> float
+    Both callables take design rows ``(n, d)`` and return ``(n,)`` values.
+    """
+
+    objective: object  # callable(rows (n, d)) -> (n,)
+    fpf: object  # callable(rows (n, d)) -> (n,)
     space: DesignSpace
     allowable: float
 
@@ -78,6 +85,101 @@ def _starts(space: DesignSpace, rng) -> np.ndarray:
     return np.vstack([grid, rand])
 
 
+def _sorted(sim: np.ndarray, fsim: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each start's vertices ordered by value, one argsort per row."""
+    order = np.argsort(fsim, axis=1)
+    return np.take_along_axis(sim, order[..., None], 1), np.take_along_axis(fsim, order, 1)
+
+
+def _nelder_mead(f, x0, lower, upper, xatol, fatol, maxiter):
+    """Bounded Nelder-Mead from every start of ``x0`` (S, d), in lockstep.
+
+    ``f`` maps rows ``(n, d)`` to ``(n,)`` values. Each start follows the
+    arithmetic of SciPy's ``minimize(method="Nelder-Mead", bounds=...)``
+    with the standard coefficients (reflection 1, expansion 2, contraction
+    0.5, shrink 0.5): the same initial simplex, clips and vertex order, and
+    the same ``xatol``/``fatol``/``maxiter`` stop, so a start ends where SciPy
+    would end it. All starts still iterating share one ``f`` call for the
+    reflections, one for the expansions and contractions, and one for the
+    shrinks. Returns the best vertex ``(S, d)`` and the iteration count
+    ``(S,)``, counted as SciPy counts ``nit``.
+    """
+    x0 = np.clip(np.asarray(x0, dtype=float), lower, upper)
+    n_starts, d = x0.shape
+    sim = np.repeat(x0[:, None, :], d + 1, axis=1)
+    axis = np.arange(d)
+    start = sim[:, axis + 1, axis]
+    # vertex k + 1 moves coordinate k by 5%, or to 0.00025 from zero
+    sim[:, axis + 1, axis] = np.where(start != 0, 1.05 * start, 0.00025)
+    # a vertex pushed above the upper face is reflected back inside, then clipped
+    sim = np.clip(np.where(sim > upper, 2 * upper - sim, sim), lower, upper)
+    fsim = f(sim.reshape(-1, d)).reshape(n_starts, d + 1)
+    # SciPy sorts the first simplex twice; an unstable sort may reorder ties
+    sim, fsim = _sorted(*_sorted(sim, fsim))
+
+    nit = np.ones(n_starts, dtype=int)
+    live = np.arange(n_starts)
+    while True:
+        live = live[nit[live] < maxiter]
+        sim_l, f_l = sim[live], fsim[live]
+        converged = (np.abs(sim_l[:, 1:] - sim_l[:, :1]).max(axis=(1, 2)) <= xatol) & (
+            np.abs(f_l[:, :1] - f_l[:, 1:]).max(axis=1) <= fatol
+        )
+        live, sim_l, f_l = live[~converged], sim_l[~converged], f_l[~converged]
+        if not len(live):
+            break
+
+        xbar = np.add.reduce(sim_l[:, :-1], 1) / d
+        worst = sim_l[:, -1]
+        xr = np.clip(2 * xbar - worst, lower, upper)
+        fxr = f(xr)
+        expand = fxr < f_l[:, 0]
+        contract = ~expand & ~(fxr < f_l[:, -2])
+        outside = contract & (fxr < f_l[:, -1])
+        # the expansion and both contractions share one call; xr/fxr then
+        # hold each start's replacement for its worst vertex
+        step = np.flatnonzero(expand | contract)
+        shrink = np.zeros(len(live), dtype=bool)
+        if len(step):
+            xb, xw = xbar[step], worst[step]
+            cand = np.where(
+                expand[step, None],
+                3 * xb - 2 * xw,
+                np.where(outside[step, None], 1.5 * xb - 0.5 * xw, 0.5 * xb + 0.5 * xw),
+            )
+            cand = np.clip(cand, lower, upper)
+            fc = f(cand)
+            take = np.where(
+                expand[step],
+                fc < fxr[step],
+                np.where(outside[step], fc <= fxr[step], fc < f_l[step, -1]),
+            )
+            xr[step[take]], fxr[step[take]] = cand[take], fc[take]
+            shrink[step[~take & ~expand[step]]] = True
+
+        keep = ~shrink
+        sim_l[keep, -1], f_l[keep, -1] = xr[keep], fxr[keep]
+        if shrink.any():
+            best = sim_l[shrink, :1]
+            moved = np.clip(best + 0.5 * (sim_l[shrink, 1:] - best), lower, upper)
+            sim_l[shrink, 1:] = moved
+            f_l[shrink, 1:] = f(moved.reshape(-1, d)).reshape(-1, d)
+
+        nit[live] += 1
+        sim[live], fsim[live] = _sorted(sim_l, f_l)
+    return sim[:, 0], nit
+
+
+def _penalized(problem: DesignProblem):
+    """Row form of objective + PENALTY * max(0, pf/allowable - 1)."""
+
+    def penalized(phi: np.ndarray) -> np.ndarray:
+        excess = problem.fpf(phi) / problem.allowable - 1.0
+        return problem.objective(phi) + PENALTY * np.where(excess > 0.0, excess, 0.0)
+
+    return penalized
+
+
 def optimize(
     problem: DesignProblem, seed_seq: np.random.SeedSequence | None = None
 ) -> OptimalDesign:
@@ -85,9 +187,11 @@ def optimize(
 
     The starts are a ``GRID_PER_DIM`` grid per axis plus ``N_RANDOM_STARTS``
     uniform points, inset 2% from the faces. Each start minimizes
-    objective + PENALTY * max(0, pf/allowable - 1) within the box; candidates
-    are then filtered by pf <= allowable * (1 + SLACK) and the best feasible
-    objective wins (ties broken lexicographically by phi). Raises
+    objective + PENALTY * max(0, pf/allowable - 1) within the box; all starts
+    advance together (``_nelder_mead``), so the objective and the FPF are
+    called on rows of candidates rather than on one point at a time.
+    Candidates are then filtered by pf <= allowable * (1 + SLACK) and the best
+    feasible objective wins (ties broken lexicographically by phi). Raises
     InfeasibleProblemError with the least-violating candidate when no start
     ends feasible. The returned design is flagged ``active`` when its pf sits
     within ``ACTIVE_MARGIN`` (relative) of the allowable.
@@ -96,37 +200,30 @@ def optimize(
         np.random.PCG64(seed_seq if seed_seq is not None else np.random.SeedSequence(0))
     )
     space = problem.space
-
-    def penalized(phi: np.ndarray) -> float:
-        pf = float(problem.fpf(phi))
-        violation = max(0.0, pf / problem.allowable - 1.0)
-        return float(problem.objective(phi)) + PENALTY * violation
-
-    records: list[StartRecord] = []
-    for start in _starts(space, rng):
-        res = minimize(
-            penalized,
-            start,
-            method="Nelder-Mead",
-            bounds=list(space.bounds),
-            options={
-                "xatol": 1e-6 * float(np.max(space.upper - space.lower)),
-                "fatol": 1e-10,
-                "maxiter": 2000,
-            },
+    starts = _starts(space, rng)
+    x, nit = _nelder_mead(
+        _penalized(problem),
+        starts,
+        space.lower,
+        space.upper,
+        xatol=1e-6 * float(np.max(space.upper - space.lower)),
+        fatol=1e-10,
+        maxiter=2000,
+    )
+    phis = np.clip(x, space.lower, space.upper)
+    pfs = problem.fpf(phis)
+    objectives = problem.objective(phis)
+    records = [
+        StartRecord(
+            start=start,
+            phi=phi,
+            objective=float(objective),
+            pf=float(pf),
+            feasible=problem.feasible(float(pf)),
+            n_iterations=int(n),
         )
-        phi = np.clip(res.x, space.lower, space.upper)
-        pf = float(problem.fpf(phi))
-        records.append(
-            StartRecord(
-                start=start,
-                phi=phi,
-                objective=float(problem.objective(phi)),
-                pf=pf,
-                feasible=problem.feasible(pf),
-                n_iterations=int(res.nit),
-            )
-        )
+        for start, phi, objective, pf, n in zip(starts, phis, objectives, pfs, nit)
+    ]
 
     feasible = [r for r in records if r.feasible]
     if not feasible:

@@ -91,7 +91,7 @@ def _objective_for(config: RunConfig, model):
     if isinstance(model, BoxBeamModel):
         wall = config.optimization.wall_mm
         return lambda phi: objective_mean_area(phi, wall)
-    return lambda phi: float(np.sum(phi))
+    return lambda phi: np.sum(phi, axis=-1)
 
 
 def _checksum_manifest(out_dir: Path, manifest: dict) -> None:

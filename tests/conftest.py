@@ -37,9 +37,11 @@ class PipelineCase:
     smoothed: SmoothedFPF
 
 
-def _run_case(name: str) -> PipelineCase:
-    config = load_config(CONFIG_DIR / f"{name}.yaml")
-    model, space, specs = build_problem(config, base_dir=CONFIG_DIR)
+def _run_case(path: Path, seed: int | None = None) -> PipelineCase:
+    config = load_config(path)
+    if seed is not None:
+        config = config.with_seed(seed)
+    model, space, specs = build_problem(config, base_dir=path.parent)
     chain, approx = run_pipeline(
         model, space, specs, config.pipeline, Streams(np.random.SeedSequence(config.seed))
     )
@@ -56,12 +58,18 @@ def _run_case(name: str) -> PipelineCase:
 
 @pytest.fixture(scope="session")
 def toy_case() -> PipelineCase:
-    return _run_case("toy")
+    return _run_case(CONFIG_DIR / "toy.yaml")
 
 
 @pytest.fixture(scope="session")
 def beam_case() -> PipelineCase:
-    return _run_case("beam")
+    return _run_case(CONFIG_DIR / "beam.yaml")
+
+
+@pytest.fixture(scope="session", params=[42, 7])
+def toy_rare_case(request) -> PipelineCase:
+    """The subset-simulation toy workload (``bench/toy_rare.yaml``) at a seed."""
+    return _run_case(REPO_ROOT / "bench" / "toy_rare.yaml", request.param)
 
 
 @pytest.fixture(scope="session")

@@ -76,7 +76,7 @@ def test_toy_optima_sit_near_the_analytic_boundary(toy_case, allowable):
     # minimizing phi subject to FPF(phi) <= allowable has the analytic
     # solution isf(allowable); the fitted surface must land within 0.15
     problem = DesignProblem(
-        objective=lambda phi: float(np.sum(phi)),
+        objective=lambda phi: np.sum(phi, axis=-1),
         fpf=toy_case.smoothed,
         space=toy_case.space,
         allowable=allowable,

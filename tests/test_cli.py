@@ -318,3 +318,18 @@ def test_pipeline_failures_exit_with_the_runtime_code(tmp_path):
     )
     code = cli.main(["run", "--config", str(cfg), "--output", str(tmp_path / "o")])
     assert code == cli.EXIT_RUNTIME
+
+
+def test_a_value_error_inside_run_exits_with_the_runtime_code(
+    tmp_path, monkeypatch, capsys, caplog
+):
+    def broken_run(config, out_dir, base_dir=None):
+        raise ValueError("degenerate box: lo=(4.8,), hi=(4.8,)")
+
+    monkeypatch.setattr(cli, "run_command", broken_run)
+    cfg = tmp_path / "toy.yaml"
+    _write_small_toy(cfg)
+    code = cli.main(["run", "--config", str(cfg), "--output", str(tmp_path / "o")])
+    assert code == cli.EXIT_RUNTIME
+    assert "runtime failure: degenerate box" in caplog.text
+    assert "Traceback" not in capsys.readouterr().err + caplog.text

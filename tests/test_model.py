@@ -88,8 +88,8 @@ def test_variable_spec_requires_exactly_one_mean_and_spread():
 
 def test_variable_spec_resolution():
     def one_row(spec, phi):
-        mu, sigma = spec.resolve_batch(np.array([phi]))
-        return float(mu[0]), float(sigma[0])
+        mu, sigma = resolve_parameters((spec,), np.array([phi]))
+        return float(mu[0, 0]), float(sigma[0, 0])
 
     fixed = RandomVariableSpec("a", mean=3.0, std=0.5)
     assert one_row(fixed, [9.9]) == (3.0, 0.5)
@@ -112,9 +112,9 @@ def test_resolve_parameters_stacks_per_design_row():
 def test_resolved_std_must_stay_positive():
     tied = RandomVariableSpec("b", mean_design=0, cov=0.05)
     with pytest.raises(ValueError):
-        tied.resolve_batch(np.array([[-1.0]]))
+        resolve_parameters((tied,), np.array([[-1.0]]))
     with pytest.raises(ValueError):
-        tied.resolve_batch(np.array([[1.0], [0.0]]))
+        resolve_parameters((tied,), np.array([[1.0], [0.0]]))
 
 
 def test_evaluation_counter_and_failure_flag():

@@ -1,7 +1,13 @@
 """Tests for the decoupled design optimizer and its mean-area objective."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+from scipy.optimize import minimize
 from scipy.stats import norm
 
 from fpfkit.benchmarks import analytic_toy_fpf
@@ -11,16 +17,22 @@ from fpfkit.optimize import (
     DesignProblem,
     OptimalDesign,
     StartRecord,
+    _nelder_mead,
+    _penalized,
+    _starts,
     objective_mean_area,
     optimize,
 )
+from fpfkit.runner import _objective_for
+
+SRC_DIR = Path(__file__).resolve().parents[1] / "src"
 
 
 def _toy_problem(allowable: float) -> DesignProblem:
     space = DesignSpace(((0.0, 4.0),))
     return DesignProblem(
-        objective=lambda phi: float(phi[0]),
-        fpf=lambda phi: float(analytic_toy_fpf(phi[0])),
+        objective=lambda phi: phi[:, 0],
+        fpf=lambda phi: analytic_toy_fpf(phi[:, 0]),
         space=space,
         allowable=allowable,
     )
@@ -41,6 +53,15 @@ def test_mean_area_rejects_sections_thinner_than_the_walls():
         objective_mean_area(np.array([4.0, 10.0]))
     with pytest.raises(ValueError, match="too small"):
         objective_mean_area(np.array([10.0, 3.0]))
+    with pytest.raises(ValueError, match="3.0 x 10.0 too small"):
+        objective_mean_area(np.array([[10.0, 10.0], [3.0, 10.0]]))
+
+
+def test_mean_area_of_rows_equals_the_area_of_each_point():
+    rows = np.array([[40.0, 40.0], [30.0, 35.5], [31.25, 49.0]])
+    areas = objective_mean_area(rows)
+    assert areas.shape == (3,)
+    assert areas.tolist() == [objective_mean_area(row) for row in rows]
 
 
 # --------------------------------------------------------------- problem ---
@@ -50,7 +71,9 @@ def test_problem_validation():
     space = DesignSpace(((0.0, 4.0),))
     for allowable in (0.0, 1.0, 1.5, -0.1):
         with pytest.raises(ValueError, match="allowable"):
-            DesignProblem(lambda p: 0.0, lambda p: 0.0, space, allowable)
+            DesignProblem(
+                lambda p: np.zeros(len(p)), lambda p: np.zeros(len(p)), space, allowable
+            )
 
 
 def test_feasibility_allows_the_stated_slack():
@@ -124,7 +147,7 @@ def test_area_minimization_drives_width_down_and_height_to_the_limit(allowable):
     space = DesignSpace(((30.0, 50.0), (30.0, 50.0)))
     problem = DesignProblem(
         objective=objective_mean_area,
-        fpf=lambda phi: float(norm.sf(phi[1] - 30.0)),
+        fpf=lambda phi: norm.sf(phi[:, 1] - 30.0),
         space=space,
         allowable=allowable,
     )
@@ -136,3 +159,116 @@ def test_area_minimization_drives_width_down_and_height_to_the_limit(allowable):
     assert design.objective == pytest.approx(
         objective_mean_area(design.phi), rel=1e-15
     )
+
+
+# ------------------------------------------- lockstep port against SciPy ---
+
+
+def _assert_port_matches_scipy(f, starts, lower, upper, xatol, fatol=1e-10, maxiter=2000):
+    """Every start ends at SciPy's bounded Nelder-Mead ``x`` and ``nit``,
+    compared with ``==``; returns the port's iteration counts."""
+    x, nit = _nelder_mead(f, starts, lower, upper, xatol, fatol, maxiter)
+    assert x.shape == starts.shape and nit.shape == (len(starts),)
+    for i, start in enumerate(starts):
+        res = minimize(
+            lambda point: float(f(point[None, :])[0]),
+            start,
+            method="Nelder-Mead",
+            bounds=list(zip(lower, upper)),
+            options={"xatol": xatol, "fatol": fatol, "maxiter": maxiter},
+        )
+        assert x[i].tolist() == res.x.tolist(), f"start {i}"
+        assert nit[i] == res.nit, f"start {i}"
+    return nit
+
+
+def _assert_surface_optima_match_scipy(case, seed):
+    objective = _objective_for(case.config, case.model)
+    space = case.space
+    for allowable in case.config.optimization.allowable:
+        problem = DesignProblem(objective, case.smoothed, space, allowable)
+        starts = _starts(space, np.random.default_rng(seed))
+        _assert_port_matches_scipy(
+            _penalized(problem), starts, space.lower, space.upper,
+            xatol=1e-6 * float(np.max(space.upper - space.lower)),
+        )
+
+
+def test_port_matches_scipy_on_the_toy_surface(toy_case):
+    _assert_surface_optima_match_scipy(toy_case, 11)
+
+
+def test_port_matches_scipy_on_the_beam_surface(beam_case):
+    _assert_surface_optima_match_scipy(beam_case, 12)
+
+
+def test_port_matches_scipy_on_the_toy_rare_surface(toy_rare_case):
+    _assert_surface_optima_match_scipy(toy_rare_case, 13)
+
+
+def _bowl(center):
+    center = np.asarray(center, dtype=float)
+    return lambda rows: ((rows - center) ** 2).sum(axis=1)
+
+
+def test_port_matches_scipy_when_the_initial_simplex_leaves_the_box():
+    # 1.05 * start lies above the upper face, so that vertex is reflected
+    lower, upper = np.array([0.0, 0.0]), np.array([10.0, 10.0])
+    starts = np.array([[9.8, 9.9], [9.7, 2.0], [1.0, 9.99]])
+    assert np.all((1.05 * starts > upper).any(axis=1))
+    _assert_port_matches_scipy(_bowl([9.0, 8.0]), starts, lower, upper, xatol=1e-8)
+
+
+def test_port_matches_scipy_from_a_zero_coordinate():
+    # a zero coordinate is stepped to 0.00025 instead of scaled by 1.05
+    lower, upper = np.array([-1.0, -1.0]), np.array([1.0, 1.0])
+    starts = np.array([[0.0, 0.5], [0.3, 0.0], [0.0, 0.0]])
+    _assert_port_matches_scipy(_bowl([0.2, -0.4]), starts, lower, upper, xatol=1e-8)
+
+
+def test_port_matches_scipy_through_shrink_steps():
+    # a rippled bowl defeats the contractions; with one start in 2-d, a call
+    # on exactly two rows can only be a shrink
+    def rippled(rows):
+        calls.append(len(rows))
+        return (rows**2).sum(axis=1) + 0.3 * np.sin(40.0 * rows).sum(axis=1)
+
+    calls = []
+    lower, upper = np.array([-2.0, -2.0]), np.array([2.0, 2.0])
+    for start in ([1.3, -0.7], [0.4, 1.9], [-1.5, -1.1]):
+        _assert_port_matches_scipy(rippled, np.array([start]), lower, upper, xatol=1e-9)
+    assert 2 in calls
+
+
+def test_port_matches_scipy_on_tied_values():
+    # a staircase makes many vertices tie, so the vertex order after each
+    # sort must be SciPy's too
+    def stairs(rows):
+        return np.floor(4.0 * np.abs(rows - 0.3)).sum(axis=1)
+
+    lower, upper = np.array([-1.0, -1.0, -1.0]), np.array([2.0, 2.0, 2.0])
+    starts = np.array([[1.5, -0.5, 0.9], [0.0, 1.2, -0.8], [1.9, 1.9, 1.9]])
+    _assert_port_matches_scipy(stairs, starts, lower, upper, xatol=1e-8)
+
+
+def test_port_stops_at_maxiter_as_scipy_does():
+    def rosenbrock(rows):
+        x, y = rows[:, 0], rows[:, 1]
+        return (1.0 - x) ** 2 + 100.0 * (y - x * x) ** 2
+
+    lower, upper = np.array([-2.0, -2.0]), np.array([2.0, 2.0])
+    starts = np.array([[-1.2, 1.0], [0.5, -1.5], [1.9, 1.9]])
+    nit = _assert_port_matches_scipy(
+        rosenbrock, starts, lower, upper, xatol=1e-12, fatol=1e-14, maxiter=7
+    )
+    assert nit.tolist() == [7, 7, 7]
+
+
+def test_the_command_line_does_not_import_scipy_optimize():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC_DIR), env.get("PYTHONPATH")]))
+    probe = "import sys, fpfkit.cli; print('scipy.optimize' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"
