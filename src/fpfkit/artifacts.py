@@ -57,9 +57,12 @@ def write_samples_csv(path: Path, samples: SampleSet, theta_names: list[str]) ->
     ndim = samples.phi.shape[1]
     header = [f"phi_{i + 1}" for i in range(ndim)] + theta_names + ["performance", "failed"]
     table = np.hstack([samples.phi, samples.theta, samples.performance[:, None]])
-    # the bytes write_csv gives: repr per float, "1" for the flag, no quoting
+    # the bytes write_csv gives: repr per float, "1" for the flag, no quoting;
+    # repr runs once per distinct value, keyed by its bits so -0.0 keeps its sign
+    bits, cell = np.unique(table.view(np.int64).ravel(), return_inverse=True)
+    text = np.array([repr(v) for v in bits.view(float).tolist()], dtype=object)
     lines = [",".join(header)]
-    lines.extend(",".join(map(repr, row)) + ",1" for row in table.tolist())
+    lines.extend(",".join(row) + ",1" for row in text[cell.reshape(table.shape)].tolist())
     path.write_text("\n".join(lines) + "\n")
 
 

@@ -22,7 +22,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
 
 from .model import (
     DesignSpace,
@@ -31,6 +30,7 @@ from .model import (
     _draw_theta,
     resolve_parameters,
 )
+from .special import ndtr
 
 # first root of cos(x) * cosh(x) = -1 (clamped-free beam)
 LAMBDA_1 = 1.8751040687119611
@@ -176,8 +176,7 @@ def toy_variable_specs() -> tuple[RandomVariableSpec, ...]:
 def analytic_toy_fpf(phi):
     """Exact toy FPF: P(theta >= phi) = Phi(-phi)."""
     phi = np.asarray(phi, dtype=float)
-    out = ndtr(-(phi if phi.ndim <= 1 else phi[:, 0]))
-    return float(out) if out.ndim == 0 else out
+    return ndtr(-(phi if phi.ndim <= 1 else phi[:, 0]))
 
 
 def toy_pf_exact(lo: float = 0.0, hi: float = 4.0) -> float:
@@ -210,9 +209,12 @@ class TableModel(LimitStateModel):
             raise ValueError("table pf values must lie in [0, 1]")
         if pf.shape != tuple(len(a) for a in axes):
             raise ValueError("table shape does not match its axes")
+        # SciPy's ufunc, not the scalar port: it runs on every model batch
         from scipy.interpolate import RegularGridInterpolator
+        from scipy.special import ndtr as ndtr_ufunc
 
         self._interp = RegularGridInterpolator(axes, pf, method="linear")
+        self._ndtr = ndtr_ufunc
         self.axes = tuple(np.asarray(a, dtype=float) for a in axes)
 
     def design_space(self) -> DesignSpace:
@@ -223,7 +225,7 @@ class TableModel(LimitStateModel):
         return self._interp(phis if phis.ndim == 2 else phis[None, :])
 
     def performance_batch(self, phis: np.ndarray, thetas: np.ndarray) -> np.ndarray:
-        return ndtr(thetas[:, 0]) - self._interp(phis)
+        return self._ndtr(thetas[:, 0]) - self._interp(phis)
 
     def margin(self, performance):
         return performance

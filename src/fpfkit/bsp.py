@@ -25,7 +25,8 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.special import loggamma
+
+from .special import loggamma
 
 
 @dataclass(frozen=True)
@@ -249,17 +250,17 @@ def _distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _cut_gains(
-    n_below: np.ndarray, n: np.ndarray, lo: np.ndarray, hi: np.ndarray, alpha: float, beta: float
+    n_below: np.ndarray, n: np.ndarray, lo: np.ndarray, hi: np.ndarray, lgam: np.ndarray,
+    beta: float,
 ) -> np.ndarray:
     """Score change of halving each leaf on each axis, less the term that
     depends only on the leaf count (see ``_Particles.cut_deltas``), for
     per-axis counts ``n_below`` (..., d), leaf counts ``n`` (...) and leaf
-    boxes ``lo``/``hi`` (..., d). A leaf whose midpoint on an axis rounds onto
-    one of its ends cannot be halved there; that cut gets -inf."""
-    nl = n_below.astype(float)
-    n = np.broadcast_to(n.astype(float)[..., None], nl.shape)
-    lg = loggamma(np.stack((nl, n - nl, n)) + alpha)
-    gains = -beta + lg[0] + lg[1] - lg[2] + n * math.log(2.0)
+    boxes ``lo``/``hi`` (..., d); ``lgam[k]`` is log Gamma(k + alpha). A leaf
+    whose midpoint on an axis rounds onto one of its ends cannot be halved
+    there; that cut gets -inf."""
+    n = np.broadcast_to(n[..., None], n_below.shape)
+    gains = -beta + lgam[n_below] + lgam[n - n_below] - lgam[n] + n * math.log(2.0)
     mid = 0.5 * (lo + hi)
     gains[(mid <= lo) | (hi <= mid)] = -np.inf
     return gains
@@ -274,7 +275,10 @@ class _Particles:
     per-axis counts strictly below each leaf's midpoint, ``n`` (P, t) the
     leaf counts, ``gains`` (P, t, d) each candidate cut's ``_cut_gains`` and
     ``cuts`` (P, max_leaves - 1, 2) the (leaf, axis) of each cut so far. A
-    cut changes two leaves, so it recomputes two leaves' gains.
+    cut changes two leaves, so it recomputes two leaves' gains. ``lgam`` is
+    the search's table of log Gamma(k + alpha) for k = 0..N, which every
+    count-dependent score term gathers from, and ``level[t - 1]`` the score
+    terms of a cut at t leaves that depend only on (t, N).
 
     No particle holds its points: a leaf's points are those in its box,
     lo <= x < hi on every axis, closed (x <= hi) where the box's upper face
@@ -289,7 +293,8 @@ class _Particles:
     n: np.ndarray
     gains: np.ndarray
     cuts: np.ndarray
-    alpha: float
+    lgam: np.ndarray
+    level: np.ndarray
     beta: float
 
     @classmethod
@@ -302,7 +307,11 @@ class _Particles:
         lo_arr, hi_arr = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
         n_below = np.count_nonzero(coords < 0.5 * (lo_arr + hi_arr)[:, None], axis=1)
         n = np.array(coords.shape[1])
-        gains = _cut_gains(n_below, n, lo_arr, hi_arr, alpha, beta)
+        lgam = loggamma(np.arange(n + 1) + alpha)
+        gains = _cut_gains(n_below, n, lo_arr, hi_arr, lgam, beta)
+        t_alpha = np.arange(1, max_leaves + 1) * alpha
+        lg_n, lg_t = loggamma(n + t_alpha), loggamma(t_alpha)
+        level = -lg_n[1:] + lg_n[:-1] - loggamma(alpha) + lg_t[1:] - lg_t[:-1]
 
         def fill(values, dtype) -> np.ndarray:
             return np.tile(np.asarray(values, dtype=dtype), (n_particles, 1, 1))
@@ -314,7 +323,8 @@ class _Particles:
             np.full((n_particles, 1), n, dtype=np.int64),
             fill(gains, float),
             np.zeros((n_particles, max_leaves - 1, 2), dtype=np.intp),
-            alpha,
+            lgam,
+            level,
             beta,
         )
 
@@ -325,28 +335,20 @@ class _Particles:
     def take(self, keep: np.ndarray) -> "_Particles":
         return _Particles(
             self.lo[keep], self.hi[keep], self.n_below[keep], self.n[keep],
-            self.gains[keep], self.cuts[keep], self.alpha, self.beta,
+            self.gains[keep], self.cuts[keep], self.lgam, self.level, self.beta,
         )
 
-    def cut_deltas(self, n_total: int) -> np.ndarray:
+    def cut_deltas(self) -> np.ndarray:
         """Score change of every candidate (leaf, axis) cut, (P, t*d) in
         leaf-major order:
 
             delta = -beta + lg(nL+a) + lg(nR+a) - lg(n+a) + n*log 2 + level_term
 
-        where level_term collects the pieces depending only on (t, N) and the
-        rest is the cached ``gains``.
+        where level_term, ``level[t - 1]``, collects the pieces depending only
+        on (t, N) and the rest is the cached ``gains``.
         """
         n_particles, t, ndim = self.gains.shape
-        a = self.alpha
-        level_term = (
-            -loggamma(n_total + (t + 1) * a)
-            + loggamma(n_total + t * a)
-            - loggamma(a)
-            + loggamma((t + 1) * a)
-            - loggamma(t * a)
-        )
-        return (self.gains + level_term).reshape(n_particles, t * ndim)
+        return (self.gains + self.level[t - 1]).reshape(n_particles, t * ndim)
 
     def split(
         self, leaf: np.ndarray, axis: np.ndarray, coords: np.ndarray, top: np.ndarray
@@ -403,7 +405,7 @@ class _Particles:
         self.hi[p, leaf, axis] = self.lo[p, leaf + 1, axis] = mid[group]
         both = p[:, None], leaf[:, None] + [0, 1]
         self.gains[both] = _cut_gains(
-            self.n_below[both], self.n[both], self.lo[both], self.hi[both], self.alpha, self.beta
+            self.n_below[both], self.n[both], self.lo[both], self.hi[both], self.lgam, self.beta
         )
 
 
@@ -470,7 +472,7 @@ def bsp_estimate(
     stagnant = 0
 
     while swarm.n_leaves < max_leaves and stagnant < 2:
-        deltas = swarm.cut_deltas(n)
+        deltas = swarm.cut_deltas()
         if np.any(deltas.max(axis=1) == -np.inf):
             break  # some particle cannot halve any of its leaves
         norm = _logsumexp_rows(deltas)

@@ -15,7 +15,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .model import DesignSpace
 from .pipeline import RegionChainResult, compose_density
@@ -103,19 +102,30 @@ class RegressionSurface:
         return np.matmul(weighted, (k * self.coef)[..., None])[..., 0]
 
 
-def _loo_sse(k: np.ndarray, y: np.ndarray, lam: float, weights: np.ndarray) -> float:
+def _eig(k: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The eigendecomposition K = Q diag(w) Q^T of a kernel matrix as
+    ``(w, Q, Q * Q, Q^T y)``; one serves the ridge solve of every noise."""
+    w, q = np.linalg.eigh(k)
+    return w, q, q * q, q.T @ y
+
+
+def _ridge(eig: tuple[np.ndarray, ...], lam: float):
+    """Coefficients (K + lam I)^-1 y and the diagonal of (K + lam I)^-1 from
+    ``_eig(K, y)``; None when K + lam I is not numerically positive definite."""
+    w, q, q2, qty = eig
+    shifted = w + lam
+    if shifted[0] <= shifted[-1] * w.size * np.finfo(float).eps:
+        return None
+    return q @ (qty / shifted), q2 @ (1.0 / shifted)
+
+
+def _loo_sse(eig: tuple[np.ndarray, ...], lam: float, weights: np.ndarray) -> float:
     """Leave-one-out squared error of kernel ridge via the closed form, each
     point's squared residual scaled by its weight."""
-    a = k + lam * np.eye(k.shape[0])
-    try:
-        c = cho_factor(a)
-    except np.linalg.LinAlgError:
+    solved = _ridge(eig, lam)
+    if solved is None:
         return math.inf
-    inv = cho_solve(c, np.eye(k.shape[0]))
-    coef = inv @ y
-    diag = np.diag(inv)
-    if np.any(diag <= 0):
-        return math.inf
+    coef, diag = solved
     return float(np.sum(weights * (coef / diag) ** 2))
 
 
@@ -186,10 +196,10 @@ def fit_surface(
             noise_grid = [max(noise_floor, f * signal) for f in _NOISE_FRACTIONS]
 
             def score(mults: np.ndarray) -> tuple[float, float]:
-                k = _kernel(r, base * mults, signal)
+                eig = _eig(_kernel(r, base * mults, signal), yc)
                 best = (math.inf, noise_grid[0])
                 for lam in noise_grid:
-                    sse = _loo_sse(k, yc, lam, w)
+                    sse = _loo_sse(eig, lam, w)
                     if sse < best[0]:
                         best = (sse, lam)
                 return best
@@ -213,9 +223,10 @@ def fit_surface(
         if scales.shape != (d,) or np.any(scales <= 0):
             raise ValueError("length_scales must be positive with one entry per axis")
 
-    k = _kernel(r, scales, signal)
-    c = cho_factor(k + noise * np.eye(n))
-    coef = cho_solve(c, yc)
+    solved = _ridge(_eig(_kernel(r, scales, signal), yc), noise)
+    if solved is None:
+        raise np.linalg.LinAlgError("kernel matrix plus ridge is not positive definite")
+    coef = solved[0]
     return RegressionSurface(x, coef, scales, signal, noise, y_mean)
 
 

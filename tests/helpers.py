@@ -6,6 +6,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import cho_factor, cho_solve
 from scipy.special import loggamma, logsumexp
 
 from fpfkit.bsp import (
@@ -20,7 +21,7 @@ from fpfkit.bsp import (
 from fpfkit.benchmarks import LAMBDA_1
 from fpfkit.model import DesignSpace, resolve_parameters
 from fpfkit.regions import Box
-from fpfkit.smoothing import RegressionSurface, SmoothedFPF
+from fpfkit.smoothing import _MULT_GRID, _NOISE_FRACTIONS, RegressionSurface, SmoothedFPF
 
 
 def disjoint_volume_check(boxes: tuple[Box, ...], tol: float = 1e-9) -> bool:
@@ -333,6 +334,86 @@ def reference_smoothed(smoothed: SmoothedFPF, phi: np.ndarray) -> float:
 def reference_smoothed_gradient(smoothed: SmoothedFPF, phi: np.ndarray) -> np.ndarray:
     """Gradient of the scaled smooth FPF at one point (no boundary guard)."""
     return reference_smoothed(smoothed, phi) * reference_surface_gradient(smoothed.surface, phi)
+
+
+# --------------------------------------------------- Cholesky surface fit ---
+
+
+def _reference_loo_sse(k: np.ndarray, y: np.ndarray, lam: float, weights: np.ndarray) -> float:
+    """Weighted leave-one-out error from one Cholesky factor and inverse per ridge."""
+    a = k + lam * np.eye(k.shape[0])
+    try:
+        c = cho_factor(a)
+    except np.linalg.LinAlgError:
+        return math.inf
+    inv = cho_solve(c, np.eye(k.shape[0]))
+    coef = inv @ y
+    diag = np.diag(inv)
+    if np.any(diag <= 0):
+        return math.inf
+    return float(np.sum(weights * (coef / diag) ** 2))
+
+
+def reference_fit_surface(points, noise_floor: float = 1e-4) -> RegressionSurface:
+    """``fit_surface``'s multiplier and noise scan with a Cholesky solve per
+    ridge, for support points at distinct locations."""
+    x = np.array([p.location for p in points], dtype=float)
+    y = np.array([p.log_density for p in points], dtype=float)
+    w = np.array([p.weight for p in points], dtype=float)
+    w = w / w.sum()
+    n, d = x.shape
+    y_mean = float(np.mean(y))
+    yc = y - y_mean
+    signal = float(np.var(yc)) or 1.0
+    base = np.std(x, axis=0)
+    spread = np.max(x, axis=0) - np.min(x, axis=0)
+    base = np.where(base > 0, base, spread / math.sqrt(12.0))
+    base = np.where(base > 0, base, 1.0)
+    r = x[:, None, :] - x[None, :, :]
+
+    def kernel(scales: np.ndarray) -> np.ndarray:
+        z = r / scales
+        return signal * np.exp(-0.5 * (z * z).sum(axis=-1))
+
+    noise_grid = [max(noise_floor, f * signal) for f in _NOISE_FRACTIONS]
+
+    def score(mults: np.ndarray) -> tuple[float, float]:
+        k = kernel(base * mults)
+        best = (math.inf, noise_grid[0])
+        for lam in noise_grid:
+            sse = _reference_loo_sse(k, yc, lam, w)
+            if sse < best[0]:
+                best = (sse, lam)
+        return best
+
+    best_sse, mults, noise = math.inf, np.ones(d), noise_floor
+    for m in _MULT_GRID:
+        sse, lam = score(np.full(d, m))
+        if sse < best_sse:
+            best_sse, mults, noise = sse, np.full(d, m), lam
+    for axis in range(d):
+        for m in _MULT_GRID:
+            cand = mults.copy()
+            cand[axis] = m
+            sse, lam = score(cand)
+            if sse < best_sse:
+                best_sse, mults, noise = sse, cand, lam
+    scales = base * mults
+    coef = cho_solve(cho_factor(kernel(scales) + noise * np.eye(n)), yc)
+    return RegressionSurface(x, coef, scales, signal, noise, y_mean)
+
+
+# ------------------------------------------------------------ samples CSV ---
+
+
+def reference_write_samples_csv(path, samples, theta_names: list[str]) -> None:
+    """Samples CSV with one ``repr`` per cell, row by row."""
+    ndim = samples.phi.shape[1]
+    header = [f"phi_{i + 1}" for i in range(ndim)] + theta_names + ["performance", "failed"]
+    table = np.hstack([samples.phi, samples.theta, samples.performance[:, None]])
+    lines = [",".join(header)]
+    lines.extend(",".join(map(repr, row)) + ",1" for row in table.tolist())
+    path.write_text("\n".join(lines) + "\n")
 
 
 # ------------------------------------------- allocating draws and physics ---

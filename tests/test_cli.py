@@ -1,7 +1,11 @@
 """End-to-end command line tests, driven through cli.main for real exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -333,3 +337,40 @@ def test_a_value_error_inside_run_exits_with_the_runtime_code(
     assert code == cli.EXIT_RUNTIME
     assert "runtime failure: degenerate box" in caplog.text
     assert "Traceback" not in capsys.readouterr().err + caplog.text
+
+
+# ----------------------------------------------------------------- imports ---
+
+_REPO = Path(__file__).resolve().parents[1]
+
+# cli.main's argv per probe, "{out}" standing for a temporary directory;
+# None probes the import alone
+_NO_SCIPY_PROBES = {
+    "import": None,
+    "toy-run": ["run", "--config", str(_REPO / "configs" / "toy.yaml"), "--output", "{out}"],
+    "beam-grid": [
+        "grid", "--config", str(_REPO / "configs" / "beam.yaml"), "--output", "{out}",
+        "--resolution", "3", "--per-point", "2000", "--threads", "1",
+    ],
+}
+
+
+@pytest.mark.parametrize("probe", list(_NO_SCIPY_PROBES))
+def test_commands_load_no_scipy(tmp_path, probe):
+    argv = _NO_SCIPY_PROBES[probe]
+    if argv is not None:
+        argv = [a.replace("{out}", str(tmp_path / "out")) for a in argv]
+    script = (
+        "import json, sys\n"
+        "from fpfkit import cli\n"
+        "argv = json.loads(sys.argv[1])\n"
+        "code = 0 if argv is None else cli.main(argv)\n"
+        "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(_REPO / "src"), env.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c", script, json.dumps(argv)],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    assert out.stdout.strip().splitlines()[-1] == "0 []"

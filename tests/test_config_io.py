@@ -27,7 +27,7 @@ from fpfkit.bsp import bsp_estimate
 from fpfkit.config import RunConfig, load_config, parse_config
 from fpfkit.errors import ConfigError
 from fpfkit.model import DesignSpace, SampleSet
-from helpers import density_from_record
+from helpers import density_from_record, reference_write_samples_csv
 
 
 def _minimal(**extra) -> dict:
@@ -394,6 +394,21 @@ def test_samples_csv_layout(tmp_path):
     assert lines[0] == "phi_1,a,b,performance,failed"
     assert lines[1] == "1.5,2.5,0.1,-1.0,1"
     assert lines[2] == "0.5,0.25,0.2,-0.5,1"  # every held sample is a failure
+
+
+def test_samples_csv_equals_the_per_row_writer(tmp_path):
+    # repeated rows, signed zeros, and values whose repr switches notation
+    phi = np.array([[0.0], [-0.0], [1e16], [1e-5], [5e-324], [0.0], [1e16], [-5e-324]])
+    theta = np.array(
+        [[-0.0, 1e-5], [0.0, -1e-5], [1e16, 0.1], [1e-5, 1e16], [5e-324, 0.0],
+         [-0.0, 1e-5], [1e16, 0.1], [2.5, 1e-4]]
+    )
+    performance = np.array([0.0, -0.0, 1e16, 1e-5, 5e-324, 0.0, 1e16, 123456789.0])
+    samples = SampleSet(phi, theta, performance)
+    write_samples_csv(tmp_path / "fast.csv", samples, ["a", "b"])
+    reference_write_samples_csv(tmp_path / "ref.csv", samples, ["a", "b"])
+    assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+    assert "-0.0,0.0,-1e-05" in (tmp_path / "fast.csv").read_text()
 
 
 # --------------------------------------------------------------- oracle csv ---

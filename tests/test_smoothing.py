@@ -13,11 +13,14 @@ from fpfkit.pipeline import compose_density
 from fpfkit.smoothing import (
     SmoothedFPF,
     SupportPoint,
+    _eig,
+    _loo_sse,
     extract_support_points,
     fit_surface,
     smoothed_fpf,
 )
 from helpers import (
+    reference_fit_surface,
     reference_predict,
     reference_smoothed,
     reference_smoothed_gradient,
@@ -181,6 +184,45 @@ def test_fit_surface_validation():
         fit_surface(points, length_scales=np.array([0.5, 0.5]))
     with pytest.raises(ValueError, match="length_scales"):
         fit_surface(points, length_scales=np.array([-0.5]))
+
+
+def _assert_fit_matches_the_cholesky_scan(case):
+    points = extract_support_points(case.chain)
+    noise_floor = case.config.smoothing.noise_floor
+    surface = fit_surface(points, noise_floor=noise_floor)
+    reference = reference_fit_surface(points, noise_floor=noise_floor)
+    assert np.array_equal(surface.x, reference.x)
+    assert np.array_equal(surface.length_scales, reference.length_scales)
+    assert surface.noise_floor == reference.noise_floor
+    assert (surface.signal_var, surface.y_mean) == (reference.signal_var, reference.y_mean)
+    scale = np.max(np.abs(reference.coef))
+    assert np.max(np.abs(surface.coef - reference.coef)) <= 1e-9 * scale
+
+
+def test_toy_fit_picks_what_the_cholesky_scan_picks(toy_case):
+    _assert_fit_matches_the_cholesky_scan(toy_case)
+
+
+def test_beam_fit_picks_what_the_cholesky_scan_picks(beam_case):
+    _assert_fit_matches_the_cholesky_scan(beam_case)
+
+
+def test_toy_rare_fit_picks_what_the_cholesky_scan_picks(toy_rare_case):
+    _assert_fit_matches_the_cholesky_scan(toy_rare_case)
+
+
+def test_a_ridge_that_is_not_positive_definite_scores_inf():
+    y = np.array([1.0, -2.0, 0.5])
+    eig = _eig(np.diag([1.0, 0.5, -0.25]), y)
+    assert _loo_sse(eig, 0.1, np.full(3, 1 / 3)) == math.inf
+    assert math.isfinite(_loo_sse(eig, 0.3, np.full(3, 1 / 3)))
+
+
+def test_a_fit_that_is_not_positive_definite_raises():
+    # an all-ones kernel is singular, and a ridge of 1e-300 does not lift it
+    points = _line_points(np.linspace(0, 1, 6), lambda x: x)
+    with pytest.raises(np.linalg.LinAlgError, match="not positive definite"):
+        fit_surface(points, noise_floor=1e-300, length_scales=np.array([1e9]))
 
 
 # ---------------------------------------------------------- smoothed FPF ---
