@@ -50,7 +50,7 @@ from .pipeline import (
     run_pipeline,
     threshold_from_ratio,
 )
-from .regions import Box, RegionIndicator
+from .regions import RegionIndicator
 from .reliability import (
     ChainParams,
     FailureEstimate,
@@ -64,7 +64,6 @@ from .streams import Streams
 
 __all__ = [
     "BinaryPartition",
-    "Box",
     "BoxBeamModel",
     "ChainParams",
     "ConfigError",

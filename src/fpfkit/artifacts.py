@@ -18,7 +18,6 @@ import numpy as np
 from .bsp import LeafCell, PiecewiseConstantDensity
 from .model import DesignSpace, SampleSet
 from .pipeline import PartitionLevel, RegionChainResult
-from .regions import Box, RegionIndicator
 from .smoothing import RegressionSurface, SmoothedFPF
 
 
@@ -171,11 +170,12 @@ def density_record(density: PiecewiseConstantDensity) -> dict:
     }
 
 
-def _boxes_record(region: RegionIndicator) -> list:
-    return [{"lo": list(b.lo), "hi": list(b.hi)} for b in region.boxes]
+def _boxes_record(boxes: np.ndarray) -> list:
+    return [{"lo": lo, "hi": hi} for lo, hi in boxes.tolist()]
 
 
 def level_record(level: PartitionLevel) -> dict:
+    cell_pieces = np.split(level.pieces, np.flatnonzero(np.diff(level.piece_cell)) + 1)
     return {
         "index": level.index,
         "captured": level.captured,
@@ -183,18 +183,15 @@ def level_record(level: PartitionLevel) -> dict:
         "ratio": level.ratio,
         "weight": level.weight,
         "n_samples": len(level.samples),
-        "region": _boxes_record(level.region),
-        "high_region": _boxes_record(level.high_region),
-        "low_region": _boxes_record(level.low_region),
+        "region": _boxes_record(level.region.boxes),
+        "high_region": _boxes_record(level.high_region.boxes),
+        "low_region": _boxes_record(level.low_region.boxes),
         "cells": [
-            {
-                "pieces": [{"lo": list(p.lo), "hi": list(p.hi)} for p in c.pieces],
-                "volume": c.volume,
-                "mass": c.mass,
-                "density": c.density,
-                "low": bool(lo),
-            }
-            for c, lo in zip(level.cells, level.low_mask)
+            {"pieces": _boxes_record(p), "volume": v, "mass": m, "density": dn, "low": lo}
+            for p, v, m, dn, lo in zip(
+                cell_pieces, level.volumes.tolist(), level.masses.tolist(),
+                level.densities.tolist(), level.low_mask.tolist(),
+            )
         ],
         "estimate": density_record(level.raw),
     }

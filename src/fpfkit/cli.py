@@ -65,6 +65,8 @@ def build_parser() -> argparse.ArgumentParser:
 def _load(args) -> tuple:
     config = load_config(args.config)
     if args.seed is not None:
+        if args.seed < 0:
+            raise ConfigError(f"--seed must be >= 0, got {args.seed}")
         config = config.with_seed(args.seed)
     return config, args.config.resolve().parent
 

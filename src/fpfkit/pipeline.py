@@ -28,7 +28,7 @@ import numpy as np
 from .bsp import PiecewiseConstantDensity, bsp_estimate
 from .errors import ConvergenceError, DegenerateThresholdError, RegionPopulationError
 from .model import DesignSpace, LimitStateModel, RandomVariableSpec, SampleSet
-from .regions import Box, RegionIndicator
+from .regions import RegionIndicator, box_volumes
 from .reliability import (
     ChainParams,
     FailureEstimate,
@@ -90,29 +90,25 @@ def level_weights(ratios: tuple[float, ...]) -> tuple[float, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class LevelCell:
-    """One cell of a level's region-restricted estimate.
-
-    ``pieces`` are the fragments of a partition leaf clipped to the level's
-    region; they are disjoint boxes whose volumes sum to ``volume``.
-    """
-
-    pieces: tuple[Box, ...]
-    volume: float
-    mass: float
-    density: float
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PartitionLevel:
-    """Level k of the region chain: estimate on D_k and its split."""
+    """Level k of the region chain: estimate on D_k and its split.
+
+    The estimate's leaves clipped to D_k are the level's cells. Cell ``c`` is
+    the union of the pieces ``pieces[piece_cell == c]`` (a (p, 2, d) box
+    array, cells in leaf order); ``volumes``, ``masses``, ``densities`` and
+    ``low_mask`` hold one value per cell.
+    """
 
     index: int
     region: RegionIndicator
     raw: PiecewiseConstantDensity
     captured: float
-    cells: tuple[LevelCell, ...]
+    pieces: np.ndarray
+    piece_cell: np.ndarray
+    volumes: np.ndarray
+    masses: np.ndarray
+    densities: np.ndarray
     threshold: float
     ratio: float
     weight: float
@@ -142,49 +138,38 @@ def build_level(
     The low/high regions are unions of cell pieces, so together they tile the
     level's region exactly.
     """
-    part = raw.partition
-    pieces_per_cell: list[tuple[Box, ...]] = []
-    overlaps: list[float] = []
-    contributions: list[float] = []
-    raw_density: list[float] = []
-    for i, leaf in enumerate(part.leaves):
-        pieces = region.intersect_box(Box(leaf.lo, leaf.hi))
-        if not pieces:
-            continue
-        o = sum(p.volume for p in pieces)
-        pieces_per_cell.append(pieces)
-        overlaps.append(o)
-        contributions.append(float(raw.masses[i]) * (o / leaf.volume))
-        raw_density.append(float(raw.masses[i]) / leaf.volume)
+    leaves = np.array([(leaf.lo, leaf.hi) for leaf in raw.partition.leaves], dtype=float)
+    piece_leaf, pieces = region.clip(leaves[:, 0], leaves[:, 1])
+    kept, piece_cell = np.unique(piece_leaf, return_inverse=True)
+    overlaps = np.bincount(piece_cell, weights=box_volumes(pieces))
+    leaf_volumes = box_volumes(leaves[kept])
+    contributions = raw.masses[kept] * (overlaps / leaf_volumes)
     captured = float(np.sum(contributions))
     if captured <= 0.0:
         raise RuntimeError("level estimate captured no mass inside its region")
-    masses = np.asarray(contributions) / captured
-    densities = np.asarray(raw_density) / captured
+    masses = contributions / captured
+    densities = raw.masses[kept] / leaf_volumes / captured
     err = abs(float(np.sum(masses)) - 1.0)
     if err > 1e-12:
         raise AssertionError(f"restricted cell masses sum to 1 +/- {err:.3e}")
-    cells = tuple(
-        LevelCell(p, o, float(m), float(d))
-        for p, o, m, d in zip(pieces_per_cell, overlaps, masses, densities)
-    )
     p_star, realized, low = threshold_from_ratio(masses, densities, mass_ratio)
-    low_boxes: list[Box] = []
-    high_boxes: list[Box] = []
-    for cell, is_low in zip(cells, low):
-        (low_boxes if is_low else high_boxes).extend(cell.pieces)
+    low_piece = low[piece_cell]
     upper = region.space_upper
     return PartitionLevel(
         index=index,
         region=region,
         raw=raw,
         captured=captured,
-        cells=cells,
+        pieces=pieces,
+        piece_cell=piece_cell,
+        volumes=overlaps,
+        masses=masses,
+        densities=densities,
         threshold=p_star,
         ratio=realized,
         weight=weight,
-        high_region=RegionIndicator(tuple(high_boxes), upper),
-        low_region=RegionIndicator(tuple(low_boxes), upper),
+        high_region=RegionIndicator(pieces[~low_piece], upper),
+        low_region=RegionIndicator(pieces[low_piece], upper),
         low_mask=low,
         samples=samples,
     )
@@ -291,20 +276,17 @@ class PipelineConfig:
 
 
 def _space_region(space: DesignSpace) -> RegionIndicator:
-    box = Box(tuple(b[0] for b in space.bounds), tuple(b[1] for b in space.bounds))
-    return RegionIndicator((box,), tuple(b[1] for b in space.bounds))
+    bounds = np.array(space.bounds, dtype=float)
+    return RegionIndicator(bounds.T[None], tuple(bounds[:, 1].tolist()))
 
 
 def _check_composite_normalization(chain: RegionChainResult) -> float:
     """Cell-sum telescoping: sum_k w_k*(high mass)_k + w_last*(low mass)_last."""
     total = 0.0
     for level in chain.levels:
-        high_mass = float(np.sum([c.mass for c, lo in zip(level.cells, level.low_mask) if not lo]))
-        total += level.weight * high_mass
+        total += level.weight * float(np.sum(level.masses[~level.low_mask]))
     last = chain.levels[-1]
-    low_mass = float(np.sum([c.mass for c, lo in zip(last.cells, last.low_mask) if lo]))
-    total += last.weight * low_mass
-    return total
+    return total + last.weight * float(np.sum(last.masses[last.low_mask]))
 
 
 def run_pipeline(
@@ -362,11 +344,11 @@ def run_pipeline(
     prior = 1.0 / space.volume
 
     for k in range(config.max_iterations + 1):
-        bbox = region.bounding_box()
+        lo, hi = region.bounding_box()
         raw = bsp_estimate(
             samples.phi,
-            bbox.lo,
-            bbox.hi,
+            lo,
+            hi,
             streams.generator(),
             alpha=config.bsp.alpha,
             beta=config.bsp.beta,

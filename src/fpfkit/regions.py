@@ -1,8 +1,9 @@
-"""Axis-aligned boxes and box-union regions over a design space.
+"""Box-union regions over a design space, held as arrays of box corners.
 
-Cells produced by partitioning are half-open, [lo, hi) on every axis, except
-that a face lying on the enclosing space's upper boundary is closed so the
-boxes of a partition tile the space exactly.
+A box array has shape (n_boxes, 2, d): row ``[lo, hi]`` per box. Cells
+produced by partitioning are half-open, [lo, hi) on every axis, except that a
+face lying on the enclosing space's upper boundary is closed so the boxes of
+a partition tile the space exactly.
 """
 
 from __future__ import annotations
@@ -13,79 +14,46 @@ from functools import cached_property
 import numpy as np
 
 
-@dataclass(frozen=True)
-class Box:
-    """Axis-aligned box with strictly positive extent on every axis."""
-
-    lo: tuple[float, ...]
-    hi: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.lo) != len(self.hi):
-            raise ValueError("lo and hi must have the same length")
-        for a, b in zip(self.lo, self.hi):
-            if not a < b:
-                raise ValueError(f"degenerate box: lo={self.lo}, hi={self.hi}")
-
-    @property
-    def ndim(self) -> int:
-        return len(self.lo)
-
-    @property
-    def volume(self) -> float:
-        v = 1.0
-        for a, b in zip(self.lo, self.hi):
-            v *= b - a
-        return v
-
-    @property
-    def center(self) -> np.ndarray:
-        return 0.5 * (np.asarray(self.lo) + np.asarray(self.hi))
-
-    def intersect(self, other: "Box") -> "Box | None":
-        """Intersection box, or None when the overlap has zero volume."""
-        lo = tuple(max(a, b) for a, b in zip(self.lo, other.lo))
-        hi = tuple(min(a, b) for a, b in zip(self.hi, other.hi))
-        if any(a >= b for a, b in zip(lo, hi)):
-            return None
-        return Box(lo, hi)
+def box_volumes(boxes: np.ndarray) -> np.ndarray:
+    """Volumes of a (..., 2, d) box array, the extents multiplied in axis
+    order."""
+    return np.prod(boxes[..., 1, :] - boxes[..., 0, :], axis=-1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RegionIndicator:
     """Union of disjoint axis-aligned boxes inside a design space.
 
-    ``space_upper`` carries the design space's upper bounds so that membership
-    uses the same boundary closure convention as partition cells.
+    ``boxes`` is a read-only (n_boxes, 2, d) array of ``[lo, hi]`` rows with
+    lo < hi on every axis. ``space_upper`` carries the design space's upper
+    bounds so that membership uses the same boundary closure convention as
+    partition cells.
     """
 
-    boxes: tuple[Box, ...]
+    boxes: np.ndarray
     space_upper: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        if not self.boxes:
-            raise ValueError("region needs at least one box")
-        ndim = self.boxes[0].ndim
-        if any(b.ndim != ndim for b in self.boxes):
-            raise ValueError("all region boxes must share a dimension")
-        if len(self.space_upper) != ndim:
+        boxes = np.array(self.boxes, dtype=float)
+        if boxes.ndim != 3 or boxes.shape[1] != 2 or boxes.shape[0] == 0:
+            raise ValueError(f"region needs an (n_boxes >= 1, 2, d) array, got {boxes.shape}")
+        if not np.all(boxes[:, 0] < boxes[:, 1]):
+            raise ValueError("degenerate box: every region box needs lo < hi on every axis")
+        if len(self.space_upper) != boxes.shape[2]:
             raise ValueError("space_upper dimension mismatch")
+        boxes.flags.writeable = False
+        object.__setattr__(self, "boxes", boxes)
 
     @property
     def ndim(self) -> int:
-        return self.boxes[0].ndim
-
-    @property
-    def volume(self) -> float:
-        return sum(b.volume for b in self.boxes)
+        return self.boxes.shape[2]
 
     @cached_property
     def _bounds(self) -> tuple[np.ndarray, np.ndarray]:
         """Box corners (n_boxes, ndim) as strict upper limits: a face on the
         space's upper bound moves up one ulp, so ``x < limit`` there means
         ``x <= hi``."""
-        lo = np.array([b.lo for b in self.boxes])
-        hi = np.array([b.hi for b in self.boxes])
+        lo, hi = self.boxes[:, 0].copy(), self.boxes[:, 1]
         closed = hi == np.asarray(self.space_upper)
         return lo, np.where(closed, np.nextafter(hi, np.inf), hi)
 
@@ -93,21 +61,28 @@ class RegionIndicator:
         """Membership of one point (bool) or of each row of an (n, ndim)
         array (bool array). Boxes are half-open, closed on the space's upper
         face."""
+        x = np.asarray(phi, dtype=float)
+        if x.shape[-1:] != (self.ndim,):
+            raise ValueError(f"expected phi of shape (..., {self.ndim}), got {x.shape}")
         lo, limit = self._bounds
-        x = np.asarray(phi, dtype=float)[..., None, :]
+        x = x[..., None, :]
         found = ((lo <= x) & (x < limit)).all(axis=-1).any(axis=-1)
         return bool(found) if found.ndim == 0 else found
 
-    def bounding_box(self) -> Box:
-        lo = tuple(min(b.lo[d] for b in self.boxes) for d in range(self.ndim))
-        hi = tuple(max(b.hi[d] for b in self.boxes) for d in range(self.ndim))
-        return Box(lo, hi)
+    def bounding_box(self) -> tuple[tuple[float, ...], tuple[float, ...]]:
+        """Corners ``(lo, hi)`` of the smallest box holding the region."""
+        lo = self.boxes[:, 0].min(axis=0)
+        hi = self.boxes[:, 1].max(axis=0)
+        return tuple(lo.tolist()), tuple(hi.tolist())
 
-    def intersect_box(self, box: Box) -> tuple[Box, ...]:
-        """Pieces of ``box`` overlapping the region (disjoint by construction)."""
-        pieces = []
-        for b in self.boxes:
-            cut = b.intersect(box)
-            if cut is not None:
-                pieces.append(cut)
-        return tuple(pieces)
+    def clip(self, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Clip m boxes with corners ``lo``, ``hi`` (m, d) to the region.
+
+        Returns the index among the m boxes of each piece of overlap and the
+        pieces as a (p, 2, d) box array, ordered by box, then by region box.
+        An overlap of zero volume (a shared face) is not a piece.
+        """
+        cut_lo = np.maximum(self.boxes[:, 0], np.asarray(lo, dtype=float)[:, None])
+        cut_hi = np.minimum(self.boxes[:, 1], np.asarray(hi, dtype=float)[:, None])
+        keep = (cut_lo < cut_hi).all(axis=-1)
+        return np.nonzero(keep)[0], np.stack([cut_lo[keep], cut_hi[keep]], axis=1)

@@ -18,6 +18,7 @@ import numpy as np
 
 from .model import DesignSpace
 from .pipeline import RegionChainResult, compose_density
+from .regions import box_volumes
 
 
 @dataclass(frozen=True)
@@ -46,18 +47,19 @@ def extract_support_points(chain: RegionChainResult) -> tuple[SupportPoint, ...]
     """
     cells = []
     for level in chain.levels:
-        last = level.index == chain.levels[-1].index
-        for cell, is_low in zip(level.cells, level.low_mask):
-            if not is_low or last:
-                largest = max(cell.pieces, key=lambda piece: piece.volume)
-                cells.append((level, cell, largest.center))
+        # each cell's first largest piece: pieces by cell, then by descending volume
+        order = np.lexsort((-box_volumes(level.pieces), level.piece_cell))
+        first = order[np.searchsorted(level.piece_cell, np.arange(level.masses.size))]
+        centers = 0.5 * (level.pieces[first, 0] + level.pieces[first, 1])
+        keep = ~level.low_mask | (level is chain.levels[-1])
+        cells += [(level, m, x) for m, x in zip(level.masses[keep].tolist(), centers[keep])]
     values = compose_density(chain.levels, np.array([c for _, _, c in cells]))
     if np.any(values <= 0.0):
         center = cells[int(np.argmax(values <= 0.0))][2]
         raise AssertionError(f"composite density non-positive at cell center {center}")
     return tuple(
-        SupportPoint(center, math.log(value), level.index, level.weight * cell.mass)
-        for (level, cell, center), value in zip(cells, values.tolist())
+        SupportPoint(center, math.log(value), level.index, level.weight * mass)
+        for (level, mass, center), value in zip(cells, values.tolist())
     )
 
 

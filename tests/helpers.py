@@ -20,29 +20,95 @@ from fpfkit.bsp import (
 )
 from fpfkit.benchmarks import LAMBDA_1
 from fpfkit.model import DesignSpace, resolve_parameters
-from fpfkit.regions import Box
+from fpfkit.pipeline import threshold_from_ratio
 from fpfkit.smoothing import _MULT_GRID, _NOISE_FRACTIONS, RegressionSurface, SmoothedFPF
 
 
-def disjoint_volume_check(boxes: tuple[Box, ...], tol: float = 1e-9) -> bool:
-    """True when no pair of boxes overlaps with positive volume."""
-    for i, a in enumerate(boxes):
-        for b in boxes[i + 1 :]:
-            cut = a.intersect(b)
-            if cut is not None and cut.volume > tol:
-                return False
+def disjoint_volume_check(boxes: np.ndarray, tol: float = 1e-9) -> bool:
+    """True when no pair of rows of a (n, 2, d) box array overlaps with
+    positive volume."""
+    boxes = np.asarray(boxes, dtype=float)
+    lo = np.maximum(boxes[:, None, 0], boxes[None, :, 0])
+    hi = np.minimum(boxes[:, None, 1], boxes[None, :, 1])
+    overlap = np.prod(np.clip(hi - lo, 0.0, None), axis=-1)
+    np.fill_diagonal(overlap, 0.0)
+    return not np.any(overlap > tol)
+
+
+def box_contains(box, x: np.ndarray, upper: tuple[float, ...]) -> bool:
+    """Per-point membership reference for one ``[lo, hi]`` box: half-open,
+    closed where a face sits on the space's upper bound ``upper``."""
+    lo, hi = box
+    for d in range(len(lo)):
+        if x[d] < lo[d] or x[d] > hi[d]:
+            return False
+        if x[d] == hi[d] and hi[d] != upper[d]:
+            return False
     return True
 
 
-def box_contains(box: Box, x: np.ndarray, upper: tuple[float, ...]) -> bool:
-    """Per-point membership reference: half-open, closed where a face sits on
-    the space's upper bound ``upper``."""
-    for d in range(box.ndim):
-        if x[d] < box.lo[d] or x[d] > box.hi[d]:
-            return False
-        if x[d] == box.hi[d] and box.hi[d] != upper[d]:
-            return False
-    return True
+def _box_intersect(a, b):
+    """Overlap of two ``(lo, hi)`` tuple boxes, axis by axis with max/min;
+    None when it has zero volume."""
+    lo = tuple(max(x, y) for x, y in zip(a[0], b[0]))
+    hi = tuple(min(x, y) for x, y in zip(a[1], b[1]))
+    if any(x >= y for x, y in zip(lo, hi)):
+        return None
+    return lo, hi
+
+
+def _box_volume(box) -> float:
+    v = 1.0
+    for a, b in zip(*box):
+        v *= b - a
+    return v
+
+
+@dataclass(frozen=True)
+class ReferenceLevelCells:
+    pieces: np.ndarray
+    piece_cell: np.ndarray
+    volumes: np.ndarray
+    masses: np.ndarray
+    densities: np.ndarray
+    low_mask: np.ndarray
+    low_boxes: np.ndarray
+    high_boxes: np.ndarray
+
+
+def reference_level_cells(region, raw: PiecewiseConstantDensity, mass_ratio: float):
+    """A level's cells by clipping each partition leaf against each region
+    box in turn, in plain Python: the per-leaf loop the array clip in
+    ``build_level`` replaces."""
+    region_boxes = [(tuple(lo), tuple(hi)) for lo, hi in region.boxes.tolist()]
+    cells, overlaps, contributions, raw_density = [], [], [], []
+    for i, leaf in enumerate(raw.partition.leaves):
+        cuts = [_box_intersect(b, (leaf.lo, leaf.hi)) for b in region_boxes]
+        pieces = [c for c in cuts if c is not None]
+        if not pieces:
+            continue
+        o = sum(_box_volume(p) for p in pieces)
+        cells.append(pieces)
+        overlaps.append(o)
+        contributions.append(float(raw.masses[i]) * (o / leaf.volume))
+        raw_density.append(float(raw.masses[i]) / leaf.volume)
+    captured = float(np.sum(contributions))
+    masses = np.asarray(contributions) / captured
+    densities = np.asarray(raw_density) / captured
+    low = threshold_from_ratio(masses, densities, mass_ratio)[2]
+    low_boxes, high_boxes = [], []
+    for pieces, is_low in zip(cells, low):
+        (low_boxes if is_low else high_boxes).extend(pieces)
+    return ReferenceLevelCells(
+        pieces=np.array([p for pieces in cells for p in pieces]),
+        piece_cell=np.repeat(np.arange(len(cells)), [len(p) for p in cells]),
+        volumes=np.array(overlaps),
+        masses=masses,
+        densities=densities,
+        low_mask=low,
+        low_boxes=np.array(low_boxes),
+        high_boxes=np.array(high_boxes),
+    )
 
 
 def design_prior_density(space: DesignSpace, phi: np.ndarray) -> float:

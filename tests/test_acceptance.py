@@ -24,7 +24,7 @@ from fpfkit.bsp import log_partition_score
 from fpfkit.model import resolve_parameters
 from fpfkit.optimize import DesignProblem, optimize
 from fpfkit.pipeline import compose_density
-from fpfkit.regions import Box, RegionIndicator
+from fpfkit.regions import RegionIndicator
 from fpfkit.reliability import _seed_scales, direct_mcs, mmh_chain
 from fpfkit.runner import compare_command, run_command
 from fpfkit.streams import Streams
@@ -160,19 +160,18 @@ def test_levels_normalize_and_the_composite_integrates_to_one(case_name, request
     levels = case.chain.levels
     for level in levels:
         assert abs(level.raw.masses.sum() - 1.0) <= 1e-12
-        assert abs(sum(cell.mass for cell in level.cells) - 1.0) <= 1e-12
+        assert abs(sum(level.masses.tolist()) - 1.0) <= 1e-12
 
     # re-derive the total probability by integrating the composite density
     # piece by piece: it is constant on each retained rectangular piece
     total = 0.0
     last_index = levels[-1].index
     for level in levels:
-        for cell, is_low in zip(level.cells, level.low_mask):
-            if is_low and level.index != last_index:
+        for piece, cell in zip(level.pieces, level.piece_cell):
+            if level.low_mask[cell] and level.index != last_index:
                 continue
-            for piece in cell.pieces:
-                value = compose_density(levels, np.asarray(piece.center))
-                total += value * piece.volume
+            value = compose_density(levels, 0.5 * (piece[0] + piece[1]))
+            total += value * float(np.prod(piece[1] - piece[0]))
     assert total == pytest.approx(1.0, abs=1e-10)
 
 
@@ -188,9 +187,7 @@ def test_chain_states_reach_the_conditional_failure_distribution():
     streams = Streams(np.random.SeedSequence(2024))
 
     pilot = direct_mcs(model, space, specs, 4000, streams.generator())
-    region = RegionIndicator(
-        (Box(tuple(space.lower), tuple(space.upper)),), tuple(space.upper)
-    )
+    region = RegionIndicator([[space.lower, space.upper]], tuple(space.upper))
     seeds = pilot.samples[region.contains(pilot.samples.phi)]
     assert len(seeds) > 300
 

@@ -50,6 +50,16 @@ def test_invalid_config_values_are_a_config_error(tmp_path):
     assert code == cli.EXIT_CONFIG
 
 
+@pytest.mark.parametrize("command", ["run", "grid"])
+def test_negative_seed_override_is_a_config_error(tmp_path, command):
+    cfg = tmp_path / "run.yaml"
+    _write_small_toy(cfg)
+    out = tmp_path / "o"
+    code = cli.main([command, "--config", str(cfg), "--output", str(out), "--seed", "-1"])
+    assert code == cli.EXIT_CONFIG
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("setting", ["beta: .nan", "beta: .inf", "beta: -.inf", "alpha: .inf"])
 def test_non_finite_bsp_setting_is_a_config_error(tmp_path, setting):
     cfg = tmp_path / "bad.yaml"

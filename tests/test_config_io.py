@@ -496,7 +496,8 @@ def test_level_record_is_manifest_ready(toy_case):
     json.dumps(record)
     assert record["index"] == 0
     assert record["n_samples"] == len(level.samples)
-    assert len(record["cells"]) == len(level.cells)
+    assert len(record["cells"]) == len(level.masses)
+    assert [len(c["pieces"]) for c in record["cells"]] == np.bincount(level.piece_cell).tolist()
     assert record["estimate"]["masses"] == [float(m) for m in level.raw.masses]
     first = record["cells"][0]
     assert set(first) == {"pieces", "volume", "mass", "density", "low"}

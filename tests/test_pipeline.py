@@ -18,8 +18,12 @@ from fpfkit.pipeline import (
     scale_to_fpf,
     threshold_from_ratio,
 )
-from fpfkit.regions import Box, RegionIndicator
-from helpers import disjoint_volume_check, reference_compose_density
+from fpfkit.regions import RegionIndicator, box_volumes
+from helpers import (
+    disjoint_volume_check,
+    reference_compose_density,
+    reference_level_cells,
+)
 from fpfkit.reliability import ChainParams, direct_mcs
 from fpfkit.streams import Streams
 
@@ -94,48 +98,80 @@ def _synthetic_level():
     pts = np.clip(rng.normal(0.35, 0.2, size=(600, 2)), 0.0, 0.999)
     raw = bsp_estimate(pts, (0.0, 0.0), (1.0, 1.0), np.random.default_rng(5))
     region = RegionIndicator(
-        (Box((0.0, 0.0), (0.6, 1.0)), Box((0.6, 0.0), (1.0, 0.5))), (1.0, 1.0)
+        [[[0.0, 0.0], [0.6, 1.0]], [[0.6, 0.0], [1.0, 0.5]]], (1.0, 1.0)
     )
     return build_level(0, region, raw, 1.0, 0.1, ()), raw, region
 
 
 def test_build_level_restricts_and_renormalizes():
     level, raw, region = _synthetic_level()
-    assert abs(sum(c.mass for c in level.cells) - 1.0) < 1e-12
+    assert abs(sum(level.masses.tolist()) - 1.0) < 1e-12
     assert 0.0 < level.captured <= 1.0
-    for cell in level.cells:
-        assert disjoint_volume_check(cell.pieces)
-        assert cell.volume == pytest.approx(sum(p.volume for p in cell.pieces))
-        for piece in cell.pieces:
-            assert region.intersect_box(piece)  # pieces lie inside the region
+    n_cells = level.masses.size
+    assert level.pieces.shape[1:] == (2, 2)
+    assert level.piece_cell.tolist() == sorted(level.piece_cell.tolist())
+    assert set(level.piece_cell.tolist()) == set(range(n_cells))
+    for c in range(n_cells):
+        pieces = level.pieces[level.piece_cell == c]
+        assert disjoint_volume_check(pieces)
+        assert level.volumes[c] == pytest.approx(box_volumes(pieces).sum())
+    # each piece lies inside one region box: clipping returns it unchanged
+    piece_leaf, clipped = region.clip(level.pieces[:, 0], level.pieces[:, 1])
+    assert piece_leaf.tolist() == list(range(len(level.pieces)))
+    assert np.array_equal(clipped, level.pieces)
     # cell densities are the raw leaf densities scaled by captured mass
-    for cell in level.cells:
-        probe = cell.pieces[0].center
-        assert cell.density == pytest.approx(raw.pdf(probe) / level.captured, rel=1e-12)
-        assert level.conditional_density(probe) == pytest.approx(cell.density, rel=1e-12)
+    for c in range(n_cells):
+        first = level.pieces[np.argmax(level.piece_cell == c)]
+        probe = 0.5 * (first[0] + first[1])
+        density = level.densities[c]
+        assert density == pytest.approx(raw.pdf(probe) / level.captured, rel=1e-12)
+        assert level.conditional_density(probe) == pytest.approx(density, rel=1e-12)
 
 
 def test_build_level_split_tiles_the_region():
     level, _, region = _synthetic_level()
-    vol = level.low_region.volume + level.high_region.volume
-    assert vol == pytest.approx(region.volume, rel=1e-12)
-    assert disjoint_volume_check(level.low_region.boxes + level.high_region.boxes)
-    assert level.ratio == pytest.approx(
-        sum(c.mass for c, lo in zip(level.cells, level.low_mask) if lo)
+    vol = box_volumes(level.low_region.boxes).sum() + box_volumes(level.high_region.boxes).sum()
+    assert vol == pytest.approx(box_volumes(region.boxes).sum(), rel=1e-12)
+    assert disjoint_volume_check(
+        np.concatenate([level.low_region.boxes, level.high_region.boxes])
     )
+    assert level.ratio == pytest.approx(level.masses[level.low_mask].sum())
     assert 0.0 < level.ratio < 1.0
     # low cells are exactly those below the threshold density
-    for cell, lo in zip(level.cells, level.low_mask):
-        assert lo == (cell.density < level.threshold)
+    assert level.low_mask.tolist() == (level.densities < level.threshold).tolist()
 
 
 def test_build_level_needs_overlap():
     rng = np.random.default_rng(1)
     pts = rng.uniform(0.0, 1.0, size=(100, 2))
     raw = bsp_estimate(pts, (0.0, 0.0), (1.0, 1.0), np.random.default_rng(1))
-    far = RegionIndicator((Box((2.0, 2.0), (3.0, 3.0)),), (3.0, 3.0))
+    far = RegionIndicator([[[2.0, 2.0], [3.0, 3.0]]], (3.0, 3.0))
     with pytest.raises(RuntimeError, match="captured"):
         build_level(0, far, raw, 1.0, 0.1, ())
+
+
+def _assert_levels_match_the_clipping_reference(case):
+    for level in case.chain.levels:
+        ref = reference_level_cells(level.region, level.raw, case.config.pipeline.mass_ratio)
+        assert level.pieces.tolist() == ref.pieces.tolist()
+        assert level.piece_cell.tolist() == ref.piece_cell.tolist()
+        assert level.volumes.tolist() == ref.volumes.tolist()
+        assert level.masses.tolist() == ref.masses.tolist()
+        assert level.densities.tolist() == ref.densities.tolist()
+        assert level.low_mask.tolist() == ref.low_mask.tolist()
+        assert level.low_region.boxes.tolist() == ref.low_boxes.tolist()
+        assert level.high_region.boxes.tolist() == ref.high_boxes.tolist()
+
+
+@pytest.mark.parametrize("case_name", ["toy_case", "beam_case"])
+def test_build_level_matches_the_per_leaf_clipping_reference(case_name, request):
+    """Every level's cells and split regions equal, value for value, those of
+    clipping each leaf against each region box one pair at a time."""
+    _assert_levels_match_the_clipping_reference(request.getfixturevalue(case_name))
+
+
+def test_toy_rare_build_level_matches_the_per_leaf_clipping_reference(toy_rare_case):
+    _assert_levels_match_the_clipping_reference(toy_rare_case)
 
 
 def test_scale_to_fpf():
@@ -166,16 +202,14 @@ def test_toy_chain_bookkeeping(toy_case):
 def test_composite_density_uses_the_deepest_level(toy_case):
     chain = toy_case.chain
     deepest = chain.levels[-1]
-    phi = deepest.cells[0].pieces[0].center
+    phi = 0.5 * (deepest.pieces[0, 0] + deepest.pieces[0, 1])
     assert compose_density(chain.levels, phi) == pytest.approx(
         deepest.weight * deepest.conditional_density(phi)
     )
     # a point of the first level's high region never reaches deeper levels
-    phi0 = next(
-        c.pieces[0].center
-        for c, lo in zip(chain.levels[0].cells, chain.levels[0].low_mask)
-        if not lo
-    )
+    first = chain.levels[0]
+    high = first.pieces[~first.low_mask[first.piece_cell]][0]
+    phi0 = 0.5 * (high[0] + high[1])
     assert compose_density(chain.levels, phi0) == pytest.approx(
         chain.levels[0].conditional_density(phi0)
     )
@@ -192,8 +226,7 @@ def test_batch_composite_density_matches_the_per_point_reference(case_name, requ
     for level in levels:
         for leaf in level.raw.partition.leaves:
             probes += [leaf.lo, leaf.hi, 0.5 * (np.asarray(leaf.lo) + np.asarray(leaf.hi))]
-        for cell in level.cells:
-            probes += [piece.lo for piece in cell.pieces] + [piece.hi for piece in cell.pieces]
+        probes += list(level.pieces[:, 0]) + list(level.pieces[:, 1])
     upper_face = np.array(probes, dtype=float)
     upper_face[:, 0] = case.space.upper[0]
     rng = np.random.default_rng(0)

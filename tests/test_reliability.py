@@ -14,7 +14,7 @@ from fpfkit.benchmarks import (
 )
 from fpfkit.errors import ConvergenceError, RegionPopulationError
 from fpfkit.model import DesignSpace, SampleSet, sample_theta
-from fpfkit.regions import Box, RegionIndicator
+from fpfkit.regions import RegionIndicator
 from fpfkit.reliability import (
     ChainParams,
     _distinct_states,
@@ -32,9 +32,7 @@ def _toy():
 
 
 def _full_region(space: DesignSpace) -> RegionIndicator:
-    return RegionIndicator(
-        (Box(tuple(space.lower), tuple(space.upper)),), tuple(space.upper)
-    )
+    return RegionIndicator([[space.lower, space.upper]], tuple(space.upper))
 
 
 def test_direct_mcs_matches_exact_toy_probability():
@@ -77,7 +75,7 @@ def test_direct_mcs_validates_budget():
 def test_mmh_chain_emits_failed_in_region_states():
     model, space, specs = _toy()
     pilot = direct_mcs(model, space, specs, 2000, np.random.default_rng(4))
-    region = RegionIndicator((Box((1.0,), (4.0,)), ), (4.0,))
+    region = RegionIndicator([[[1.0], [4.0]]], (4.0,))
     seed = pilot.samples[region.contains(pilot.samples.phi)][:1]
     states = mmh_chain(
         seed, region, model, space, specs,
@@ -95,7 +93,7 @@ def test_mmh_chain_emits_failed_in_region_states():
 def test_mmh_chain_rejects_bad_seeds():
     model, space, specs = _toy()
     pilot = direct_mcs(model, space, specs, 2000, np.random.default_rng(4))
-    region = RegionIndicator((Box((3.5,), (4.0,)),), (4.0,))
+    region = RegionIndicator([[[3.5], [4.0]]], (4.0,))
     ok = pilot.samples[:1]
     not_failed = SampleSet(ok.phi, ok.theta, np.array([0.5]))
     draws = reference_chain_draws([np.random.default_rng(0)], 10, 3)
@@ -144,7 +142,7 @@ def test_lockstep_chains_match_chains_run_one_at_a_time(case):
         model = BoxBeamModel(band=(1000.0, 1100.0))
         space, specs = beam_design_space(), beam_variable_specs()
     if case == "toy-region":
-        region, tau = RegionIndicator((Box((1.0,), (4.0,)),), (4.0,)), 0.0
+        region, tau = RegionIndicator([[[1.0], [4.0]]], (4.0,)), 0.0
         pilot = direct_mcs(model, space, specs, 2000, np.random.default_rng(4))
         seeds = pilot.samples[region.contains(pilot.samples.phi)][:6]
     else:
@@ -184,7 +182,7 @@ def test_mmh_chain_never_evaluates_or_emits_an_invalid_theta():
 
     _, space, specs = _toy()
     model = CappedTheta()
-    region = RegionIndicator((Box((1.0,), (4.0,)),), (4.0,))
+    region = RegionIndicator([[[1.0], [4.0]]], (4.0,))
     pilot = direct_mcs(model, space, specs, 2000, np.random.default_rng(4))
     seeds = pilot.samples[region.contains(pilot.samples.phi)][:4]
     streams = np.random.SeedSequence(9).spawn(len(seeds))
@@ -206,7 +204,7 @@ def test_mmh_chain_evaluates_only_candidates_inside_the_region():
 
     _, space, specs = _toy()
     model = InRegionOnly()
-    region = RegionIndicator((Box((1.0,), (1.6,)), Box((2.5,), (3.0,))), (4.0,))
+    region = RegionIndicator([[[1.0], [1.6]], [[2.5], [3.0]]], (4.0,))
     pilot = direct_mcs(ToyModel(), space, specs, 2000, np.random.default_rng(4))
     seeds = pilot.samples[region.contains(pilot.samples.phi)][:6]
     streams = np.random.SeedSequence(3).spawn(len(seeds))
@@ -224,7 +222,7 @@ def test_populate_region_makes_at_most_one_model_call_per_step():
     _, space, specs = _toy()
     model = CountingToy()
     pilot = direct_mcs(model, space, specs, 3000, np.random.default_rng(6))
-    region = RegionIndicator((Box((1.5,), (4.0,)),), (4.0,))
+    region = RegionIndicator([[[1.5], [4.0]]], (4.0,))
     n_seeds = int(np.count_nonzero(region.contains(pilot.samples.phi)))
     params = ChainParams()
     n_chains = min(n_seeds, params.max_chains)
@@ -253,7 +251,7 @@ def test_subset_simulation_makes_at_most_one_model_call_per_step():
 def test_populate_region_reaches_target_and_keeps_seeds():
     model, space, specs = _toy()
     pilot = direct_mcs(model, space, specs, 3000, np.random.default_rng(6))
-    region = RegionIndicator((Box((1.5,), (4.0,)),), (4.0,))
+    region = RegionIndicator([[[1.5], [4.0]]], (4.0,))
     seeds = pilot.samples[region.contains(pilot.samples.phi)]
     assert 0 < len(seeds) < 400
     out = populate_region(
@@ -270,7 +268,7 @@ def test_populate_region_reaches_target_and_keeps_seeds():
 def test_populate_region_is_deterministic():
     model, space, specs = _toy()
     pilot = direct_mcs(model, space, specs, 3000, np.random.default_rng(6))
-    region = RegionIndicator((Box((1.5,), (4.0,)),), (4.0,))
+    region = RegionIndicator([[[1.5], [4.0]]], (4.0,))
     a = populate_region(pilot.samples, region, ToyModel(), space, specs, 400,
                         ChainParams(), Streams(np.random.SeedSequence(7)))
     b = populate_region(pilot.samples, region, ToyModel(), space, specs, 400,
@@ -293,7 +291,7 @@ def test_populate_region_short_circuits_when_seeds_suffice():
 def test_populate_region_requires_a_seed_inside():
     model, space, specs = _toy()
     pilot = direct_mcs(model, space, specs, 500, np.random.default_rng(8))
-    region = RegionIndicator((Box((3.99,), (4.0,)),), (4.0,))
+    region = RegionIndicator([[[3.99], [4.0]]], (4.0,))
     assert not region.contains(pilot.samples.phi).any()
     with pytest.raises(RegionPopulationError) as exc:
         populate_region(pilot.samples, region, model, space, specs, 100,

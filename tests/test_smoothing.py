@@ -44,16 +44,17 @@ def test_support_points_cover_high_cells_plus_final_low_region(toy_case):
     expected = []
     for level in chain.levels:
         last = level.index == chain.levels[-1].index
-        for cell, is_low in zip(level.cells, level.low_mask):
+        for c, is_low in enumerate(level.low_mask):
             if not is_low or last:
-                expected.append((level, cell))
+                expected.append((level, c))
     assert len(points) == len(expected)
 
-    for point, (level, cell) in zip(points, expected):
-        largest = max(cell.pieces, key=lambda piece: piece.volume)
-        assert np.array_equal(point.location, np.asarray(largest.center))
+    for point, (level, c) in zip(points, expected):
+        pieces = level.pieces[level.piece_cell == c]
+        largest = max(pieces, key=lambda piece: float(np.prod(piece[1] - piece[0])))
+        assert np.array_equal(point.location, 0.5 * (largest[0] + largest[1]))
         assert point.level == level.index
-        assert point.weight == pytest.approx(level.weight * cell.mass)
+        assert point.weight == pytest.approx(level.weight * level.masses[c])
         assert point.weight > 0
         assert math.isfinite(point.log_density)
         composite = compose_density(chain.levels, point.location)
