@@ -1,8 +1,8 @@
-"""Artifact serialization: deterministic CSV/JSON writers and loaders.
+"""Artifact serialization: deterministic CSV/JSON/NPY writers and loaders.
 
-Floats are written with repr (shortest round-trip form), so artifacts from a
-fixed seed are byte-identical across runs and reload to bit-identical
-surfaces.
+Text floats are written with repr (shortest round-trip form) and sample
+tables as exact binary, so artifacts from a fixed seed are byte-identical
+across runs and reload to bit-identical surfaces.
 """
 
 from __future__ import annotations
@@ -51,18 +51,11 @@ def sha256_of(path: Path) -> str:
 # ---------------------------------------------------------------- samples ---
 
 
-def write_samples_csv(path: Path, samples: SampleSet, theta_names: list[str]) -> None:
-    """One row per sample; ``failed`` is the constant 1 (all are failures)."""
-    ndim = samples.phi.shape[1]
-    header = [f"phi_{i + 1}" for i in range(ndim)] + theta_names + ["performance", "failed"]
+def write_samples_npy(path: Path, samples: SampleSet, theta_names: list[str]) -> None:
+    """One float64 record per sample (all failures): phi_1..phi_d, theta_names, performance."""
+    names = [f"phi_{i + 1}" for i in range(samples.phi.shape[1])] + theta_names + ["performance"]
     table = np.hstack([samples.phi, samples.theta, samples.performance[:, None]])
-    # the bytes write_csv gives: repr per float, "1" for the flag, no quoting;
-    # repr runs once per distinct value, keyed by its bits so -0.0 keeps its sign
-    bits, cell = np.unique(table.view(np.int64).ravel(), return_inverse=True)
-    text = np.array([repr(v) for v in bits.view(float).tolist()], dtype=object)
-    lines = [",".join(header)]
-    lines.extend(",".join(row) + ",1" for row in text[cell.reshape(table.shape)].tolist())
-    path.write_text("\n".join(lines) + "\n")
+    np.save(path, table.view([(name, np.float64) for name in names])[:, 0], allow_pickle=False)
 
 
 # ----------------------------------------------------------- grid oracles ---

@@ -23,7 +23,7 @@ from .artifacts import (
     write_csv,
     write_json,
     write_oracle_csv,
-    write_samples_csv,
+    write_samples_npy,
 )
 from .benchmarks import (
     BoxBeamModel,
@@ -124,10 +124,8 @@ def run_command(config: RunConfig, out_dir: Path, base_dir: Path | None = None) 
 
     theta_names = [s.name for s in specs]
     for level in chain.levels:
-        write_samples_csv(
-            out_dir / "levels" / f"level_{level.index}_samples.csv",
-            level.samples,
-            theta_names,
+        write_samples_npy(
+            out_dir / "levels" / f"level_{level.index}_samples.npy", level.samples, theta_names
         )
         write_json(out_dir / "levels" / f"level_{level.index}.json", level_record(level))
 
@@ -229,11 +227,13 @@ def grid_command(
     workers: int = 1,
 ) -> dict:
     """Brute-force oracle over the design grid; writes oracle.csv."""
+    res = resolution if resolution is not None else config.grid.resolution
+    n = n_per_point if n_per_point is not None else config.grid.n_per_point
+    if res < 2 or n < 1:
+        raise ConfigError(f"need --resolution >= 2 and --per-point >= 1, got {res} and {n}")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     model, space, specs = build_problem(config, base_dir)
-    res = resolution if resolution is not None else config.grid.resolution
-    n = n_per_point if n_per_point is not None else config.grid.n_per_point
     oracle = grid_dmcs_oracle(
         model, space, specs, res, n, np.random.SeedSequence(config.seed), workers
     )
@@ -267,6 +267,12 @@ def compare_command(
     comparison passes when at least ``min_fraction`` of the judged points are
     within ``tol_log10`` decades.
     """
+    if not min_pf > 0.0:
+        raise ConfigError(f"--min-pf must be > 0, got {min_pf}")
+    if not tol_log10 >= 0.0:
+        raise ConfigError(f"--tol-log10 must be >= 0, got {tol_log10}")
+    if not 0.0 < min_fraction <= 1.0:
+        raise ConfigError(f"--min-fraction must be in (0, 1], got {min_fraction}")
     run_dir = Path(run_dir)
     surface_path = run_dir / "surface.json"
     if not surface_path.exists():

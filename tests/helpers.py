@@ -469,19 +469,6 @@ def reference_fit_surface(points, noise_floor: float = 1e-4) -> RegressionSurfac
     return RegressionSurface(x, coef, scales, signal, noise, y_mean)
 
 
-# ------------------------------------------------------------ samples CSV ---
-
-
-def reference_write_samples_csv(path, samples, theta_names: list[str]) -> None:
-    """Samples CSV with one ``repr`` per cell, row by row."""
-    ndim = samples.phi.shape[1]
-    header = [f"phi_{i + 1}" for i in range(ndim)] + theta_names + ["performance", "failed"]
-    table = np.hstack([samples.phi, samples.theta, samples.performance[:, None]])
-    lines = [",".join(header)]
-    lines.extend(",".join(map(repr, row)) + ",1" for row in table.tolist())
-    path.write_text("\n".join(lines) + "\n")
-
-
 # ------------------------------------------- allocating draws and physics ---
 
 

@@ -77,6 +77,18 @@ def test_bad_thread_count_is_a_config_error(tmp_path):
     assert code == cli.EXIT_CONFIG
 
 
+@pytest.mark.parametrize(
+    "flag", [["--resolution", "0"], ["--resolution", "1"], ["--per-point", "0"]]
+)
+def test_bad_grid_size_is_a_config_error(tmp_path, flag):
+    cfg = tmp_path / "run.yaml"
+    _write_small_toy(cfg)
+    out = tmp_path / "o"
+    code = cli.main(["grid", "--config", str(cfg), "--output", str(out), *flag])
+    assert code == cli.EXIT_CONFIG
+    assert not out.exists()
+
+
 def test_length_scale_count_mismatch_is_a_config_error(tmp_path):
     # the toy has one design axis; the mismatch is caught before the pipeline
     cfg = tmp_path / "run.yaml"
@@ -143,7 +155,7 @@ def test_run_writes_the_artifact_tree_and_honors_seed_override(tmp_path):
     n_levels = manifest["chain"]["n_iterations"] + 1
     for k in range(n_levels):
         assert f"levels/level_{k}.json" in listed
-        assert f"levels/level_{k}_samples.csv" in listed
+        assert f"levels/level_{k}_samples.npy" in listed
 
     header = (out / "fpf_grid.csv").read_text().splitlines()[0]
     assert header == "phi_1,composite_fpf,smoothed_fpf,analytic_fpf"
@@ -271,6 +283,21 @@ def test_compare_rejects_a_malformed_oracle(tmp_path, toy_run_dir):
     out = tmp_path / "cmp"
     code = cli.main(
         ["compare", "--run", str(toy_run_dir), "--oracle", str(oracle), "--output", str(out)]
+    )
+    assert code == cli.EXIT_CONFIG
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "flag",
+    ["--min-pf=0", "--min-pf=-1e-4", "--min-pf=nan", "--tol-log10=-1",
+     "--min-fraction=0", "--min-fraction=1.5"],
+)
+def test_compare_rejects_out_of_range_thresholds(tmp_path, toy_run_dir, toy_oracle_dir, flag):
+    out = tmp_path / "cmp"
+    code = cli.main(
+        ["compare", "--run", str(toy_run_dir), "--oracle", str(toy_oracle_dir),
+         "--output", str(out), flag]
     )
     assert code == cli.EXIT_CONFIG
     assert not out.exists()

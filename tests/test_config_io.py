@@ -20,14 +20,14 @@ from fpfkit.artifacts import (
     write_csv,
     write_json,
     write_oracle_csv,
-    write_samples_csv,
+    write_samples_npy,
 )
 from fpfkit.benchmarks import FPFGridOracle, grid_points
 from fpfkit.bsp import bsp_estimate
 from fpfkit.config import RunConfig, load_config, parse_config
 from fpfkit.errors import ConfigError
 from fpfkit.model import DesignSpace, SampleSet
-from helpers import density_from_record, reference_write_samples_csv
+from helpers import density_from_record
 
 
 def _minimal(**extra) -> dict:
@@ -381,34 +381,42 @@ def test_sha256_matches_hashlib(tmp_path):
     assert sha256_of(path) == hashlib.sha256(b"abc").hexdigest()
 
 
-# -------------------------------------------------------------- samples csv ---
+# -------------------------------------------------------------- samples npy ---
 
 
-def test_samples_csv_layout(tmp_path):
-    samples = SampleSet(
-        np.array([[1.5], [0.5]]), np.array([[2.5, 0.1], [0.25, 0.2]]), np.array([-1.0, -0.5])
+def test_samples_npy_holds_the_exact_bits(tmp_path):
+    # signed zeros, subnormals and values whose decimal text switches notation
+    phi = np.array([[0.0], [-0.0], [1e16], [5e-324]])
+    theta = np.array([[-0.0, 1e-5], [0.1, -1e-5], [1e16, 0.1], [-5e-324, 2.5]])
+    performance = np.array([-0.0, -1e-5, -1e16, -123456789.0])
+    path = tmp_path / "samples.npy"
+    write_samples_npy(path, SampleSet(phi, theta, performance), ["a", "b"])
+    records = np.load(path, allow_pickle=False)
+    assert records.dtype.names == ("phi_1", "a", "b", "performance")
+    assert records.shape == (4,)
+    for name, column in [("phi_1", phi[:, 0]), ("a", theta[:, 0]), ("b", theta[:, 1]),
+                         ("performance", performance)]:
+        assert records[name].dtype == np.float64
+        assert records[name].view(np.int64).tolist() == column.view(np.int64).tolist()
+
+
+@pytest.mark.parametrize("name", ["toy", "beam"])
+def test_run_samples_npy_round_trips_the_level_samples(name, request):
+    out = request.getfixturevalue(f"{name}_run_dir")
+    case = request.getfixturevalue(f"{name}_case")
+    names = (
+        [f"phi_{i + 1}" for i in range(case.space.ndim)]
+        + [s.name for s in case.specs] + ["performance"]
     )
-    path = tmp_path / "samples.csv"
-    write_samples_csv(path, samples, ["a", "b"])
-    lines = path.read_text().splitlines()
-    assert lines[0] == "phi_1,a,b,performance,failed"
-    assert lines[1] == "1.5,2.5,0.1,-1.0,1"
-    assert lines[2] == "0.5,0.25,0.2,-0.5,1"  # every held sample is a failure
-
-
-def test_samples_csv_equals_the_per_row_writer(tmp_path):
-    # repeated rows, signed zeros, and values whose repr switches notation
-    phi = np.array([[0.0], [-0.0], [1e16], [1e-5], [5e-324], [0.0], [1e16], [-5e-324]])
-    theta = np.array(
-        [[-0.0, 1e-5], [0.0, -1e-5], [1e16, 0.1], [1e-5, 1e16], [5e-324, 0.0],
-         [-0.0, 1e-5], [1e16, 0.1], [2.5, 1e-4]]
-    )
-    performance = np.array([0.0, -0.0, 1e16, 1e-5, 5e-324, 0.0, 1e16, 123456789.0])
-    samples = SampleSet(phi, theta, performance)
-    write_samples_csv(tmp_path / "fast.csv", samples, ["a", "b"])
-    reference_write_samples_csv(tmp_path / "ref.csv", samples, ["a", "b"])
-    assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
-    assert "-0.0,0.0,-1e-05" in (tmp_path / "fast.csv").read_text()
+    for level in case.chain.levels:
+        records = np.load(out / "levels" / f"level_{level.index}_samples.npy", allow_pickle=False)
+        record = json.loads((out / "levels" / f"level_{level.index}.json").read_text())
+        assert records.dtype.names == tuple(names)
+        assert len(records) == record["n_samples"] == len(level.samples)
+        table = np.hstack([level.samples.phi, level.samples.theta])
+        for j, field in enumerate(names[:-1]):
+            assert np.array_equal(records[field], table[:, j])
+        assert np.array_equal(records["performance"], level.samples.performance)
 
 
 # --------------------------------------------------------------- oracle csv ---
