@@ -11,11 +11,12 @@ import csv
 import hashlib
 import io
 import json
+import math
 from pathlib import Path
 
 import numpy as np
 
-from .bsp import LeafCell, PiecewiseConstantDensity
+from .bsp import BinaryPartition, PiecewiseConstantDensity
 from .model import DesignSpace, SampleSet
 from .pipeline import PartitionLevel, RegionChainResult
 from .smoothing import RegressionSurface, SmoothedFPF
@@ -88,11 +89,26 @@ def _read_numeric_csv(path: Path) -> tuple[list[str], np.ndarray]:
     return header, arr
 
 
+def _grid_index(path: Path, points: np.ndarray) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+    """Distinct values of each coordinate column, and the flat index of each
+    row into the grid they span; ValueError unless every grid point is a
+    row exactly once."""
+    axes = tuple(np.unique(column) for column in points.T)
+    shape = tuple(len(a) for a in axes)
+    if math.prod(shape) == len(points):
+        idx = tuple(np.searchsorted(a, column) for a, column in zip(axes, points.T))
+        flat = np.ravel_multi_index(idx, shape)
+        if np.unique(flat).size == len(points):
+            return axes, flat
+    raise ValueError(f"{path}: points do not form a full factorial grid")
+
+
 def load_oracle_csv(path: Path):
     """Read a grid oracle CSV back into points/pf/n/cov arrays.
 
-    The grid must be full factorial; bounds and resolution are recovered from
-    the coordinate columns.
+    The grid must be full factorial, each point once; bounds and resolution
+    are recovered from the coordinate columns. Every cell is finite, except
+    a cov of +inf at a point without failures.
     """
     from .benchmarks import FPFGridOracle
 
@@ -103,49 +119,50 @@ def load_oracle_csv(path: Path):
     for name in ("pf_hat", "n", "cov"):
         if name not in header:
             raise ValueError(f"{path}: missing column {name}")
+    finite = np.isfinite(arr)
+    finite[:, header.index("cov")] |= arr[:, header.index("cov")] == np.inf
+    if not finite.all():
+        raise ValueError(f"{path}: a cell is not a finite number")
     points = arr[:, :ndim]
     pf = arr[:, header.index("pf_hat")]
     n = arr[:, header.index("n")].astype(int)
     cov = arr[:, header.index("cov")]
-    uniques = [np.unique(points[:, d]) for d in range(ndim)]
+    uniques = _grid_index(path, points)[0]
     res = len(uniques[0])
-    if any(len(u) != res for u in uniques) or res**ndim != len(points):
+    if any(len(u) != res for u in uniques):
         raise ValueError(f"{path}: points do not form a full factorial grid")
     bounds = tuple((float(u[0]), float(u[-1])) for u in uniques)
     return FPFGridOracle(points, pf, n, cov, bounds, res)
 
 
 def load_table_csv(path: Path):
-    """Tabulated FPF grid (phi_1..phi_n, pf) -> (axes, values) for TableModel."""
+    """Tabulated FPF grid (phi_1..phi_n, pf) -> (axes, values) for TableModel.
+    Every grid point must be a row exactly once, and every cell finite."""
     header, arr = _read_numeric_csv(path)
     ndim = sum(1 for name in header if name.startswith("phi_"))
     if ndim == 0 or "pf" not in header:
         raise ValueError(f"{path}: expected phi_1..phi_n and pf columns")
-    points = arr[:, :ndim]
-    pf = arr[:, header.index("pf")]
-    axes = tuple(np.unique(points[:, d]) for d in range(ndim))
-    shape = tuple(len(a) for a in axes)
-    if int(np.prod(shape)) != len(points):
-        raise ValueError(f"{path}: points do not form a full factorial grid")
-    values = np.empty(shape)
-    idx = tuple(
-        np.searchsorted(axes[d], points[:, d]) for d in range(ndim)
-    )
-    values[idx] = pf
-    return axes, values
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{path}: a cell is not a finite number")
+    axes, flat = _grid_index(path, arr[:, :ndim])
+    values = np.empty(len(flat))
+    values[flat] = arr[:, header.index("pf")]
+    return axes, values.reshape(tuple(len(a) for a in axes))
 
 
 # -------------------------------------------------------------- partitions ---
 
 
-def _node_record(node) -> dict:
-    if isinstance(node, LeafCell):
-        return {"leaf": {"lo": list(node.lo), "hi": list(node.hi), "n": node.n}}
+def _node_record(part: BinaryPartition, node: int = 0) -> dict:
+    axis, position, low, high, leaf = part.nodes[node].item()
+    if leaf >= 0:
+        lo, hi = part.boxes[leaf].tolist()
+        return {"leaf": {"lo": lo, "hi": hi, "n": int(part.counts[leaf])}}
     return {
-        "axis": node.axis,
-        "position": node.position,
-        "low": _node_record(node.low),
-        "high": _node_record(node.high),
+        "axis": axis,
+        "position": position,
+        "low": _node_record(part, low),
+        "high": _node_record(part, high),
     }
 
 
@@ -155,7 +172,7 @@ def density_record(density: PiecewiseConstantDensity) -> dict:
         "domain_lo": list(part.lo),
         "domain_hi": list(part.hi),
         "n_samples": part.n_samples,
-        "tree": _node_record(part.root),
+        "tree": _node_record(part),
         "alpha": density.alpha,
         "beta": density.beta,
         "log_score": density.log_score,

@@ -205,7 +205,7 @@ class TableModel(LimitStateModel):
     def __init__(self, axes: tuple[np.ndarray, ...], pf: np.ndarray) -> None:
         super().__init__()
         pf = np.asarray(pf, dtype=float)
-        if np.any(pf < 0) or np.any(pf > 1):
+        if not np.all((pf >= 0) & (pf <= 1)):
             raise ValueError("table pf values must lie in [0, 1]")
         if pf.shape != tuple(len(a) for a in axes):
             raise ValueError("table shape does not match its axes")

@@ -22,91 +22,42 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
+from .regions import box_volumes
 from .special import loggamma
 
 
-@dataclass(frozen=True)
-class LeafCell:
-    """Leaf box with its sample count."""
-
-    lo: tuple[float, ...]
-    hi: tuple[float, ...]
-    n: int
-
-    @property
-    def volume(self) -> float:
-        v = 1.0
-        for a, b in zip(self.lo, self.hi):
-            v *= b - a
-        return v
+# A cut-tree node: the cut's axis and position and its low and high child
+# nodes at a cut, and the leaf index at a leaf (-1 at a cut).
+_NODE = np.dtype(
+    [("axis", np.intp), ("position", float), ("low", np.intp), ("high", np.intp),
+     ("leaf", np.intp)]
+)
 
 
-@dataclass(frozen=True)
-class CutNode:
-    axis: int
-    position: float
-    low: "CutNode | LeafCell"
-    high: "CutNode | LeafCell"
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BinaryPartition:
-    """Binary tree of midpoint cuts over a domain box.
+    """Binary tree of midpoint cuts over a domain box, held as arrays.
 
-    ``leaves`` lists the tree's leaves in left-to-right (low-before-high)
-    order. The partition holds counts, not points: ``bsp_estimate`` builds it
-    from the winning cut log.
+    ``boxes`` (t, 2, d) holds the leaves' ``[lo, hi]`` corners and ``counts``
+    (t,) their sample counts, in left-to-right (low-before-high) order.
+    ``nodes`` is the cut tree as a ``_NODE`` record array with the root at
+    node 0. The partition holds counts, not points: ``bsp_estimate`` builds
+    it from the winning cut log.
     """
 
     lo: tuple[float, ...]
     hi: tuple[float, ...]
-    root: CutNode | LeafCell
-    leaves: tuple[LeafCell, ...]
+    boxes: np.ndarray
+    counts: np.ndarray
+    nodes: np.ndarray
     n_samples: int
 
     @property
-    def ndim(self) -> int:
-        return len(self.lo)
-
-    @property
     def n_leaves(self) -> int:
-        return len(self.leaves)
-
-    @cached_property
-    def _tree(self) -> tuple[np.ndarray, ...]:
-        """The cut tree as node arrays (axis, position, low, high, leaf), root
-        first; ``leaf`` is the leaf index at a leaf node and -1 at a cut."""
-        order = {id(leaf): i for i, leaf in enumerate(self.leaves)}
-        nodes: list[list] = []
-
-        def visit(node) -> int:
-            k = len(nodes)
-            nodes.append([0, 0.0, k, k, order.get(id(node), -1)])
-            if isinstance(node, CutNode):
-                nodes[k][:4] = [node.axis, node.position, visit(node.low), visit(node.high)]
-            return k
-
-        visit(self.root)
-        return tuple(np.array(column) for column in zip(*nodes))
-
-    def locate_rows(self, x: np.ndarray) -> np.ndarray:
-        """Leaf index of each row of ``x`` (n, d), -1 outside the closed
-        domain. Ties on a cut go to the high child."""
-        x = np.asarray(x, dtype=float)
-        axis, position, low, high, leaf = self._tree
-        inside = ((np.asarray(self.lo) <= x) & (x <= np.asarray(self.hi))).all(axis=1)
-        node = np.zeros(x.shape[0], dtype=np.intp)
-        walking = np.flatnonzero(leaf[node] < 0)
-        while walking.size:
-            at = node[walking]
-            below = x[walking, axis[at]] < position[at]
-            node[walking] = np.where(below, low[at], high[at])
-            walking = walking[leaf[node[walking]] < 0]
-        return np.where(inside, leaf[node], -1)
+        return self.counts.size
 
 
 def _partition(
@@ -118,30 +69,23 @@ def _partition(
 ) -> BinaryPartition:
     """Replay a (leaf, axis) cut log over the domain box. Each cut halves a
     leaf at its midpoint; the low child keeps the leaf's slot and the high
-    child takes the next one. ``counts`` are the final leaves' sample counts
-    in slot order."""
-    boxes = [(lo, hi)]
-    slots = [0]  # tree node id of each leaf slot
-    cut_at: dict[int, tuple] = {}  # node id -> (axis, position, low id, high id)
-    for leaf, axis in cuts.tolist():
-        (a, b), node = boxes[leaf], slots[leaf]
-        mid = 0.5 * (a[axis] + b[axis])
-        boxes[leaf : leaf + 1] = [
-            (a, b[:axis] + (mid,) + b[axis + 1 :]),
-            (a[:axis] + (mid,) + a[axis + 1 :], b),
-        ]
-        slots[leaf : leaf + 1] = children = [2 * len(cut_at) + 1, 2 * len(cut_at) + 2]
-        cut_at[node] = (axis, mid, *children)
-    leaves = tuple(LeafCell(a, b, int(n)) for (a, b), n in zip(boxes, counts))
-    leaf_at = dict(zip(slots, leaves))
-
-    def build(node: int):
-        if node in leaf_at:
-            return leaf_at[node]
-        axis, mid, low, high = cut_at[node]
-        return CutNode(axis, mid, build(low), build(high))
-
-    return BinaryPartition(lo, hi, build(0), leaves, n_samples)
+    child takes the next one. Cut c turns its leaf's tree node into a cut
+    with children 2c + 1 (low) and 2c + 2 (high). ``counts`` are the final
+    leaves' sample counts in slot order."""
+    boxes = [np.array([lo, hi], dtype=float)]
+    slots = [0]  # tree node of each leaf slot
+    nodes = np.array([(0, 0.0, -1, -1, -1)] * (2 * len(cuts) + 1), dtype=_NODE)
+    for c, (leaf, axis) in enumerate(cuts.tolist()):
+        low, high = boxes[leaf].copy(), boxes[leaf].copy()
+        mid = 0.5 * (low[0, axis] + low[1, axis])
+        low[1, axis] = high[0, axis] = mid
+        boxes[leaf : leaf + 1] = [low, high]
+        nodes[slots[leaf]] = (axis, mid, 2 * c + 1, 2 * c + 2, -1)
+        slots[leaf : leaf + 1] = [2 * c + 1, 2 * c + 2]
+    nodes["leaf"][slots] = np.arange(len(slots))
+    return BinaryPartition(
+        lo, hi, np.array(boxes), np.array(counts, dtype=np.int64), nodes, n_samples
+    )
 
 
 def log_partition_score(partition: BinaryPartition, alpha: float, beta: float) -> float:
@@ -150,8 +94,8 @@ def log_partition_score(partition: BinaryPartition, alpha: float, beta: float) -
         raise ValueError("alpha must be positive")
     t = partition.n_leaves
     n_total = partition.n_samples
-    counts = np.array([leaf.n for leaf in partition.leaves], dtype=float)
-    log_vols = np.array([math.log(leaf.volume) for leaf in partition.leaves])
+    counts = partition.counts.astype(float)
+    log_vols = np.array([math.log(v) for v in box_volumes(partition.boxes).tolist()])
     score = -beta * t
     score += float(np.sum(loggamma(counts + alpha))) - loggamma(n_total + t * alpha)
     score -= t * loggamma(alpha) - loggamma(t * alpha)
@@ -180,24 +124,10 @@ class PiecewiseConstantDensity:
         if err > 1e-12:
             raise AssertionError(f"leaf masses sum to 1 +/- {err:.3e}, beyond 1e-12")
 
-    @property
-    def densities(self) -> np.ndarray:
-        vols = np.array([leaf.volume for leaf in self.partition.leaves])
-        return self.masses / vols
-
-    def pdf(self, phi: np.ndarray):
-        """Density at a point (float) or at each row of an (n, d) array:
-        mass/volume of the containing leaf, 0 outside the domain."""
-        x = np.asarray(phi, dtype=float)
-        i = self.partition.locate_rows(x.reshape(-1, self.partition.ndim))
-        values = np.where(i >= 0, self.densities[i], 0.0)
-        return float(values[0]) if x.ndim == 1 else values
-
 
 def _posterior_masses(partition: BinaryPartition, alpha: float) -> np.ndarray:
     t = partition.n_leaves
-    counts = np.array([leaf.n for leaf in partition.leaves], dtype=float)
-    return (counts + alpha) / (partition.n_samples + t * alpha)
+    return (partition.counts + alpha) / (partition.n_samples + t * alpha)
 
 
 def _systematic_resample(weights: np.ndarray, rng: np.random.Generator) -> np.ndarray:

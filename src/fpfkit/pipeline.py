@@ -22,6 +22,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -117,11 +118,6 @@ class PartitionLevel:
     low_mask: np.ndarray
     samples: SampleSet
 
-    def conditional_density(self, phi: np.ndarray):
-        """p(phi | F, D_k) estimate at a point or at (n, d) rows; valid for
-        phi in D_k."""
-        return self.raw.pdf(phi) / self.captured
-
 
 def build_level(
     index: int,
@@ -138,7 +134,7 @@ def build_level(
     The low/high regions are unions of cell pieces, so together they tile the
     level's region exactly.
     """
-    leaves = np.array([(leaf.lo, leaf.hi) for leaf in raw.partition.leaves], dtype=float)
+    leaves = raw.partition.boxes
     piece_leaf, pieces = region.clip(leaves[:, 0], leaves[:, 1])
     kept, piece_cell = np.unique(piece_leaf, return_inverse=True)
     overlaps = np.bincount(piece_cell, weights=box_volumes(pieces))
@@ -203,18 +199,28 @@ class RegionChainResult:
         highs = tuple(level.high_region for level in self.levels)
         return highs + (self.levels[-1].low_region,)
 
+    @cached_property
+    def composite(self) -> tuple[RegionIndicator, np.ndarray]:
+        """The composite conditional density p(phi | F) as one table: the
+        pieces of ``regions``, in order, as one region, and the density on
+        each. A piece of level k carries its cell's density times the level
+        weight; by the deepest-level rule the pieces tile D_0."""
+        last = self.levels[-1]
+        split = [(level, ~level.low_mask) for level in self.levels] + [(last, last.low_mask)]
+        cells = [level.piece_cell[keep[level.piece_cell]] for level, keep in split]
+        values = [level.densities[c] * level.weight for (level, _), c in zip(split, cells)]
+        boxes = np.concatenate([region.boxes for region in self.regions])
+        return RegionIndicator(boxes, last.region.space_upper), np.concatenate(values)
 
-def compose_density(levels: tuple[PartitionLevel, ...], phi: np.ndarray):
-    """Composite conditional density p(phi | F) by the deepest-level rule, at
-    one point (float) or at each row of an (n, d) array."""
+
+def compose_density(chain: RegionChainResult, phi: np.ndarray):
+    """Composite conditional density p(phi | F) at one point (float) or at
+    each row of an (n, d) array: the value of the composite table's piece
+    holding it, 0 outside the design space."""
+    table, values = chain.composite
     phi = np.asarray(phi, dtype=float)
-    rows = phi.reshape(-1, phi.shape[-1])
-    out = np.zeros(rows.shape[0])
-    todo = np.arange(rows.shape[0])
-    for level in reversed(levels):
-        hit = level.region.contains(rows[todo])
-        out[todo[hit]] = level.conditional_density(rows[todo[hit]]) * level.weight
-        todo = todo[~hit]
+    piece = table.locate(phi.reshape(-1, phi.shape[-1]))
+    out = np.where(piece >= 0, values[piece], 0.0)
     return float(out[0]) if phi.ndim == 1 else out
 
 
@@ -231,7 +237,7 @@ class FPFApproximation:
     space: DesignSpace
 
     def composite_density(self, phi: np.ndarray):
-        return compose_density(self.chain.levels, phi)
+        return compose_density(self.chain, phi)
 
     def fpf(self, phi: np.ndarray):
         return scale_to_fpf(self.composite_density(phi), self.chain.pf, self.space)

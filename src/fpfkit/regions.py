@@ -57,17 +57,27 @@ class RegionIndicator:
         closed = hi == np.asarray(self.space_upper)
         return lo, np.where(closed, np.nextafter(hi, np.inf), hi)
 
-    def contains(self, phi: np.ndarray):
-        """Membership of one point (bool) or of each row of an (n, ndim)
-        array (bool array). Boxes are half-open, closed on the space's upper
-        face."""
+    def _hits(self, phi: np.ndarray) -> np.ndarray:
+        """(..., n_boxes) membership of ``phi`` (..., ndim) in each box."""
         x = np.asarray(phi, dtype=float)
         if x.shape[-1:] != (self.ndim,):
             raise ValueError(f"expected phi of shape (..., {self.ndim}), got {x.shape}")
         lo, limit = self._bounds
         x = x[..., None, :]
-        found = ((lo <= x) & (x < limit)).all(axis=-1).any(axis=-1)
+        return ((lo <= x) & (x < limit)).all(axis=-1)
+
+    def contains(self, phi: np.ndarray):
+        """Membership of one point (bool) or of each row of an (n, ndim)
+        array (bool array). Boxes are half-open, closed on the space's upper
+        face."""
+        found = self._hits(phi).any(axis=-1)
         return bool(found) if found.ndim == 0 else found
+
+    def locate(self, phi: np.ndarray) -> np.ndarray:
+        """Index of the box holding each row of an (n, ndim) array, with
+        ``contains``'s faces; -1 outside the region."""
+        hits = self._hits(phi)
+        return np.where(hits.any(axis=-1), hits.argmax(axis=-1), -1)
 
     def bounding_box(self) -> tuple[tuple[float, ...], tuple[float, ...]]:
         """Corners ``(lo, hi)`` of the smallest box holding the region."""

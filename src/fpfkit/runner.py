@@ -106,11 +106,10 @@ def _checksum_manifest(out_dir: Path, manifest: dict) -> None:
 
 def run_command(config: RunConfig, out_dir: Path, base_dir: Path | None = None) -> dict:
     """Full pipeline run: chain, surface, grids, optional optima, manifest."""
+    model, space, specs = build_problem(config, base_dir)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "levels").mkdir(exist_ok=True)
-
-    model, space, specs = build_problem(config, base_dir)
     streams = Streams(np.random.SeedSequence(config.seed))
     chain, approx = run_pipeline(model, space, specs, config.pipeline, streams)
 
@@ -231,9 +230,9 @@ def grid_command(
     n = n_per_point if n_per_point is not None else config.grid.n_per_point
     if res < 2 or n < 1:
         raise ConfigError(f"need --resolution >= 2 and --per-point >= 1, got {res} and {n}")
+    model, space, specs = build_problem(config, base_dir)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    model, space, specs = build_problem(config, base_dir)
     oracle = grid_dmcs_oracle(
         model, space, specs, res, n, np.random.SeedSequence(config.seed), workers
     )

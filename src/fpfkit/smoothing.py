@@ -53,7 +53,7 @@ def extract_support_points(chain: RegionChainResult) -> tuple[SupportPoint, ...]
         centers = 0.5 * (level.pieces[first, 0] + level.pieces[first, 1])
         keep = ~level.low_mask | (level is chain.levels[-1])
         cells += [(level, m, x) for m, x in zip(level.masses[keep].tolist(), centers[keep])]
-    values = compose_density(chain.levels, np.array([c for _, _, c in cells]))
+    values = compose_density(chain, np.array([c for _, _, c in cells]))
     if np.any(values <= 0.0):
         center = cells[int(np.argmax(values <= 0.0))][2]
         raise AssertionError(f"composite density non-positive at cell center {center}")

@@ -10,9 +10,8 @@ from scipy.linalg import cho_factor, cho_solve
 from scipy.special import loggamma, logsumexp
 
 from fpfkit.bsp import (
+    _NODE,
     BinaryPartition,
-    CutNode,
-    LeafCell,
     PiecewiseConstantDensity,
     _posterior_masses,
     _systematic_resample,
@@ -82,16 +81,16 @@ def reference_level_cells(region, raw: PiecewiseConstantDensity, mass_ratio: flo
     ``build_level`` replaces."""
     region_boxes = [(tuple(lo), tuple(hi)) for lo, hi in region.boxes.tolist()]
     cells, overlaps, contributions, raw_density = [], [], [], []
-    for i, leaf in enumerate(raw.partition.leaves):
-        cuts = [_box_intersect(b, (leaf.lo, leaf.hi)) for b in region_boxes]
+    for i, leaf in enumerate(raw.partition.boxes.tolist()):
+        cuts = [_box_intersect(b, leaf) for b in region_boxes]
         pieces = [c for c in cuts if c is not None]
         if not pieces:
             continue
         o = sum(_box_volume(p) for p in pieces)
         cells.append(pieces)
         overlaps.append(o)
-        contributions.append(float(raw.masses[i]) * (o / leaf.volume))
-        raw_density.append(float(raw.masses[i]) / leaf.volume)
+        contributions.append(float(raw.masses[i]) * (o / _box_volume(leaf)))
+        raw_density.append(float(raw.masses[i]) / _box_volume(leaf))
     captured = float(np.sum(contributions))
     masses = np.asarray(contributions) / captured
     densities = np.asarray(raw_density) / captured
@@ -120,20 +119,83 @@ def design_prior_density(space: DesignSpace, phi: np.ndarray) -> float:
 
 
 @dataclass(frozen=True)
-class PointLeaf(LeafCell):
-    """Leaf that keeps its points: ``idx`` (indices into the partition's
-    point array) and ``n_below`` (per-axis counts strictly below the
-    midpoint)."""
+class PointLeaf:
+    """Leaf of a reference partition tree: its box, its sample count, the
+    indices of its points into the partition's point array (``idx``) and its
+    per-axis counts strictly below the midpoint (``n_below``)."""
 
+    lo: tuple[float, ...]
+    hi: tuple[float, ...]
+    n: int
     idx: np.ndarray | None = None
     n_below: tuple[int, ...] | None = None
 
 
 @dataclass(frozen=True)
-class PointPartition(BinaryPartition):
-    """Partition that keeps the sample array its counts refer to."""
+class CutNode:
+    axis: int
+    position: float
+    low: "CutNode | PointLeaf"
+    high: "CutNode | PointLeaf"
 
-    points: np.ndarray | None = None
+
+def tree_partition(lo, hi, root, n_samples: int) -> BinaryPartition:
+    """The array partition of a ``CutNode``/``PointLeaf`` tree, its leaves
+    and nodes numbered depth first, low child before high."""
+    leaves, nodes = [], []
+
+    def visit(node) -> int:
+        k = len(nodes)
+        nodes.append(None)
+        if isinstance(node, CutNode):
+            nodes[k] = (node.axis, node.position, visit(node.low), visit(node.high), -1)
+        else:
+            nodes[k] = (0, 0.0, -1, -1, len(leaves))
+            leaves.append(node)
+        return k
+
+    visit(root)
+    return BinaryPartition(
+        tuple(lo),
+        tuple(hi),
+        np.array([(leaf.lo, leaf.hi) for leaf in leaves], dtype=float),
+        np.array([leaf.n for leaf in leaves], dtype=np.int64),
+        np.array(nodes, dtype=_NODE),
+        n_samples,
+    )
+
+
+@dataclass(frozen=True)
+class PointPartition:
+    """Reference partition: a tree of ``CutNode``/``PointLeaf`` objects over
+    the sample array its counts refer to, ``leaves`` in low-before-high
+    order. ``boxes`` and ``counts`` read like ``BinaryPartition``'s."""
+
+    lo: tuple[float, ...]
+    hi: tuple[float, ...]
+    root: "CutNode | PointLeaf"
+    leaves: tuple[PointLeaf, ...]
+    n_samples: int
+    points: np.ndarray
+
+    @property
+    def ndim(self) -> int:
+        return len(self.lo)
+
+    @property
+    def n_leaves(self) -> int:
+        return len(self.leaves)
+
+    @property
+    def boxes(self) -> np.ndarray:
+        return np.array([(leaf.lo, leaf.hi) for leaf in self.leaves], dtype=float)
+
+    @property
+    def counts(self) -> np.ndarray:
+        return np.array([leaf.n for leaf in self.leaves], dtype=np.int64)
+
+    def as_partition(self) -> BinaryPartition:
+        return tree_partition(self.lo, self.hi, self.root, self.n_samples)
 
 
 def _make_leaf(
@@ -162,7 +224,7 @@ def root_partition(
 def _replace_leaf(node, target: PointLeaf, repl: CutNode):
     if node is target:
         return repl
-    if isinstance(node, LeafCell):
+    if isinstance(node, PointLeaf):
         return node
     low = _replace_leaf(node.low, target, repl)
     high = _replace_leaf(node.high, target, repl)
@@ -177,8 +239,6 @@ def propose_cut(partition: PointPartition, leaf_index: int, axis: int) -> PointP
     A point exactly on the cut goes to the high child. The input partition is
     unchanged (trees share structure).
     """
-    if partition.points is None:
-        raise ValueError("partition was reconstructed without points; cannot cut")
     if not 0 <= leaf_index < partition.n_leaves:
         raise IndexError(f"leaf index {leaf_index} out of range")
     leaf = partition.leaves[leaf_index]
@@ -203,7 +263,7 @@ def propose_cut(partition: PointPartition, leaf_index: int, axis: int) -> PointP
     )
 
 
-def reference_cut_deltas(partition: BinaryPartition, alpha: float, beta: float) -> np.ndarray:
+def reference_cut_deltas(partition: PointPartition, alpha: float, beta: float) -> np.ndarray:
     """Score change of every candidate (leaf, axis) cut of one partition, (t, d).
 
         delta = -beta + lg(nL+a) + lg(nR+a) - lg(n+a) + n*log 2 + level_term
@@ -300,7 +360,7 @@ def reference_bsp_estimate(
             log_w = np.zeros(n_particles)
 
     return PiecewiseConstantDensity(
-        best_partition,
+        best_partition.as_partition(),
         _posterior_masses(best_partition, alpha),
         alpha,
         float(beta),
@@ -311,26 +371,18 @@ def reference_bsp_estimate(
 # ------------------------------------------------------- point densities ---
 
 
-def _node_from_record(rec: dict, leaves: list[LeafCell]):
+def _node_from_record(rec: dict):
     if "leaf" in rec:
-        leaf = LeafCell(tuple(rec["leaf"]["lo"]), tuple(rec["leaf"]["hi"]), rec["leaf"]["n"])
-        leaves.append(leaf)
-        return leaf
-    low = _node_from_record(rec["low"], leaves)
-    high = _node_from_record(rec["high"], leaves)
-    return CutNode(rec["axis"], rec["position"], low, high)
+        return PointLeaf(tuple(rec["leaf"]["lo"]), tuple(rec["leaf"]["hi"]), rec["leaf"]["n"])
+    return CutNode(
+        rec["axis"], rec["position"], _node_from_record(rec["low"]), _node_from_record(rec["high"])
+    )
 
 
 def density_from_record(rec: dict) -> PiecewiseConstantDensity:
     """The estimate an ``artifacts.density_record`` describes."""
-    leaves: list[LeafCell] = []
-    root = _node_from_record(rec["tree"], leaves)
-    part = BinaryPartition(
-        tuple(rec["domain_lo"]),
-        tuple(rec["domain_hi"]),
-        root,
-        tuple(leaves),
-        rec["n_samples"],
+    part = tree_partition(
+        rec["domain_lo"], rec["domain_hi"], _node_from_record(rec["tree"]), rec["n_samples"]
     )
     return PiecewiseConstantDensity(
         part,
@@ -342,14 +394,15 @@ def density_from_record(rec: dict) -> PiecewiseConstantDensity:
 
 
 def reference_locate(partition: BinaryPartition, x: np.ndarray) -> int | None:
-    """Leaf index by walking the cut tree (ties on a cut go to the high
-    child); None outside the closed domain."""
-    if not all(partition.lo[d] <= x[d] <= partition.hi[d] for d in range(partition.ndim)):
+    """Leaf index by walking the cut tree's nodes from the root (ties on a
+    cut go to the high child); None outside the closed domain."""
+    if not all(a <= v <= b for a, v, b in zip(partition.lo, x, partition.hi)):
         return None
-    node = partition.root
-    while isinstance(node, CutNode):
-        node = node.low if x[node.axis] < node.position else node.high
-    return next(i for i, leaf in enumerate(partition.leaves) if leaf is node)
+    node = partition.nodes[0]
+    while node["leaf"] < 0:
+        below = x[node["axis"]] < node["position"]
+        node = partition.nodes[node["low"] if below else node["high"]]
+    return int(node["leaf"])
 
 
 def reference_pdf(density: PiecewiseConstantDensity, phi: np.ndarray) -> float:
@@ -357,7 +410,7 @@ def reference_pdf(density: PiecewiseConstantDensity, phi: np.ndarray) -> float:
     i = reference_locate(density.partition, np.asarray(phi, dtype=float))
     if i is None:
         return 0.0
-    return float(density.masses[i] / density.partition.leaves[i].volume)
+    return float(density.masses[i] / _box_volume(density.partition.boxes[i]))
 
 
 def reference_compose_density(levels, phi: np.ndarray) -> float:

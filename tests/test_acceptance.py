@@ -170,7 +170,7 @@ def test_levels_normalize_and_the_composite_integrates_to_one(case_name, request
         for piece, cell in zip(level.pieces, level.piece_cell):
             if level.low_mask[cell] and level.index != last_index:
                 continue
-            value = compose_density(levels, 0.5 * (piece[0] + piece[1]))
+            value = compose_density(case.chain, 0.5 * (piece[0] + piece[1]))
             total += value * float(np.prod(piece[1] - piece[0]))
     assert total == pytest.approx(1.0, abs=1e-10)
 

@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 
 import fpfkit.bsp as bsp
+from fpfkit.artifacts import density_record
 from fpfkit.bsp import bsp_estimate, log_partition_score
+from fpfkit.regions import RegionIndicator, box_volumes
 from helpers import (
     propose_cut,
     reference_bsp_estimate,
@@ -75,7 +77,7 @@ def test_point_on_cut_goes_to_high_child():
     pts = np.array([[0.5], [0.25]])
     cut = propose_cut(root_partition(pts, (0.0,), (1.0,)), 0, 0)
     assert [leaf.n for leaf in cut.leaves] == [1, 1]
-    assert cut.locate_rows(np.array([[0.5]])).tolist() == [1]
+    assert reference_locate(cut.as_partition(), np.array([0.5])) == 1
 
 
 def test_propose_cut_leaves_parent_untouched():
@@ -90,9 +92,10 @@ def test_propose_cut_leaves_parent_untouched():
 
 def test_locate_walks_to_the_right_leaf():
     pts = np.array([[0.1, 0.1], [0.9, 0.9]])
-    part = propose_cut(root_partition(pts, (0.0, 0.0), (1.0, 1.0)), 0, 1)
+    part = propose_cut(root_partition(pts, (0.0, 0.0), (1.0, 1.0)), 0, 1).as_partition()
     probes = np.array([[0.3, 0.2], [0.3, 0.8], [1.5, 0.5]])
-    assert part.locate_rows(probes).tolist() == [0, 1, -1]
+    assert [reference_locate(part, x) for x in probes] == [0, 1, None]
+    assert RegionIndicator(part.boxes, part.hi).locate(probes).tolist() == [0, 1, -1]
 
 
 def test_posterior_mean_masses():
@@ -102,7 +105,7 @@ def test_posterior_mean_masses():
     d = bsp_estimate(pts, (0.0,), (1.0,), rng, alpha=0.5, max_leaves=2)
     assert d.partition.n_leaves <= 2
     if d.partition.n_leaves == 2:
-        counts = [leaf.n for leaf in d.partition.leaves]
+        counts = d.partition.counts.tolist()
         expect = [(n + 0.5) / (3 + 2 * 0.5) for n in counts]
         assert np.allclose(d.masses, expect, atol=1e-15)
 
@@ -113,25 +116,16 @@ def test_masses_sum_to_one_and_pdf_integrates():
         pts = np.clip(rng.normal(0.4, 0.15, size=(300, 2)), 0.0, 0.999)
         d = bsp_estimate(pts, (0.0, 0.0), (1.0, 1.0), np.random.default_rng(seed))
         assert abs(float(np.sum(d.masses)) - 1.0) < 1e-12
-        # integrating the pdf leaf by leaf recovers the leaf masses
+        # the leaves tile the domain, so integrating mass/volume leaf by leaf
+        # recovers the leaf masses
+        boxes = d.partition.boxes
+        assert RegionIndicator(boxes, d.partition.hi).contains(pts).all()
+        assert box_volumes(boxes).sum() == pytest.approx(1.0, rel=1e-12)
         integral = sum(
-            d.pdf(np.asarray(leaf.lo) + 1e-9 * (np.asarray(leaf.hi) - np.asarray(leaf.lo)))
-            * leaf.volume
-            for leaf in d.partition.leaves
+            reference_pdf(d, lo + 1e-9 * (hi - lo)) * volume
+            for (lo, hi), volume in zip(boxes, box_volumes(boxes))
         )
         assert integral == pytest.approx(1.0, abs=1e-9)
-
-
-def test_pdf_matches_mass_over_volume_and_vanishes_outside():
-    pts = np.clip(np.random.default_rng(4).normal(0.5, 0.2, size=(200, 1)), 0.0, 0.999)
-    d = bsp_estimate(pts, (0.0,), (1.0,), np.random.default_rng(4))
-    i = int(d.partition.locate_rows(np.array([[0.51]]))[0])
-    leaf = d.partition.leaves[i]
-    assert d.pdf(np.array([0.51])) == pytest.approx(
-        float(d.masses[i]) / leaf.volume, rel=1e-15
-    )
-    assert d.pdf(np.array([1.7])) == 0.0
-    assert d.pdf(np.array([[0.51], [1.7]])).tolist() == [d.pdf(np.array([0.51])), 0.0]
 
 
 def test_estimate_is_deterministic_for_a_seeded_generator():
@@ -147,7 +141,7 @@ def test_estimate_concentrates_on_a_gaussian_blob():
     rng = np.random.default_rng(14)
     pts = np.clip(rng.normal(0.3, 0.08, size=(500, 2)), 0.0, 0.999)
     d = bsp_estimate(pts, (0.0, 0.0), (1.0, 1.0), np.random.default_rng(14))
-    assert d.pdf(np.array([0.3, 0.3])) > 10.0 * d.pdf(np.array([0.95, 0.95]))
+    assert reference_pdf(d, np.array([0.3, 0.3])) > 10.0 * reference_pdf(d, np.array([0.95, 0.95]))
 
 
 def test_max_leaves_caps_growth():
@@ -214,19 +208,12 @@ def test_score_validation():
 # ------------------------------------------- lockstep search vs reference ---
 
 
-def _tree(node):
-    if isinstance(node, bsp.CutNode):
-        return (node.axis, node.position, _tree(node.low), _tree(node.high))
-    return (node.lo, node.hi, node.n)
-
-
 def _assert_same_estimate(got, want):
     assert got.log_score == want.log_score
     assert np.array_equal(got.masses, want.masses)
-    assert got.partition.n_leaves == want.partition.n_leaves
-    for a, b in zip(got.partition.leaves, want.partition.leaves):
-        assert (a.lo, a.hi, a.n) == (b.lo, b.hi, b.n)
-    assert _tree(got.partition.root) == _tree(want.partition.root)
+    assert np.array_equal(got.partition.boxes, want.partition.boxes)
+    assert np.array_equal(got.partition.counts, want.partition.counts)
+    assert density_record(got)["tree"] == density_record(want)["tree"]
 
 
 def _blob(seed, n, dim):
@@ -244,22 +231,14 @@ def test_lockstep_search_matches_the_per_particle_reference(dim, seed):
     _assert_same_estimate(got, want)
 
 
-def _cut_nodes(node):
-    if isinstance(node, bsp.CutNode):
-        yield node
-        yield from _cut_nodes(node.low)
-        yield from _cut_nodes(node.high)
-
-
 def _half_open_counts(partition, pts):
     """Points in each leaf's box [lo, hi), closed where the box's upper face
     lies on the domain's: a point on a cut counts in the high child only."""
     top = np.asarray(partition.hi)
     counts = []
-    for leaf in partition.leaves:
-        hi = np.asarray(leaf.hi)
+    for lo, hi in partition.boxes:
         below = (pts < hi) | ((pts == hi) & (hi == top))
-        counts.append(int(np.all((np.asarray(leaf.lo) <= pts) & below, axis=1).sum()))
+        counts.append(int(np.all((lo <= pts) & below, axis=1).sum()))
     return counts
 
 
@@ -272,9 +251,10 @@ def test_points_on_cut_midpoints_go_to_the_high_child(dim):
     got = bsp_estimate(pts, *box, np.random.default_rng(dim + 1))
     want = reference_bsp_estimate(pts, *box, np.random.default_rng(dim + 1))
     _assert_same_estimate(got, want)
-    positions = {(cut.axis, cut.position) for cut in _cut_nodes(got.partition.root)}
+    cuts = got.partition.nodes[got.partition.nodes["leaf"] < 0]
+    positions = set(zip(cuts["axis"].tolist(), cuts["position"].tolist()))
     assert any(np.any(pts[:, axis] == position) for axis, position in positions)
-    assert _half_open_counts(got.partition, pts) == [leaf.n for leaf in got.partition.leaves]
+    assert _half_open_counts(got.partition, pts) == got.partition.counts.tolist()
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
@@ -287,7 +267,7 @@ def test_lockstep_search_matches_the_reference_on_repeated_points(dim):
     got = bsp_estimate(pts, *box, np.random.default_rng(dim), max_leaves=20)
     want = reference_bsp_estimate(pts, *box, np.random.default_rng(dim), max_leaves=20)
     _assert_same_estimate(got, want)
-    assert _half_open_counts(got.partition, pts) == [leaf.n for leaf in got.partition.leaves]
+    assert _half_open_counts(got.partition, pts) == got.partition.counts.tolist()
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
@@ -304,9 +284,9 @@ def test_a_domain_a_few_ulps_wide_matches_the_reference(dim):
     got = bsp_estimate(pts, lo, hi, np.random.default_rng(dim + 2))
     want = reference_bsp_estimate(pts, lo, hi, np.random.default_rng(dim + 2))
     _assert_same_estimate(got, want)
-    widths = np.array([np.subtract(leaf.hi, leaf.lo) for leaf in got.partition.leaves])
+    widths = got.partition.boxes[:, 1] - got.partition.boxes[:, 0]
     assert np.all(widths > 0.0)
-    assert _half_open_counts(got.partition, pts) == [leaf.n for leaf in got.partition.leaves]
+    assert _half_open_counts(got.partition, pts) == got.partition.counts.tolist()
     if dim == 1:
         # four one-ulp leaves leave no particle a cut
         assert got.partition.n_leaves <= 4
@@ -320,11 +300,10 @@ def test_a_repeated_point_is_never_wrapped_in_a_zero_width_leaf(dim, max_leaves)
     pts = np.vstack([pts, np.repeat(pts[:1], 36, axis=0)])
     box = ((0.0,) * dim, (1.0,) * dim)
     got = bsp_estimate(pts, *box, np.random.default_rng(dim), max_leaves=max_leaves)
-    leaves = got.partition.leaves
-    widths = np.array([np.subtract(leaf.hi, leaf.lo) for leaf in leaves])
+    widths = got.partition.boxes[:, 1] - got.partition.boxes[:, 0]
     assert np.all(widths > 0.0)
     assert widths.min() < 1e-15  # the search did reach the atom's ulps
-    assert _half_open_counts(got.partition, pts) == [leaf.n for leaf in leaves]
+    assert _half_open_counts(got.partition, pts) == got.partition.counts.tolist()
     if dim == 1:
         want = reference_bsp_estimate(
             pts, *box, np.random.default_rng(dim), max_leaves=max_leaves
@@ -395,24 +374,22 @@ def test_lockstep_search_matches_the_reference_with_one_particle(dim):
     _assert_same_estimate(got, want)
 
 
-def test_batch_pdf_matches_the_per_point_reference_on_faces_and_corners():
+def test_leaf_boxes_locate_rows_like_the_tree_walk_on_faces_and_corners():
+    """Looking a row up among the leaf boxes, half-open and closed on the
+    domain's upper face, finds the leaf the cut tree routes it to: ties on a
+    cut go to the high child, and rows off the domain find no leaf."""
     pts = _blob(4, 500, 2)
-    d = bsp_estimate(pts, (0.0, 0.0), (1.0, 1.0), np.random.default_rng(4))
-    assert d.partition.n_leaves > 4
-    corners = [leaf.lo for leaf in d.partition.leaves]
-    corners += [leaf.hi for leaf in d.partition.leaves]
+    part = bsp_estimate(pts, (0.0, 0.0), (1.0, 1.0), np.random.default_rng(4)).partition
+    assert part.n_leaves > 4
     probes = np.vstack(
         [
-            np.array(corners),  # points on cut faces and on the domain's upper face
+            part.boxes[:, 0],  # points on cut faces and on the domain's upper face
+            part.boxes[:, 1],
             np.random.default_rng(5).uniform(-0.1, 1.1, size=(300, 2)),
             [[1.0, 1.0], [0.0, 1.0], [1.0, 0.5], [np.nan, 0.5]],
         ]
     )
-    batch = d.pdf(probes)
-    want = [reference_pdf(d, x) for x in probes]
-    assert batch.tolist() == want
-    assert [d.pdf(x) for x in probes] == want
-    located = d.partition.locate_rows(probes)
+    located = RegionIndicator(part.boxes, part.hi).locate(probes)
     assert [None if i < 0 else i for i in located.tolist()] == [
-        reference_locate(d.partition, x) for x in probes
+        reference_locate(part, x) for x in probes
     ]

@@ -100,14 +100,49 @@ def test_length_scale_count_mismatch_is_a_config_error(tmp_path):
     assert not [p for p in out.rglob("*") if p.is_file()]
 
 
-def test_malformed_table_is_a_config_error(tmp_path):
-    (tmp_path / "t.csv").write_text("phi_1,pf\n0.0,0.1\n1.0,abc\n")
+# A 2x2 grid broken three ways: (0, 0) twice in place of (0, 1), so the
+# distinct coordinates still multiply to the row count; (0, 1) left out; and
+# a nan where (0, 1)'s probability belongs.
+_BROKEN_GRIDS = {
+    "duplicate": ["0.0,0.0,0.1", "0.0,0.0,0.1", "1.0,0.0,0.3", "1.0,1.0,0.4"],
+    "missing": ["0.0,0.0,0.1", "1.0,0.0,0.3", "1.0,1.0,0.4"],
+    "nan": ["0.0,0.0,0.1", "0.0,1.0,nan", "1.0,0.0,0.3", "1.0,1.0,0.4"],
+}
+
+
+def _write_table_config(tmp_path):
     cfg = tmp_path / "table.yaml"
     cfg.write_text("seed: 3\nmodel:\n  type: table\n  table_path: t.csv\n")
+    return cfg
+
+
+def test_malformed_table_is_a_config_error(tmp_path):
+    (tmp_path / "t.csv").write_text("phi_1,pf\n0.0,0.1\n1.0,abc\n")
     out = tmp_path / "o"
-    code = cli.main(["run", "--config", str(cfg), "--output", str(out)])
+    code = cli.main(["run", "--config", str(_write_table_config(tmp_path)), "--output", str(out)])
     assert code == cli.EXIT_CONFIG
-    assert not [p for p in out.rglob("*") if p.is_file()]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["run", "grid"])
+@pytest.mark.parametrize("case", sorted(_BROKEN_GRIDS))
+def test_a_broken_table_grid_is_a_config_error_and_writes_nothing(tmp_path, case, command):
+    rows = ["phi_1,phi_2,pf"] + _BROKEN_GRIDS[case]
+    (tmp_path / "t.csv").write_text("\n".join(rows) + "\n")
+    out = tmp_path / "o"
+    cfg = _write_table_config(tmp_path)
+    code = cli.main([command, "--config", str(cfg), "--output", str(out)])
+    assert code == cli.EXIT_CONFIG
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["run", "grid"])
+def test_a_missing_table_is_a_config_error_and_writes_nothing(tmp_path, command):
+    out = tmp_path / "o"
+    cfg = _write_table_config(tmp_path)
+    code = cli.main([command, "--config", str(cfg), "--output", str(out)])
+    assert code == cli.EXIT_CONFIG
+    assert not out.exists()
 
 
 def test_argparse_surface():
@@ -284,6 +319,25 @@ def test_compare_rejects_a_malformed_oracle(tmp_path, toy_run_dir):
     code = cli.main(
         ["compare", "--run", str(toy_run_dir), "--oracle", str(oracle), "--output", str(out)]
     )
+    assert code == cli.EXIT_CONFIG
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("case", sorted(_BROKEN_GRIDS))
+def test_compare_rejects_a_broken_oracle_grid(tmp_path, case):
+    # a flat surface over the broken grids' design space [0, 1]^2
+    run = tmp_path / "run"
+    run.mkdir()
+    surface = {
+        "x": [[0.5, 0.5]], "coef": [0.0], "length_scales": [1.0, 1.0], "signal_var": 1.0,
+        "noise_floor": 1e-4, "y_mean": 0.0, "pf": 0.1, "bounds": [[0.0, 1.0], [0.0, 1.0]],
+    }
+    (run / "surface.json").write_text(json.dumps(surface))
+    oracle = tmp_path / "oracle.csv"
+    rows = ["phi_1,phi_2,pf_hat,n,cov"] + [row + ",100,0.1" for row in _BROKEN_GRIDS[case]]
+    oracle.write_text("\n".join(rows) + "\n")
+    out = tmp_path / "cmp"
+    code = cli.main(["compare", "--run", str(run), "--oracle", str(oracle), "--output", str(out)])
     assert code == cli.EXIT_CONFIG
     assert not out.exists()
 

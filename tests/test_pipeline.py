@@ -23,6 +23,7 @@ from helpers import (
     disjoint_volume_check,
     reference_compose_density,
     reference_level_cells,
+    reference_pdf,
 )
 from fpfkit.reliability import ChainParams, direct_mcs
 from fpfkit.streams import Streams
@@ -124,8 +125,7 @@ def test_build_level_restricts_and_renormalizes():
         first = level.pieces[np.argmax(level.piece_cell == c)]
         probe = 0.5 * (first[0] + first[1])
         density = level.densities[c]
-        assert density == pytest.approx(raw.pdf(probe) / level.captured, rel=1e-12)
-        assert level.conditional_density(probe) == pytest.approx(density, rel=1e-12)
+        assert density == pytest.approx(reference_pdf(raw, probe) / level.captured, rel=1e-12)
 
 
 def test_build_level_split_tiles_the_region():
@@ -203,17 +203,30 @@ def test_composite_density_uses_the_deepest_level(toy_case):
     chain = toy_case.chain
     deepest = chain.levels[-1]
     phi = 0.5 * (deepest.pieces[0, 0] + deepest.pieces[0, 1])
-    assert compose_density(chain.levels, phi) == pytest.approx(
-        deepest.weight * deepest.conditional_density(phi)
+    assert compose_density(chain, phi) == pytest.approx(
+        deepest.weight * reference_pdf(deepest.raw, phi) / deepest.captured
     )
     # a point of the first level's high region never reaches deeper levels
     first = chain.levels[0]
     high = first.pieces[~first.low_mask[first.piece_cell]][0]
     phi0 = 0.5 * (high[0] + high[1])
-    assert compose_density(chain.levels, phi0) == pytest.approx(
-        chain.levels[0].conditional_density(phi0)
+    assert compose_density(chain, phi0) == pytest.approx(
+        reference_pdf(first.raw, phi0) / first.captured
     )
-    assert compose_density(chain.levels, np.array([99.0])) == 0.0
+    assert compose_density(chain, np.array([99.0])) == 0.0
+
+
+@pytest.mark.parametrize("case_name", ["toy_case", "beam_case"])
+def test_the_composite_table_tiles_the_space_and_integrates_to_one(case_name, request):
+    """The table holds the pieces ``regions`` lists; they tile the design
+    space, and value times volume sums to the composite mass."""
+    case = request.getfixturevalue(case_name)
+    table, values = case.chain.composite
+    assert len(table.boxes) == sum(len(region.boxes) for region in case.chain.regions)
+    assert disjoint_volume_check(table.boxes)
+    volumes = box_volumes(table.boxes)
+    assert volumes.sum() == pytest.approx(case.space.volume, rel=1e-12)
+    assert float(np.sum(values * volumes)) == pytest.approx(1.0, abs=1e-10)
 
 
 @pytest.mark.parametrize("case_name", ["toy_case", "beam_case"])
@@ -224,8 +237,8 @@ def test_batch_composite_density_matches_the_per_point_reference(case_name, requ
     levels = case.chain.levels
     probes = [case.space.upper, case.space.lower]
     for level in levels:
-        for leaf in level.raw.partition.leaves:
-            probes += [leaf.lo, leaf.hi, 0.5 * (np.asarray(leaf.lo) + np.asarray(leaf.hi))]
+        for lo, hi in level.raw.partition.boxes:
+            probes += [lo, hi, 0.5 * (lo + hi)]
         probes += list(level.pieces[:, 0]) + list(level.pieces[:, 1])
     upper_face = np.array(probes, dtype=float)
     upper_face[:, 0] = case.space.upper[0]
@@ -234,8 +247,8 @@ def test_batch_composite_density_matches_the_per_point_reference(case_name, requ
     inside = case.space.lower + widths * rng.uniform(-0.05, 1.05, size=(500, case.space.ndim))
     rows = np.vstack([np.array(probes, dtype=float), upper_face, inside])
     want = [reference_compose_density(levels, x) for x in rows]
-    assert compose_density(levels, rows).tolist() == want
-    assert [compose_density(levels, x) for x in rows[:50]] == want[:50]
+    assert compose_density(case.chain, rows).tolist() == want
+    assert [compose_density(case.chain, x) for x in rows[:50]] == want[:50]
     assert case.approx.composite_density(rows).tolist() == want
 
 
@@ -247,7 +260,7 @@ def test_fpf_approximation_scales_and_vectorizes(toy_case):
     vals = approx.fpf(phis)
     assert vals.shape == (7,)
     for phi, v in zip(phis, vals):
-        dens = compose_density(chain.levels, phi)
+        dens = compose_density(chain, phi)
         assert v == pytest.approx(dens * chain.pf * space.volume)
         assert approx.fpf(phi) == pytest.approx(v)
     assert np.all(vals > 0.0)

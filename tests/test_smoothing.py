@@ -57,7 +57,7 @@ def test_support_points_cover_high_cells_plus_final_low_region(toy_case):
         assert point.weight == pytest.approx(level.weight * level.masses[c])
         assert point.weight > 0
         assert math.isfinite(point.log_density)
-        composite = compose_density(chain.levels, point.location)
+        composite = compose_density(chain, point.location)
         assert math.exp(point.log_density) == pytest.approx(composite, rel=1e-12)
 
 
