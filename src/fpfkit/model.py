@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FpfkitError
+from .regions import RegionIndicator
 
 
 @dataclass(frozen=True)
@@ -62,6 +63,11 @@ class DesignSpace:
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         """n uniform design points, shape (n, ndim)."""
         return rng.uniform(self.lower, self.upper, size=(n, self.ndim))
+
+    def region(self) -> RegionIndicator:
+        """The whole box as a one-box region."""
+        bounds = np.array(self.bounds, dtype=float)
+        return RegionIndicator(bounds.T[None], tuple(bounds[:, 1].tolist()))
 
 
 @dataclass(frozen=True)

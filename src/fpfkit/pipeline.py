@@ -281,11 +281,6 @@ class PipelineConfig:
             raise ValueError("pf_floor must be positive")
 
 
-def _space_region(space: DesignSpace) -> RegionIndicator:
-    bounds = np.array(space.bounds, dtype=float)
-    return RegionIndicator(bounds.T[None], tuple(bounds[:, 1].tolist()))
-
-
 def _check_composite_normalization(chain: RegionChainResult) -> float:
     """Cell-sum telescoping: sum_k w_k*(high mass)_k + w_last*(low mass)_last."""
     total = 0.0
@@ -308,8 +303,8 @@ def run_pipeline(
     observes fewer than 2·d failures, too few to seed the first density
     estimate. Each iteration estimates the current region's conditional
     density, splits off the low-density mass, and repopulates the new region
-    with MMH chains sized so that chain steps stay within the iteration
-    budget. Per-stage evaluation counts are taken from the model's
+    with MMH chains of ``iteration_budget`` steps in all (``populate_region``
+    plans them). Per-stage evaluation counts are taken from the model's
     counter and reported in the result.
     """
     evals: dict[str, int] = {}
@@ -343,7 +338,7 @@ def run_pipeline(
             partial=pilot,
         )
 
-    region = _space_region(space)
+    region = space.region()
     weight = 1.0
     levels: list[PartitionLevel] = []
     stopping = "iteration-cap"
@@ -381,25 +376,17 @@ def run_pipeline(
 
         weight *= level.ratio
         region = level.low_region
-        n_seeds = int(np.count_nonzero(region.contains(samples.phi)))
-        if n_seeds == 0:
+        mark = model.n_evaluations
+        try:
+            samples = populate_region(
+                samples, region, model, space, specs, config.iteration_budget,
+                config.chains, streams,
+            )
+        except RegionPopulationError as exc:
             raise RegionPopulationError(
                 f"no failure sample inside level-{k + 1} region",
                 partial=RegionChainResult(tuple(levels), pf, pilot, "aborted", evals),
-            )
-        n_chains = min(n_seeds, config.chains.max_chains)
-        steps = config.iteration_budget // n_chains
-        if steps <= config.chains.burn_in:
-            raise ConvergenceError(
-                "iteration budget cannot cover chain burn-in; "
-                "raise iteration_budget or lower max_chains"
-            )
-        n_target = n_seeds + n_chains * (steps - config.chains.burn_in)
-        mark = model.n_evaluations
-        samples = populate_region(
-            samples, region, model, space, specs, n_target,
-            config.chains, streams,
-        )
+            ) from exc
         evals[f"level_{k + 1}"] = model.n_evaluations - mark
 
     evals["total"] = sum(evals.values())

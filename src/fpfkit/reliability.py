@@ -10,6 +10,10 @@ theta's parameters follow design coordinates: a design component is accepted
 iff it stays inside the design box (constant prior), a u component is
 accepted with the standard-normal density ratio, and the assembled candidate
 is then rejected as a whole unless it satisfies the conditioning event.
+
+Subset simulation (margin <= tau in the whole design box) and region
+population (failure in a level region, after a burn-in) run their chains
+through one driver, ``_chains``.
 """
 
 from __future__ import annotations
@@ -99,26 +103,9 @@ class ChainParams:
             raise ValueError("scale_factor must be positive")
 
 
-def _seed_scales(
-    space: DesignSpace,
-    phis: np.ndarray,
-    us: np.ndarray,
-    factor: float,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-coordinate proposal half-widths: factor x seed std, with fallbacks
-    for degenerate spread (5% of the design width for phi, 1.0 for u)."""
-    s_phi = np.std(phis, axis=0) * factor
-    widths = space.upper - space.lower
-    bad = ~(s_phi > 0)
-    s_phi[bad] = 0.05 * widths[bad]
-    s_u = np.std(us, axis=0) * factor
-    s_u[~(s_u > 0)] = 1.0
-    return s_phi, s_u
-
-
 def mmh_chain(
     seeds: SampleSet,
-    region: RegionIndicator | None,
+    region: RegionIndicator,
     model: LimitStateModel,
     space: DesignSpace,
     specs: tuple[RandomVariableSpec, ...],
@@ -132,7 +119,8 @@ def mmh_chain(
     Chain c consumes only ``draws[c]``, of shape (n_steps, d_phi + 2 d_u):
     per step, one uniform per design coordinate, then a (proposal, accept)
     pair per u coordinate. It targets p(phi, theta | margin <= tau, phi in
-    region); ``region`` None conditions on the margin alone. Each step
+    region); subset simulation passes the whole design box as ``region``
+    (``DesignSpace.region``), so only the margin conditions. Each step
     proposes every design coordinate (uniform half-widths ``scales_phi``,
     kept inside the design box) and every u coordinate (half-widths
     ``scales_u``, standard-normal ratio accept). Candidates that moved, lie
@@ -144,7 +132,7 @@ def mmh_chain(
         raise ValueError("mmh_chain needs one row of draws per seed")
     if not np.all(np.asarray(model.margin(seeds.performance)) <= tau):
         raise ValueError(f"chain seed must be a failure sample (margin <= {tau})")
-    if region is not None and not np.all(region.contains(seeds.phi)):
+    if not np.all(region.contains(seeds.phi)):
         raise ValueError("chain seed lies outside the target region")
 
     phi = seeds.phi.copy()
@@ -170,8 +158,7 @@ def mmh_chain(
         take = r[:, d_phi + 1 :: 2] < np.exp(-0.5 * (prop * prop - u * u))
         cand_u = np.where(take, prop, u)
         moved = (cand_phi != phi).any(axis=1) | (cand_u != u).any(axis=1)
-        if region is not None:
-            moved &= region.contains(cand_phi)
+        moved &= region.contains(cand_phi)
         rows = np.flatnonzero(moved)
         cand_phi, cand_u = cand_phi[rows], cand_u[rows]
         mu, sigma = resolve_parameters(specs, cand_phi)
@@ -192,11 +179,33 @@ def mmh_chain(
     return out
 
 
-def _chain_draws(streams: Streams, seeds: SampleSet, n_steps: int) -> np.ndarray:
-    """``mmh_chain`` draws for one chain per seed row, each from its own
-    child stream."""
-    width = seeds.phi.shape[1] + 2 * seeds.theta.shape[1]
-    return streams.uniforms(len(seeds), (n_steps, width))
+def _chains(
+    pool: SampleSet,
+    starts: np.ndarray,
+    region: RegionIndicator,
+    model: LimitStateModel,
+    space: DesignSpace,
+    specs: tuple[RandomVariableSpec, ...],
+    n_steps: int,
+    factor: float,
+    streams: Streams,
+    tau: float = 0.0,
+) -> SampleSet:
+    """``n_steps`` of ``mmh_chain`` from each row ``pool[starts]``, each chain
+    on its own child stream. Proposal half-widths are ``factor`` x the pool's
+    std per (phi, u) coordinate, with fallbacks for a degenerate spread (5% of
+    the design width for phi, 1.0 for u)."""
+    mus, sigmas = resolve_parameters(specs, pool.phi)
+    scales_phi = np.std(pool.phi, axis=0) * factor
+    bad = ~(scales_phi > 0)
+    scales_phi[bad] = 0.05 * (space.upper - space.lower)[bad]
+    scales_u = np.std((pool.theta - mus) / sigmas, axis=0) * factor
+    scales_u[~(scales_u > 0)] = 1.0
+    width = pool.phi.shape[1] + 2 * pool.theta.shape[1]
+    draws = streams.uniforms(len(starts), (n_steps, width))
+    return mmh_chain(
+        pool[starts], region, model, space, specs, scales_phi, scales_u, draws, tau=tau
+    )
 
 
 def _distinct_states(phi: np.ndarray) -> int:
@@ -222,17 +231,18 @@ def populate_region(
     model: LimitStateModel,
     space: DesignSpace,
     specs: tuple[RandomVariableSpec, ...],
-    n_target: int,
+    budget: int,
     params: ChainParams,
     streams: Streams,
 ) -> SampleSet:
-    """Grow the failure population of ``region`` to at least ``n_target``.
+    """Repopulate ``region`` with chains of ``budget`` steps in all.
 
-    Seeds are the in-region samples of ``prev`` and are all retained. When
-    more samples are needed, chains start from an evenly strided subset of at
-    most ``params.max_chains`` seeds (burn-in discarded per chain, no
-    thinning), each chain drawing from its own child stream, and the merged
-    output is ordered by chain index so the result is deterministic.
+    The in-region samples of ``prev`` are the seeds and lead the output, in
+    order. ``n_chains = min(seeds, params.max_chains)`` chains start from
+    evenly strided seeds and take ``budget // n_chains`` steps each; their
+    states after ``params.burn_in`` follow in chain order. No seed in
+    ``region`` raises ``RegionPopulationError``; steps per chain not above
+    the burn-in raise ``ConvergenceError``.
     """
     seeds = prev[region.contains(prev.phi)]
     if not len(seeds):
@@ -241,22 +251,16 @@ def populate_region(
             "increase the previous-stage budget",
             partial=prev,
         )
-    if len(seeds) >= n_target:
-        return seeds
-
     n_chains = min(len(seeds), params.max_chains)
-    starters = [(j * len(seeds)) // n_chains for j in range(n_chains)]
-    need = n_target - len(seeds)
-    emissions = -(-need // n_chains)  # ceil
-
-    mus, sigmas = resolve_parameters(specs, seeds.phi)
-    us = (seeds.theta - mus) / sigmas
-    scales_phi, scales_u = _seed_scales(space, seeds.phi, us, params.scale_factor)
-
-    starts = seeds[starters]
-    states = mmh_chain(
-        starts, region, model, space, specs, scales_phi, scales_u,
-        _chain_draws(streams, starts, params.burn_in + emissions),
+    steps = budget // n_chains
+    if steps <= params.burn_in:
+        raise ConvergenceError(
+            "iteration budget cannot cover chain burn-in; "
+            "raise iteration_budget or lower max_chains"
+        )
+    starts = (np.arange(n_chains) * len(seeds)) // n_chains
+    states = _chains(
+        seeds, starts, region, model, space, specs, steps, params.scale_factor, streams,
     )[:, params.burn_in :]
     total = states.performance.size
     distinct = _distinct_states(states.phi)
@@ -337,11 +341,8 @@ def subset_simulation(
             )
 
         seeds = pop[order[:n0]]
-        mus, sigmas = resolve_parameters(specs, seeds.phi)
-        s_us = (seeds.theta - mus) / sigmas
-        scales_phi, scales_u = _seed_scales(space, seeds.phi, s_us, 1.0)
-        states = mmh_chain(
-            seeds, None, model, space, specs, scales_phi, scales_u,
-            _chain_draws(streams, seeds, n_per_level // n0 - 1), tau=tau,
+        states = _chains(
+            seeds, np.arange(n0), space.region(), model, space, specs,
+            n_per_level // n0 - 1, 1.0, streams, tau=tau,
         )
         pop = SampleSet.concat([seeds[:, None], states], axis=1).flatten()

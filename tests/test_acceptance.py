@@ -21,11 +21,9 @@ from fpfkit.benchmarks import (
     toy_variable_specs,
 )
 from fpfkit.bsp import log_partition_score
-from fpfkit.model import resolve_parameters
 from fpfkit.optimize import DesignProblem, optimize
 from fpfkit.pipeline import compose_density
-from fpfkit.regions import RegionIndicator
-from fpfkit.reliability import _seed_scales, direct_mcs, mmh_chain
+from fpfkit.reliability import _chains, direct_mcs
 from fpfkit.runner import compare_command, run_command
 from fpfkit.streams import Streams
 from helpers import propose_cut, root_partition
@@ -187,18 +185,12 @@ def test_chain_states_reach_the_conditional_failure_distribution():
     streams = Streams(np.random.SeedSequence(2024))
 
     pilot = direct_mcs(model, space, specs, 4000, streams.generator())
-    region = RegionIndicator([[space.lower, space.upper]], tuple(space.upper))
-    seeds = pilot.samples[region.contains(pilot.samples.phi)]
+    seeds = pilot.samples
     assert len(seeds) > 300
 
-    mus, sigmas = resolve_parameters(specs, seeds.phi)
-    scales_phi, scales_u = _seed_scales(
-        space, seeds.phi, (seeds.theta - mus) / sigmas, 1.0
-    )
-
-    states = mmh_chain(
-        seeds[:1], region, model, space, specs, scales_phi, scales_u,
-        streams.uniforms(1, (210000, 3)),
+    # proposal scales from every pilot failure, one chain from the first
+    states = _chains(
+        seeds, np.arange(1), space.region(), model, space, specs, 210000, 1.0, streams
     )[0]
     kept = states[10000::20]
     assert len(kept) == 10000

@@ -3,14 +3,16 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from fpfkit import pipeline
 from fpfkit.benchmarks import ToyModel, toy_pf_exact, toy_variable_specs
 from fpfkit.bsp import bsp_estimate
-from fpfkit.errors import ConvergenceError, DegenerateThresholdError
+from fpfkit.errors import ConvergenceError, DegenerateThresholdError, RegionPopulationError
 from fpfkit.model import DesignSpace
 from fpfkit.pipeline import (
     BSPParams,
     FPFApproximation,
     PipelineConfig,
+    RegionChainResult,
     build_level,
     compose_density,
     level_weights,
@@ -328,6 +330,33 @@ def test_pipeline_requires_budget_beyond_burn_in():
     )
     with pytest.raises(ConvergenceError, match="burn-in"):
         run_pipeline(model, space, toy_variable_specs(), cfg, Streams(np.random.SeedSequence(1)))
+
+
+def test_pipeline_aborts_with_the_levels_built_when_a_region_has_no_seed(monkeypatch):
+    """The real ``populate_region`` finds no seed for level 2, so the run
+    stops with levels 0 and 1 in an "aborted" result."""
+    real = pipeline.populate_region
+    regions = []
+
+    def no_seed_at_level_2(prev, region, *args):
+        regions.append(region)
+        return real(prev[:0] if len(regions) == 2 else prev, region, *args)
+
+    monkeypatch.setattr(pipeline, "populate_region", no_seed_at_level_2)
+    cfg = PipelineConfig(
+        pilot_budget=2000, iteration_budget=2000, max_iterations=3, pf_floor=1e-12
+    )
+    with pytest.raises(RegionPopulationError, match="level-2") as exc:
+        run_pipeline(ToyModel(), DesignSpace(((0.0, 4.0),)), toy_variable_specs(), cfg,
+                     Streams(np.random.SeedSequence(3)))
+    partial = exc.value.partial
+    assert isinstance(partial, RegionChainResult)
+    assert partial.stopping == "aborted"
+    assert [level.index for level in partial.levels] == [0, 1]
+    assert partial.levels[1].region is regions[0]
+    assert partial.levels[1].low_region is regions[1]
+    assert set(partial.evaluations) == {"pilot", "level_1"}
+    assert isinstance(exc.value.__cause__, RegionPopulationError)
 
 
 def test_pipeline_config_validation():

@@ -31,10 +31,6 @@ def _toy():
     return ToyModel(), toy_design_space(), toy_variable_specs()
 
 
-def _full_region(space: DesignSpace) -> RegionIndicator:
-    return RegionIndicator([[space.lower, space.upper]], tuple(space.upper))
-
-
 def test_direct_mcs_matches_exact_toy_probability():
     model, space, specs = _toy()
     est = direct_mcs(model, space, specs, 40000, np.random.default_rng(1))
@@ -105,10 +101,10 @@ def test_mmh_chain_rejects_bad_seeds():
         mmh_chain(outside, region, model, space, specs,
                   np.array([0.5]), np.array([0.8]), draws)
     with pytest.raises(ValueError, match="draws per seed"):
-        mmh_chain(ok, None, model, space, specs,
+        mmh_chain(ok, space.region(), model, space, specs,
                   np.array([0.5]), np.array([0.8]), np.empty((0, 10, 3)))
     with pytest.raises(ValueError, match="columns"):
-        mmh_chain(ok, None, model, space, specs,
+        mmh_chain(ok, space.region(), model, space, specs,
                   np.array([0.5]), np.array([0.8]), np.empty((1, 10, 4)))
 
 
@@ -146,7 +142,7 @@ def test_lockstep_chains_match_chains_run_one_at_a_time(case):
         pilot = direct_mcs(model, space, specs, 2000, np.random.default_rng(4))
         seeds = pilot.samples[region.contains(pilot.samples.phi)][:6]
     else:
-        region = None
+        region = space.region()
         seeds, tau = _lowest_margins(model, space, specs, 300, 6, 4)
     scales_phi = 0.1 * (space.upper - space.lower)
     scales_u = np.full(len(specs), 0.8)
@@ -227,12 +223,11 @@ def test_populate_region_makes_at_most_one_model_call_per_step():
     params = ChainParams()
     n_chains = min(n_seeds, params.max_chains)
     assert n_chains > 1
-    steps = params.burn_in + -(-(400 - n_seeds) // n_chains)
     before = model.n_evaluations
     model.calls.clear()
-    populate_region(pilot.samples, region, model, space, specs, 400, params,
+    populate_region(pilot.samples, region, model, space, specs, 1000, params,
                     Streams(np.random.SeedSequence(7)))
-    assert 0 < len(model.calls) <= steps
+    assert 0 < len(model.calls) <= 1000 // n_chains
     assert sum(model.calls) == model.n_evaluations - before
 
 
@@ -253,12 +248,15 @@ def test_populate_region_reaches_target_and_keeps_seeds():
     pilot = direct_mcs(model, space, specs, 3000, np.random.default_rng(6))
     region = RegionIndicator([[[1.5], [4.0]]], (4.0,))
     seeds = pilot.samples[region.contains(pilot.samples.phi)]
-    assert 0 < len(seeds) < 400
+    params = ChainParams()
+    n_chains = min(len(seeds), params.max_chains)
+    assert 1 < n_chains and 1000 // n_chains > params.burn_in
     out = populate_region(
-        pilot.samples, region, model, space, specs, 400,
-        ChainParams(), Streams(np.random.SeedSequence(7)),
+        pilot.samples, region, model, space, specs, 1000,
+        params, Streams(np.random.SeedSequence(7)),
     )
-    assert len(out) >= 400
+    # every chain takes budget // n_chains steps and drops its burn-in
+    assert len(out) == len(seeds) + n_chains * (1000 // n_chains - params.burn_in)
     # retained seeds lead the output, in order
     assert np.array_equal(out.phi[: len(seeds)], seeds.phi)
     assert np.all(model.margin(out.performance) <= 0.0)
@@ -277,15 +275,22 @@ def test_populate_region_is_deterministic():
     assert np.array_equal(a.phi, b.phi) and np.array_equal(a.theta, b.theta)
 
 
-def test_populate_region_short_circuits_when_seeds_suffice():
+def test_populate_region_refuses_a_budget_that_cannot_cover_the_burn_in():
     model, space, specs = _toy()
     pilot = direct_mcs(model, space, specs, 3000, np.random.default_rng(6))
-    region = _full_region(space)
+    region = RegionIndicator([[[1.5], [4.0]]], (4.0,))
+    n_chains = int(np.count_nonzero(region.contains(pilot.samples.phi)))
+    assert 1 < n_chains < ChainParams().max_chains
+    # 11 steps per chain run past a burn-in of 10; 10 steps do not
+    params = ChainParams(burn_in=10)
+    out = populate_region(pilot.samples, region, model, space, specs, 11 * n_chains + 1,
+                          params, Streams(np.random.SeedSequence(0)))
+    assert len(out) == 2 * n_chains
     before = model.n_evaluations
-    out = populate_region(pilot.samples, region, model, space, specs,
-                          10, ChainParams(), Streams(np.random.SeedSequence(0)))
-    assert len(out) == len(pilot.samples)
-    assert model.n_evaluations == before  # no chain steps needed
+    with pytest.raises(ConvergenceError, match="burn-in"):
+        populate_region(pilot.samples, region, model, space, specs, 11 * n_chains - 1,
+                        params, Streams(np.random.SeedSequence(0)))
+    assert model.n_evaluations == before
 
 
 def test_populate_region_requires_a_seed_inside():
