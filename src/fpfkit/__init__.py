@@ -33,7 +33,6 @@ from .errors import (
     ConvergenceError,
     DegenerateThresholdError,
     FpfkitError,
-    InfeasibleProblemError,
     RegionPopulationError,
 )
 from .model import (
@@ -74,7 +73,6 @@ __all__ = [
     "FailureEstimate",
     "FPFApproximation",
     "FpfkitError",
-    "InfeasibleProblemError",
     "LimitStateModel",
     "OptimalDesign",
     "PiecewiseConstantDensity",

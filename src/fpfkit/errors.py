@@ -29,11 +29,3 @@ class RegionPopulationError(FpfkitError):
 
 class DegenerateThresholdError(FpfkitError):
     """A density split cannot separate cells (all densities equal)."""
-
-
-class InfeasibleProblemError(FpfkitError):
-    """No start produced a feasible design; carries the least-violating point."""
-
-    def __init__(self, message: str, best_candidate=None):
-        super().__init__(message)
-        self.best_candidate = best_candidate

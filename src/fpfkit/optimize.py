@@ -5,11 +5,11 @@ FPF surface instead of fresh limit-state runs."""
 from __future__ import annotations
 
 import itertools
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InfeasibleProblemError
 from .model import DesignSpace
 
 GRID_PER_DIM = 3  # grid starts per axis
@@ -86,20 +86,24 @@ def _starts(space: DesignSpace, rng) -> np.ndarray:
 
 
 def _sorted(sim: np.ndarray, fsim: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each start's vertices ordered by value, one argsort per row."""
-    order = np.argsort(fsim, axis=1)
-    return np.take_along_axis(sim, order[..., None], 1), np.take_along_axis(fsim, order, 1)
+    """Each start's vertices ordered by value, one argsort per row and one
+    gather by flat vertex index."""
+    n, k = fsim.shape
+    flat = np.argsort(fsim, axis=1) + np.arange(0, n * k, k)[:, None]
+    return sim.reshape(n * k, -1)[flat], fsim.ravel()[flat]
 
 
 def _nelder_mead(f, x0, lower, upper, xatol, fatol, maxiter):
     """Bounded Nelder-Mead from every start of ``x0`` (S, d), in lockstep.
 
-    ``f`` maps rows ``(n, d)`` to ``(n,)`` values. Each start follows the
-    arithmetic of SciPy's ``minimize(method="Nelder-Mead", bounds=...)``
-    with the standard coefficients (reflection 1, expansion 2, contraction
-    0.5, shrink 0.5): the same initial simplex, clips and vertex order, and
-    the same ``xatol``/``fatol``/``maxiter`` stop, so a start ends where SciPy
-    would end it. All starts still iterating share one ``f`` call for the
+    ``f`` maps rows ``(n, d)`` and the start index of each row ``(n,)`` to
+    ``(n,)`` values; a row's value may depend only on that row and its start.
+    Each start follows the arithmetic of SciPy's
+    ``minimize(method="Nelder-Mead", bounds=...)`` with the standard
+    coefficients (reflection 1, expansion 2, contraction 0.5, shrink 0.5):
+    the same initial simplex, clips and vertex order, and the same
+    ``xatol``/``fatol``/``maxiter`` stop, so a start ends where SciPy would
+    end it. All starts still iterating share one ``f`` call for the
     reflections, one for the expansions and contractions, and one for the
     shrinks. Returns the best vertex ``(S, d)`` and the iteration count
     ``(S,)``, counted as SciPy counts ``nit``.
@@ -113,7 +117,7 @@ def _nelder_mead(f, x0, lower, upper, xatol, fatol, maxiter):
     sim[:, axis + 1, axis] = np.where(start != 0, 1.05 * start, 0.00025)
     # a vertex pushed above the upper face is reflected back inside, then clipped
     sim = np.clip(np.where(sim > upper, 2 * upper - sim, sim), lower, upper)
-    fsim = f(sim.reshape(-1, d)).reshape(n_starts, d + 1)
+    fsim = f(sim.reshape(-1, d), np.repeat(np.arange(n_starts), d + 1)).reshape(n_starts, d + 1)
     # SciPy sorts the first simplex twice; an unstable sort may reorder ties
     sim, fsim = _sorted(*_sorted(sim, fsim))
 
@@ -132,7 +136,7 @@ def _nelder_mead(f, x0, lower, upper, xatol, fatol, maxiter):
         xbar = np.add.reduce(sim_l[:, :-1], 1) / d
         worst = sim_l[:, -1]
         xr = np.clip(2 * xbar - worst, lower, upper)
-        fxr = f(xr)
+        fxr = f(xr, live)
         expand = fxr < f_l[:, 0]
         contract = ~expand & ~(fxr < f_l[:, -2])
         outside = contract & (fxr < f_l[:, -1])
@@ -148,7 +152,7 @@ def _nelder_mead(f, x0, lower, upper, xatol, fatol, maxiter):
                 np.where(outside[step, None], 1.5 * xb - 0.5 * xw, 0.5 * xb + 0.5 * xw),
             )
             cand = np.clip(cand, lower, upper)
-            fc = f(cand)
+            fc = f(cand, live[step])
             take = np.where(
                 expand[step],
                 fc < fxr[step],
@@ -163,46 +167,58 @@ def _nelder_mead(f, x0, lower, upper, xatol, fatol, maxiter):
             best = sim_l[shrink, :1]
             moved = np.clip(best + 0.5 * (sim_l[shrink, 1:] - best), lower, upper)
             sim_l[shrink, 1:] = moved
-            f_l[shrink, 1:] = f(moved.reshape(-1, d)).reshape(-1, d)
+            f_l[shrink, 1:] = f(moved.reshape(-1, d), np.repeat(live[shrink], d)).reshape(-1, d)
 
         nit[live] += 1
         sim[live], fsim[live] = _sorted(sim_l, f_l)
     return sim[:, 0], nit
 
 
-def _penalized(problem: DesignProblem):
-    """Row form of objective + PENALTY * max(0, pf/allowable - 1)."""
+def _penalized(objective, fpf, allowables: np.ndarray):
+    """Row form of objective + PENALTY * max(0, pf/allowable - 1), where row
+    ``i`` of a call for starts ``start`` takes ``allowables[start[i]]``."""
 
-    def penalized(phi: np.ndarray) -> np.ndarray:
-        excess = problem.fpf(phi) / problem.allowable - 1.0
-        return problem.objective(phi) + PENALTY * np.where(excess > 0.0, excess, 0.0)
+    def penalized(phi: np.ndarray, start: np.ndarray) -> np.ndarray:
+        excess = fpf(phi) / allowables[start] - 1.0
+        return objective(phi) + PENALTY * np.where(excess > 0.0, excess, 0.0)
 
     return penalized
 
 
 def optimize(
-    problem: DesignProblem, seed_seq: np.random.SeedSequence | None = None
-) -> OptimalDesign:
-    """Multistart Nelder-Mead with an exact penalty and feasibility filter.
+    problems: Sequence[DesignProblem],
+    seed_seqs: Sequence[np.random.SeedSequence] | None = None,
+) -> tuple[OptimalDesign, ...]:
+    """Multistart Nelder-Mead with an exact penalty and feasibility filter,
+    one ``OptimalDesign`` per problem; the problems share their objective,
+    FPF and space and differ in the allowable.
 
-    The starts are a ``GRID_PER_DIM`` grid per axis plus ``N_RANDOM_STARTS``
-    uniform points, inset 2% from the faces. Each start minimizes
-    objective + PENALTY * max(0, pf/allowable - 1) within the box; all starts
-    advance together (``_nelder_mead``), so the objective and the FPF are
-    called on rows of candidates rather than on one point at a time.
-    Candidates are then filtered by pf <= allowable * (1 + SLACK) and the best
-    feasible objective wins (ties broken lexicographically by phi). Raises
-    InfeasibleProblemError with the least-violating candidate when no start
-    ends feasible. The returned design is flagged ``active`` when its pf sits
-    within ``ACTIVE_MARGIN`` (relative) of the allowable.
+    Problem ``k`` draws its starts from ``seed_seqs[k]`` (default
+    ``SeedSequence(0)`` for each): a ``GRID_PER_DIM`` grid per axis plus
+    ``N_RANDOM_STARTS`` uniform points, inset 2% from the faces. Each start
+    minimizes objective + PENALTY * max(0, pf/allowable - 1) within the box.
+    The starts of all problems advance together (``_nelder_mead``), so the
+    objective and the FPF are called on rows of candidates, not one point at
+    a time; each row's arithmetic is its own, so a problem's result equals a
+    search of it alone. Candidates with pf <= allowable * (1 + SLACK) are
+    feasible and the best feasible objective wins (ties broken
+    lexicographically by phi); with none, the least-violating candidate comes
+    back flagged ``feasible=False``. A feasible design is flagged ``active``
+    when its pf sits within ``ACTIVE_MARGIN`` (relative) of the allowable.
     """
-    rng = np.random.Generator(
-        np.random.PCG64(seed_seq if seed_seq is not None else np.random.SeedSequence(0))
-    )
-    space = problem.space
-    starts = _starts(space, rng)
+    problems = tuple(problems)
+    if seed_seqs is None:
+        seed_seqs = [np.random.SeedSequence(0)] * len(problems)
+    if not problems or len(seed_seqs) != len(problems):
+        raise ValueError("optimize needs one or more problems, with one seed sequence each")
+    objective, fpf, space = problems[0].objective, problems[0].fpf, problems[0].space
+    if any(p.objective is not objective or p.fpf is not fpf or p.space != space for p in problems):
+        raise ValueError("problems searched together must share objective, fpf and space")
+    rngs = [np.random.Generator(np.random.PCG64(seq)) for seq in seed_seqs]
+    starts = np.vstack([_starts(space, rng) for rng in rngs])
+    n = len(starts) // len(problems)
     x, nit = _nelder_mead(
-        _penalized(problem),
+        _penalized(objective, fpf, np.repeat([p.allowable for p in problems], n)),
         starts,
         space.lower,
         space.upper,
@@ -211,35 +227,20 @@ def optimize(
         maxiter=2000,
     )
     phis = np.clip(x, space.lower, space.upper)
-    pfs = problem.fpf(phis)
-    objectives = problem.objective(phis)
-    records = [
-        StartRecord(
-            start=start,
-            phi=phi,
-            objective=float(objective),
-            pf=float(pf),
-            feasible=problem.feasible(float(pf)),
-            n_iterations=int(n),
+    values = zip(starts, phis, objective(phis).tolist(), fpf(phis).tolist(), nit.tolist())
+    designs = []
+    for problem in problems:
+        records = tuple(
+            StartRecord(start, phi, obj, pf, problem.feasible(pf), it)
+            for start, phi, obj, pf, it in itertools.islice(values, n)
         )
-        for start, phi, objective, pf, n in zip(starts, phis, objectives, pfs, nit)
-    ]
-
-    feasible = [r for r in records if r.feasible]
-    if not feasible:
-        least = min(records, key=lambda r: r.pf)
-        raise InfeasibleProblemError(
-            f"no feasible design found for allowable {problem.allowable:g}; "
-            f"least-violating candidate pf={least.pf:g} at {least.phi}",
-            best_candidate=least,
+        feasible = [r for r in records if r.feasible]
+        if feasible:
+            best = min(feasible, key=lambda r: (r.objective, tuple(r.phi)))
+        else:
+            best = min(records, key=lambda r: r.pf)
+        active = best.feasible and best.pf >= problem.allowable * (1.0 - ACTIVE_MARGIN)
+        designs.append(
+            OptimalDesign(best.phi, best.objective, best.pf, best.feasible, active, records)
         )
-    best = min(feasible, key=lambda r: (r.objective, tuple(r.phi)))
-    active = best.pf >= problem.allowable * (1.0 - ACTIVE_MARGIN)
-    return OptimalDesign(
-        phi=best.phi,
-        objective=best.objective,
-        pf=best.pf,
-        feasible=True,
-        active=bool(active),
-        starts=tuple(records),
-    )
+    return tuple(designs)

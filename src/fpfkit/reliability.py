@@ -150,12 +150,15 @@ def mmh_chain(
         np.empty((m, n_steps, theta.shape[1])),
         np.empty((m, n_steps)),
     )
+    # every step's proposal offsets, for the whole block at once
+    steps_phi = scales_phi * (2.0 * draws[..., :d_phi] - 1.0)
+    steps_u = scales_u * (2.0 * draws[..., d_phi::2] - 1.0)
+    accept_u = draws[..., d_phi + 1 :: 2]
     for t in range(n_steps):
-        r = draws[:, t]
-        prop = phi + scales_phi * (2.0 * r[:, :d_phi] - 1.0)
+        prop = phi + steps_phi[:, t]
         cand_phi = np.where((lower <= prop) & (prop <= upper), prop, phi)
-        prop = u + scales_u * (2.0 * r[:, d_phi::2] - 1.0)
-        take = r[:, d_phi + 1 :: 2] < np.exp(-0.5 * (prop * prop - u * u))
+        prop = u + steps_u[:, t]
+        take = accept_u[:, t] < np.exp(-0.5 * (prop * prop - u * u))
         cand_u = np.where(take, prop, u)
         moved = (cand_phi != phi).any(axis=1) | (cand_u != u).any(axis=1)
         moved &= region.contains(cand_phi)
@@ -164,8 +167,9 @@ def mmh_chain(
         mu, sigma = resolve_parameters(specs, cand_phi)
         cand_theta = mu + sigma * cand_u
         ok = model.theta_valid_batch(cand_phi, cand_theta)
-        if ok.any():
+        if not ok.all():
             rows, cand_phi, cand_u, cand_theta = rows[ok], cand_phi[ok], cand_u[ok], cand_theta[ok]
+        if len(rows):
             cand_perf, _ = model.evaluate_batch(cand_phi, cand_theta)
             acc = np.asarray(model.margin(cand_perf)) <= tau
             rows = rows[acc]

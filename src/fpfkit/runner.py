@@ -39,7 +39,7 @@ from .benchmarks import (
     toy_variable_specs,
 )
 from .config import RunConfig
-from .errors import ConfigError, InfeasibleProblemError
+from .errors import ConfigError
 from .model import DesignSpace
 from .optimize import DesignProblem, objective_mean_area, optimize
 from .pipeline import run_pipeline
@@ -164,23 +164,23 @@ def run_command(config: RunConfig, out_dir: Path, base_dir: Path | None = None) 
     optima_summary = []
     if config.optimization.allowable:
         objective = _objective_for(config, model)
+        problems = [
+            DesignProblem(objective, smoothed, space, allowable)
+            for allowable in config.optimization.allowable
+        ]
+        designs = optimize(problems, [streams.child() for _ in problems])
         rows = []
-        for allowable in config.optimization.allowable:
-            problem = DesignProblem(objective, smoothed, space, allowable)
-            try:
-                record = optimize(problem, streams.child())
-                feasible, active, n_starts = True, record.active, len(record.starts)
-            except InfeasibleProblemError as exc:
-                record = exc.best_candidate
-                feasible, active, n_starts = False, False, 0
+        for allowable, design in zip(config.optimization.allowable, designs):
+            # an allowable that no start meets reports no starts
+            n_starts = len(design.starts) if design.feasible else 0
             rows.append(
-                [allowable] + list(record.phi)
-                + [record.objective, record.pf, feasible, active, n_starts]
+                [allowable] + list(design.phi)
+                + [design.objective, design.pf, design.feasible, design.active, n_starts]
             )
             optima_summary.append(
-                {"allowable": allowable, "phi": [float(v) for v in record.phi],
-                 "objective": record.objective, "pf": record.pf,
-                 "feasible": feasible, "active": active}
+                {"allowable": allowable, "phi": [float(v) for v in design.phi],
+                 "objective": design.objective, "pf": design.pf,
+                 "feasible": design.feasible, "active": design.active}
             )
         write_csv(
             out_dir / "optima.csv",

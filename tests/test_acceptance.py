@@ -79,7 +79,7 @@ def test_toy_optima_sit_near_the_analytic_boundary(toy_case, allowable):
         space=toy_case.space,
         allowable=allowable,
     )
-    design = optimize(problem, np.random.SeedSequence(7))
+    (design,) = optimize([problem], [np.random.SeedSequence(7)])
     assert design.feasible
     assert abs(design.phi[0] - stats.norm.isf(allowable)) <= 0.15
 

@@ -1,5 +1,6 @@
 """Tests for the decoupled design optimizer and its mean-area objective."""
 
+import importlib
 import os
 import subprocess
 import sys
@@ -11,7 +12,7 @@ from scipy.optimize import minimize
 from scipy.stats import norm
 
 from fpfkit.benchmarks import analytic_toy_fpf
-from fpfkit.errors import InfeasibleProblemError
+from fpfkit.config import load_config
 from fpfkit.model import DesignSpace
 from fpfkit.optimize import (
     DesignProblem,
@@ -23,9 +24,10 @@ from fpfkit.optimize import (
     objective_mean_area,
     optimize,
 )
-from fpfkit.runner import _objective_for
+from fpfkit.runner import _objective_for, run_command
 
 SRC_DIR = Path(__file__).resolve().parents[1] / "src"
+CONFIG_DIR = SRC_DIR.parent / "configs"
 
 
 def _toy_problem(allowable: float) -> DesignProblem:
@@ -90,7 +92,7 @@ def test_feasibility_allows_the_stated_slack():
 def test_minimum_design_sits_on_the_constraint_boundary(allowable):
     # objective increases in phi while the failure probability decreases, so
     # the optimum is the smallest phi meeting the allowable
-    design = optimize(_toy_problem(allowable), np.random.SeedSequence(3))
+    (design,) = optimize([_toy_problem(allowable)], [np.random.SeedSequence(3)])
     assert isinstance(design, OptimalDesign)
     assert design.phi[0] == pytest.approx(norm.isf(allowable), abs=1e-6)
     assert design.pf == pytest.approx(allowable, rel=1e-6)
@@ -100,7 +102,7 @@ def test_minimum_design_sits_on_the_constraint_boundary(allowable):
 
 
 def test_starts_keep_a_margin_from_the_box_faces():
-    design = optimize(_toy_problem(0.1), np.random.SeedSequence(3))
+    (design,) = optimize([_toy_problem(0.1)], [np.random.SeedSequence(3)])
     starts = np.array([record.start[0] for record in design.starts])
     assert starts.min() >= 0.08
     assert starts.max() <= 3.92
@@ -110,17 +112,17 @@ def test_starts_keep_a_margin_from_the_box_faces():
 
 
 def test_optimize_is_deterministic_for_a_fixed_seed():
-    first = optimize(_toy_problem(0.1), np.random.SeedSequence(3))
-    second = optimize(_toy_problem(0.1), np.random.SeedSequence(3))
+    (first,) = optimize([_toy_problem(0.1)], [np.random.SeedSequence(3)])
+    (second,) = optimize([_toy_problem(0.1)], [np.random.SeedSequence(3)])
     assert np.array_equal(first.phi, second.phi)
     assert first.pf == second.pf
-    default = optimize(_toy_problem(0.1))
-    seeded = optimize(_toy_problem(0.1), np.random.SeedSequence(0))
+    (default,) = optimize([_toy_problem(0.1)])
+    (seeded,) = optimize([_toy_problem(0.1)], [np.random.SeedSequence(0)])
     assert np.array_equal(default.phi, seeded.phi)
 
 
 def test_loose_allowable_leaves_the_constraint_inactive():
-    design = optimize(_toy_problem(0.9), np.random.SeedSequence(3))
+    (design,) = optimize([_toy_problem(0.9)], [np.random.SeedSequence(3)])
     assert design.phi[0] == pytest.approx(0.0, abs=1e-6)
     assert design.pf == pytest.approx(0.5, rel=1e-9)
     assert design.feasible
@@ -129,12 +131,13 @@ def test_loose_allowable_leaves_the_constraint_inactive():
 
 def test_infeasible_problem_reports_the_least_violating_candidate():
     # the smallest attainable pf on [0, 4] is sf(4), far above 1e-6
-    with pytest.raises(InfeasibleProblemError, match="no feasible design") as exc:
-        optimize(_toy_problem(1e-6), np.random.SeedSequence(3))
-    candidate = exc.value.best_candidate
-    assert candidate.pf == pytest.approx(norm.sf(4.0), rel=1e-9)
-    assert candidate.phi[0] == pytest.approx(4.0, abs=1e-9)
-    assert not candidate.feasible
+    (design,) = optimize([_toy_problem(1e-6)], [np.random.SeedSequence(3)])
+    assert design.pf == pytest.approx(norm.sf(4.0), rel=1e-9)
+    assert design.phi[0] == pytest.approx(4.0, abs=1e-9)
+    assert not design.feasible
+    assert not design.active
+    assert not any(record.feasible for record in design.starts)
+    assert design.pf == min(record.pf for record in design.starts)
 
 
 # -------------------------------------------------------------- 2-d runs ---
@@ -151,7 +154,7 @@ def test_area_minimization_drives_width_down_and_height_to_the_limit(allowable):
         space=space,
         allowable=allowable,
     )
-    design = optimize(problem, np.random.SeedSequence(9))
+    (design,) = optimize([problem], [np.random.SeedSequence(9)])
     assert design.phi[0] == pytest.approx(30.0, abs=1e-9)
     assert design.phi[1] == pytest.approx(30.0 + norm.isf(allowable), abs=1e-6)
     assert design.active
@@ -161,17 +164,104 @@ def test_area_minimization_drives_width_down_and_height_to_the_limit(allowable):
     )
 
 
+# ------------------------------------------------ many problems at once ---
+
+
+def _assert_same_design(together, alone):
+    assert together.phi.tolist() == alone.phi.tolist()
+    assert (together.objective, together.pf) == (alone.objective, alone.pf)
+    assert (together.feasible, together.active) == (alone.feasible, alone.active)
+    assert len(together.starts) == len(alone.starts)
+    for a, b in zip(together.starts, alone.starts):
+        assert a.start.tolist() == b.start.tolist()
+        assert a.phi.tolist() == b.phi.tolist()
+        assert (a.n_iterations, a.objective, a.pf, a.feasible) == (
+            b.n_iterations, b.objective, b.pf, b.feasible
+        )
+
+
+def _assert_together_equals_alone(case, mixed):
+    """One search over a case's allowables equals one search per allowable;
+    ``mixed`` puts allowables no start can meet between the config's."""
+    objective = _objective_for(case.config, case.model)
+    allowables = list(case.config.optimization.allowable)
+    reachable = [True] * len(allowables)
+    if mixed:
+        # 1e-9 of the least FPF at the starts lies far below the FPF
+        # anywhere on the box, so no start can end feasible
+        least_fpf = float(case.smoothed(_starts(case.space, np.random.default_rng(0))).min())
+        allowables = [1e-9 * least_fpf, allowables[0], 1e-12 * least_fpf, allowables[-1]]
+        reachable = [False, True, False, True]
+    problems = [DesignProblem(objective, case.smoothed, case.space, a) for a in allowables]
+    seqs = np.random.SeedSequence(5).spawn(len(problems))
+    designs = optimize(problems, seqs)
+    assert len(designs) == len(problems)
+    for problem, seq, design, feasible in zip(problems, seqs, designs, reachable):
+        (alone,) = optimize([problem], [seq])
+        _assert_same_design(design, alone)
+        assert design.feasible == feasible
+        if not feasible:
+            assert not design.active
+            least = min(design.starts, key=lambda r: r.pf)
+            assert (design.phi.tolist(), design.pf) == (least.phi.tolist(), least.pf)
+
+
+@pytest.mark.parametrize("mixed", [False, True], ids=["config", "mixed"])
+def test_searching_toy_problems_together_equals_searching_each_alone(toy_case, mixed):
+    _assert_together_equals_alone(toy_case, mixed)
+
+
+@pytest.mark.parametrize("mixed", [False, True], ids=["config", "mixed"])
+def test_searching_beam_problems_together_equals_searching_each_alone(beam_case, mixed):
+    _assert_together_equals_alone(beam_case, mixed)
+
+
+@pytest.mark.parametrize("mixed", [False, True], ids=["config", "mixed"])
+def test_searching_toy_rare_problems_together_equals_searching_each_alone(toy_rare_case, mixed):
+    _assert_together_equals_alone(toy_rare_case, mixed)
+
+
+def test_problems_searched_together_share_objective_fpf_and_space():
+    problem = _toy_problem(0.1)
+    with pytest.raises(ValueError, match="share"):
+        optimize([problem, _toy_problem(0.01)])  # each has its own lambdas
+    with pytest.raises(ValueError, match="one seed sequence each"):
+        optimize([problem], np.random.SeedSequence(0).spawn(2))
+    with pytest.raises(ValueError, match="one or more problems"):
+        optimize([])
+
+
+def test_a_run_searches_all_its_allowables_in_one_nelder_mead_call(
+    toy_run_dir, tmp_path, monkeypatch
+):
+    optimize_module = importlib.import_module("fpfkit.optimize")
+    calls = []
+    inner = optimize_module._nelder_mead
+
+    def counted(f, x0, *args, **kwargs):
+        calls.append(len(x0))
+        return inner(f, x0, *args, **kwargs)
+
+    monkeypatch.setattr(optimize_module, "_nelder_mead", counted)
+    config = load_config(CONFIG_DIR / "toy.yaml")
+    assert len(config.optimization.allowable) == 3
+    run_command(config, tmp_path, base_dir=CONFIG_DIR)
+    assert calls == [3 * 11]  # 3 allowables x (3 grid + 8 random starts)
+    assert (tmp_path / "optima.csv").read_bytes() == (toy_run_dir / "optima.csv").read_bytes()
+
+
 # ------------------------------------------- lockstep port against SciPy ---
 
 
 def _assert_port_matches_scipy(f, starts, lower, upper, xatol, fatol=1e-10, maxiter=2000):
-    """Every start ends at SciPy's bounded Nelder-Mead ``x`` and ``nit``,
-    compared with ``==``; returns the port's iteration counts."""
+    """Every start ends at SciPy's bounded Nelder-Mead ``x`` and ``nit`` on
+    its own function ``f(rows, start index)``, compared with ``==``; returns
+    the port's iteration counts."""
     x, nit = _nelder_mead(f, starts, lower, upper, xatol, fatol, maxiter)
     assert x.shape == starts.shape and nit.shape == (len(starts),)
     for i, start in enumerate(starts):
         res = minimize(
-            lambda point: float(f(point[None, :])[0]),
+            lambda point: float(f(point[None, :], np.array([i]))[0]),
             start,
             method="Nelder-Mead",
             bounds=list(zip(lower, upper)),
@@ -183,15 +273,16 @@ def _assert_port_matches_scipy(f, starts, lower, upper, xatol, fatol=1e-10, maxi
 
 
 def _assert_surface_optima_match_scipy(case, seed):
+    # the same starts under every allowable of the config, all in one search
     objective = _objective_for(case.config, case.model)
     space = case.space
-    for allowable in case.config.optimization.allowable:
-        problem = DesignProblem(objective, case.smoothed, space, allowable)
-        starts = _starts(space, np.random.default_rng(seed))
-        _assert_port_matches_scipy(
-            _penalized(problem), starts, space.lower, space.upper,
-            xatol=1e-6 * float(np.max(space.upper - space.lower)),
-        )
+    allowables = case.config.optimization.allowable
+    starts = _starts(space, np.random.default_rng(seed))
+    _assert_port_matches_scipy(
+        _penalized(objective, case.smoothed, np.repeat(allowables, len(starts))),
+        np.vstack([starts] * len(allowables)), space.lower, space.upper,
+        xatol=1e-6 * float(np.max(space.upper - space.lower)),
+    )
 
 
 def test_port_matches_scipy_on_the_toy_surface(toy_case):
@@ -208,7 +299,7 @@ def test_port_matches_scipy_on_the_toy_rare_surface(toy_rare_case):
 
 def _bowl(center):
     center = np.asarray(center, dtype=float)
-    return lambda rows: ((rows - center) ** 2).sum(axis=1)
+    return lambda rows, start: ((rows - center) ** 2).sum(axis=1)
 
 
 def test_port_matches_scipy_when_the_initial_simplex_leaves_the_box():
@@ -229,7 +320,7 @@ def test_port_matches_scipy_from_a_zero_coordinate():
 def test_port_matches_scipy_through_shrink_steps():
     # a rippled bowl defeats the contractions; with one start in 2-d, a call
     # on exactly two rows can only be a shrink
-    def rippled(rows):
+    def rippled(rows, start):
         calls.append(len(rows))
         return (rows**2).sum(axis=1) + 0.3 * np.sin(40.0 * rows).sum(axis=1)
 
@@ -243,7 +334,7 @@ def test_port_matches_scipy_through_shrink_steps():
 def test_port_matches_scipy_on_tied_values():
     # a staircase makes many vertices tie, so the vertex order after each
     # sort must be SciPy's too
-    def stairs(rows):
+    def stairs(rows, start):
         return np.floor(4.0 * np.abs(rows - 0.3)).sum(axis=1)
 
     lower, upper = np.array([-1.0, -1.0, -1.0]), np.array([2.0, 2.0, 2.0])
@@ -252,7 +343,7 @@ def test_port_matches_scipy_on_tied_values():
 
 
 def test_port_stops_at_maxiter_as_scipy_does():
-    def rosenbrock(rows):
+    def rosenbrock(rows, start):
         x, y = rows[:, 0], rows[:, 1]
         return (1.0 - x) ** 2 + 100.0 * (y - x * x) ** 2
 
