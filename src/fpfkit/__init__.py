@@ -23,7 +23,6 @@ from .benchmarks import (
     beam_variable_specs,
     grid_dmcs_oracle,
     toy_design_space,
-    toy_pf_exact,
     toy_variable_specs,
 )
 from .bsp import BinaryPartition, PiecewiseConstantDensity, bsp_estimate
@@ -58,7 +57,7 @@ from .reliability import (
     populate_region,
     subset_simulation,
 )
-from .smoothing import SmoothedFPF, extract_support_points, fit_surface, smoothed_fpf
+from .smoothing import SmoothedFPF, extract_support_points, fit_surface
 from .streams import Streams
 
 __all__ = [
@@ -105,10 +104,8 @@ __all__ = [
     "populate_region",
     "resolve_parameters",
     "run_pipeline",
-    "smoothed_fpf",
     "subset_simulation",
     "threshold_from_ratio",
     "toy_design_space",
-    "toy_pf_exact",
     "toy_variable_specs",
 ]

@@ -225,6 +225,10 @@ def surface_record(smoothed: SmoothedFPF) -> dict:
 
 
 def surface_from_record(rec: dict) -> SmoothedFPF:
+    """The smoothed FPF of a surface record. Raises ValueError unless ``x`` is
+    (n, d) with one column per bound, ``coef`` is (n,), ``length_scales`` is
+    (d,) and positive, ``signal_var`` and ``noise_floor`` are positive, and
+    every number is finite."""
     surface = RegressionSurface(
         x=np.array(rec["x"], dtype=float),
         coef=np.array(rec["coef"], dtype=float),
@@ -234,6 +238,17 @@ def surface_from_record(rec: dict) -> SmoothedFPF:
         y_mean=rec["y_mean"],
     )
     space = DesignSpace(tuple((float(lo), float(hi)) for lo, hi in rec["bounds"]))
+    x, coef, scales, d = surface.x, surface.coef, surface.length_scales, space.ndim
+    if x.ndim != 2 or x.shape[1] != d or coef.shape != x.shape[:1] or scales.shape != (d,):
+        raise ValueError(
+            f"shapes x {x.shape}, coef {coef.shape} and length_scales {scales.shape} "
+            f"do not fit {d} design axes"
+        )
+    numbers = [surface.signal_var, surface.noise_floor, surface.y_mean, rec["pf"]]
+    if not all(np.isfinite(a).all() for a in (x, coef, scales, numbers, space.lower, space.upper)):
+        raise ValueError("every number of a surface must be finite")
+    if not (np.all(scales > 0) and surface.signal_var > 0 and surface.noise_floor > 0):
+        raise ValueError("length_scales, signal_var and noise_floor must be positive")
     return SmoothedFPF(surface, rec["pf"], space)
 
 

@@ -173,22 +173,9 @@ def toy_variable_specs() -> tuple[RandomVariableSpec, ...]:
     return (RandomVariableSpec("theta", mean=0.0, std=1.0),)
 
 
-def analytic_toy_fpf(phi):
-    """Exact toy FPF: P(theta >= phi) = Phi(-phi)."""
-    phi = np.asarray(phi, dtype=float)
-    return ndtr(-(phi if phi.ndim <= 1 else phi[:, 0]))
-
-
-def toy_pf_exact(lo: float = 0.0, hi: float = 4.0) -> float:
-    """Exact augmented-space P(F) for the toy: mean of Phi(-t) over [lo, hi].
-
-    Uses the closed antiderivative t*Phi(-t) - pdf(t).
-    """
-
-    def anti(t: float) -> float:
-        return t * ndtr(-t) - np.exp(-t**2 / 2.0) / np.sqrt(2 * np.pi)
-
-    return (anti(hi) - anti(lo)) / (hi - lo)
+def analytic_toy_fpf(phi: np.ndarray) -> np.ndarray:
+    """Exact toy FPF ``(n,)`` at rows ``(n, 1)``: P(theta >= phi) = Phi(-phi)."""
+    return ndtr(-np.asarray(phi, dtype=float)[:, 0])
 
 
 class TableModel(LimitStateModel):
@@ -221,8 +208,8 @@ class TableModel(LimitStateModel):
         return DesignSpace(tuple((float(a[0]), float(a[-1])) for a in self.axes))
 
     def table_fpf(self, phis: np.ndarray) -> np.ndarray:
-        phis = np.asarray(phis, dtype=float)
-        return self._interp(phis if phis.ndim == 2 else phis[None, :])
+        """Tabulated FPF ``(n,)`` at rows ``(n, d)``."""
+        return self._interp(phis)
 
     def performance_batch(self, phis: np.ndarray, thetas: np.ndarray) -> np.ndarray:
         return self._ndtr(thetas[:, 0]) - self._interp(phis)

@@ -366,8 +366,6 @@ def bsp_estimate(
     defaults to log(N).
     """
     points = np.asarray(points, dtype=float)
-    if points.ndim == 1:
-        points = points[:, None]
     n = points.shape[0]
     if n == 0:
         raise ValueError("cannot estimate a density from zero samples")

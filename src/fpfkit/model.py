@@ -51,14 +51,13 @@ class DesignSpace:
             v *= hi - lo
         return v
 
-    def contains(self, phi: np.ndarray):
-        """Closed-box membership (both boundaries included) of a point
-        ``(d,)``, as a bool, or of rows ``(n, d)``, as an ``(n,)`` mask."""
+    def contains(self, phi: np.ndarray) -> np.ndarray:
+        """Closed-box membership (both boundaries included) ``(n,)`` of rows
+        ``(n, d)``."""
         phi = np.asarray(phi, dtype=float)
-        if phi.ndim not in (1, 2) or phi.shape[-1] != self.ndim:
-            raise ValueError(f"expected phi of shape (..., {self.ndim}), got {phi.shape}")
-        inside = np.all((phi >= self.lower) & (phi <= self.upper), axis=-1)
-        return bool(inside) if phi.ndim == 1 else inside
+        if phi.ndim != 2 or phi.shape[1] != self.ndim:
+            raise ValueError(f"expected phi of shape (n, {self.ndim}), got {phi.shape}")
+        return np.all((phi >= self.lower) & (phi <= self.upper), axis=1)
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         """n uniform design points, shape (n, ndim)."""

@@ -19,21 +19,20 @@ ACTIVE_MARGIN = 0.05  # relative distance to the allowable that counts as active
 SLACK = 1e-6  # relative excess over the allowable that still counts as feasible
 
 
-def objective_mean_area(phi: np.ndarray, wall: float = 2.0):
-    """Mean cross-sectional area of a hollow rectangular section, mm^2: a
-    float for a point ``(2,)``, an ``(n,)`` array for rows ``(n, 2)``.
+def objective_mean_area(phi: np.ndarray, wall: float = 2.0) -> np.ndarray:
+    """Mean cross-sectional area ``(n,)`` of hollow rectangular sections at
+    rows ``(n, 2)``, mm^2.
 
     phi = (outer width, outer height) at their mean values; ``wall`` is the
     mean wall thickness. Both outer dimensions must exceed twice the wall.
     """
     phi = np.asarray(phi, dtype=float)
-    b, h = phi[..., 0], phi[..., 1]
-    thin = np.atleast_1d((b <= 2 * wall) | (h <= 2 * wall))
+    b, h = phi[:, 0], phi[:, 1]
+    thin = (b <= 2 * wall) | (h <= 2 * wall)
     if thin.any():
-        bad = np.atleast_2d(phi)[np.argmax(thin)]
+        bad = phi[np.argmax(thin)]
         raise ValueError(f"section {bad[0]} x {bad[1]} too small for wall {wall}")
-    area = b * h - (b - 2 * wall) * (h - 2 * wall)
-    return float(area) if phi.ndim == 1 else area
+    return b * h - (b - 2 * wall) * (h - 2 * wall)
 
 
 @dataclass(frozen=True)
@@ -187,28 +186,25 @@ def _penalized(objective, fpf, allowables: np.ndarray):
 
 def optimize(
     problems: Sequence[DesignProblem],
-    seed_seqs: Sequence[np.random.SeedSequence] | None = None,
+    seed_seqs: Sequence[np.random.SeedSequence],
 ) -> tuple[OptimalDesign, ...]:
     """Multistart Nelder-Mead with an exact penalty and feasibility filter,
     one ``OptimalDesign`` per problem; the problems share their objective,
     FPF and space and differ in the allowable.
 
-    Problem ``k`` draws its starts from ``seed_seqs[k]`` (default
-    ``SeedSequence(0)`` for each): a ``GRID_PER_DIM`` grid per axis plus
-    ``N_RANDOM_STARTS`` uniform points, inset 2% from the faces. Each start
-    minimizes objective + PENALTY * max(0, pf/allowable - 1) within the box.
-    The starts of all problems advance together (``_nelder_mead``), so the
-    objective and the FPF are called on rows of candidates, not one point at
-    a time; each row's arithmetic is its own, so a problem's result equals a
-    search of it alone. Candidates with pf <= allowable * (1 + SLACK) are
-    feasible and the best feasible objective wins (ties broken
-    lexicographically by phi); with none, the least-violating candidate comes
-    back flagged ``feasible=False``. A feasible design is flagged ``active``
+    Problem ``k`` draws its starts from ``seed_seqs[k]``: a ``GRID_PER_DIM``
+    grid per axis plus ``N_RANDOM_STARTS`` uniform points, inset 2% from the
+    faces. Each start minimizes objective + PENALTY * max(0, pf/allowable - 1)
+    within the box. The starts of all problems advance together
+    (``_nelder_mead``), so the objective and the FPF are called on rows of
+    candidates, not one point at a time; each row's arithmetic is its own,
+    so a problem's result equals a search of it alone. Candidates with
+    pf <= allowable * (1 + SLACK) are feasible and the best feasible
+    objective wins (ties broken lexicographically by phi); with none, the
+    least-violating candidate comes back flagged ``feasible=False``. A feasible design is flagged ``active``
     when its pf sits within ``ACTIVE_MARGIN`` (relative) of the allowable.
     """
     problems = tuple(problems)
-    if seed_seqs is None:
-        seed_seqs = [np.random.SeedSequence(0)] * len(problems)
     if not problems or len(seed_seqs) != len(problems):
         raise ValueError("optimize needs one or more problems, with one seed sequence each")
     objective, fpf, space = problems[0].objective, problems[0].fpf, problems[0].space

@@ -81,16 +81,6 @@ def threshold_from_ratio(
     return p_star, realized, low
 
 
-def level_weights(ratios: tuple[float, ...]) -> tuple[float, ...]:
-    """P(D_k | F) for k = 0..len(ratios): cumulative products with leading 1."""
-    out = [1.0]
-    for r in ratios:
-        if not 0.0 < r < 1.0:
-            raise ValueError(f"split ratio {r} outside (0, 1)")
-        out.append(out[-1] * r)
-    return tuple(out)
-
-
 @dataclass(frozen=True, eq=False)
 class PartitionLevel:
     """Level k of the region chain: estimate on D_k and its split.
@@ -191,7 +181,9 @@ class RegionChainResult:
 
     @property
     def weights(self) -> tuple[float, ...]:
-        return level_weights(self.ratios)
+        """P(D_k | F) of every level's region, then of the final low region."""
+        last = self.levels[-1]
+        return tuple(level.weight for level in self.levels) + (last.weight * last.ratio,)
 
     @property
     def regions(self) -> tuple[RegionIndicator, ...]:
@@ -213,34 +205,25 @@ class RegionChainResult:
         return RegionIndicator(boxes, last.region.space_upper), np.concatenate(values)
 
 
-def compose_density(chain: RegionChainResult, phi: np.ndarray):
-    """Composite conditional density p(phi | F) at one point (float) or at
-    each row of an (n, d) array: the value of the composite table's piece
-    holding it, 0 outside the design space."""
+def compose_density(chain: RegionChainResult, phi: np.ndarray) -> np.ndarray:
+    """Composite conditional density p(phi | F) ``(n,)`` at rows ``(n, d)``:
+    the value of the composite table's piece holding each row, 0 outside the
+    design space."""
     table, values = chain.composite
-    phi = np.asarray(phi, dtype=float)
-    piece = table.locate(phi.reshape(-1, phi.shape[-1]))
-    out = np.where(piece >= 0, values[piece], 0.0)
-    return float(out[0]) if phi.ndim == 1 else out
-
-
-def scale_to_fpf(value, pf: float, space: DesignSpace):
-    """Scale composite density values to FPF: value * P(F) / p(phi)."""
-    return value * pf * space.volume
+    piece = table.locate(phi)
+    return np.where(piece >= 0, values[piece], 0.0)
 
 
 @dataclass(frozen=True)
 class FPFApproximation:
-    """Evaluates the composite density and the scaled FPF, vectorized."""
+    """The piecewise-constant FPF of a finished region chain."""
 
     chain: RegionChainResult
     space: DesignSpace
 
-    def composite_density(self, phi: np.ndarray):
-        return compose_density(self.chain, phi)
-
-    def fpf(self, phi: np.ndarray):
-        return scale_to_fpf(self.composite_density(phi), self.chain.pf, self.space)
+    def fpf(self, phi: np.ndarray) -> np.ndarray:
+        """FPF ``(n,)`` at rows ``(n, d)``: p(phi | F) * P(F) / p(phi)."""
+        return compose_density(self.chain, phi) * self.chain.pf * self.space.volume
 
 
 @dataclass(frozen=True)

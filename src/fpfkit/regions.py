@@ -58,20 +58,18 @@ class RegionIndicator:
         return lo, np.where(closed, np.nextafter(hi, np.inf), hi)
 
     def _hits(self, phi: np.ndarray) -> np.ndarray:
-        """(..., n_boxes) membership of ``phi`` (..., ndim) in each box."""
+        """(n, n_boxes) membership of each row of ``phi`` (n, ndim) in each box."""
         x = np.asarray(phi, dtype=float)
-        if x.shape[-1:] != (self.ndim,):
-            raise ValueError(f"expected phi of shape (..., {self.ndim}), got {x.shape}")
+        if x.ndim != 2 or x.shape[1] != self.ndim:
+            raise ValueError(f"expected phi of shape (n, {self.ndim}), got {x.shape}")
         lo, limit = self._bounds
-        x = x[..., None, :]
+        x = x[:, None, :]
         return ((lo <= x) & (x < limit)).all(axis=-1)
 
-    def contains(self, phi: np.ndarray):
-        """Membership of one point (bool) or of each row of an (n, ndim)
-        array (bool array). Boxes are half-open, closed on the space's upper
-        face."""
-        found = self._hits(phi).any(axis=-1)
-        return bool(found) if found.ndim == 0 else found
+    def contains(self, phi: np.ndarray) -> np.ndarray:
+        """Membership ``(n,)`` of each row of an (n, ndim) array. Boxes are
+        half-open, closed on the space's upper face."""
+        return self._hits(phi).any(axis=-1)
 
     def locate(self, phi: np.ndarray) -> np.ndarray:
         """Index of the box holding each row of an (n, ndim) array, with

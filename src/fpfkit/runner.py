@@ -72,6 +72,11 @@ def build_problem(config: RunConfig, base_dir: Path | None = None):
         specs = table_variable_specs()
         space = DesignSpace(config.bounds) if config.bounds else model.design_space()
         table_space = model.design_space()
+        if space.ndim != table_space.ndim:
+            raise ConfigError(
+                f"design bounds: expected {table_space.ndim} pairs (one per table axis), "
+                f"got {space.ndim}"
+            )
         for (lo, hi), (tlo, thi) in zip(space.bounds, table_space.bounds):
             if lo < tlo or hi > thi:
                 raise ConfigError(
@@ -79,6 +84,13 @@ def build_problem(config: RunConfig, base_dir: Path | None = None):
                 )
     else:
         raise ConfigError(f"unknown model type {kind!r}")
+    for spec in specs:
+        for axis in (spec.mean_design, spec.cov_design):
+            if axis is not None and axis >= space.ndim:
+                raise ConfigError(
+                    f"variable {spec.name!r} follows design axis {axis + 1}, but the "
+                    f"design bounds have {space.ndim} axes"
+                )
     scales = config.smoothing.length_scales
     if scales is not None and len(scales) != space.ndim:
         raise ConfigError(
@@ -133,7 +145,7 @@ def run_command(config: RunConfig, out_dir: Path, base_dir: Path | None = None) 
     write_csv(
         out_dir / "support_points.csv",
         phi_cols + ["log_density", "level", "weight"],
-        (list(p.location) + [p.log_density, p.level, p.weight] for p in support),
+        zip(*support.x.T, support.log_density, support.level, support.weight),
     )
     write_json(out_dir / "surface.json", surface_record(smoothed))
 
@@ -171,11 +183,10 @@ def run_command(config: RunConfig, out_dir: Path, base_dir: Path | None = None) 
         designs = optimize(problems, [streams.child() for _ in problems])
         rows = []
         for allowable, design in zip(config.optimization.allowable, designs):
-            # an allowable that no start meets reports no starts
-            n_starts = len(design.starts) if design.feasible else 0
             rows.append(
                 [allowable] + list(design.phi)
-                + [design.objective, design.pf, design.feasible, design.active, n_starts]
+                + [design.objective, design.pf, design.feasible, design.active,
+                   len(design.starts)]
             )
             optima_summary.append(
                 {"allowable": allowable, "phi": [float(v) for v in design.phi],

@@ -22,21 +22,25 @@ from .regions import box_volumes
 
 
 @dataclass(frozen=True)
-class SupportPoint:
-    """Cell-center sample of the composite log-density.
+class SupportPoints:
+    """Cell-center samples of the composite log-density, one row per cell.
 
-    ``weight`` is the cell's share of the conditional failure mass (level
-    weight times cell mass); cells holding more samples carry more reliable
-    values.
+    ``x`` (n, d) holds the centers; ``log_density``, ``level`` and ``weight``
+    (n,) their values, levels and weights. A weight is the cell's share of
+    the conditional failure mass (level weight times cell mass); cells
+    holding more samples carry more reliable values.
     """
 
-    location: np.ndarray
-    log_density: float
-    level: int
-    weight: float
+    x: np.ndarray
+    log_density: np.ndarray
+    level: np.ndarray
+    weight: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.weight)
 
 
-def extract_support_points(chain: RegionChainResult) -> tuple[SupportPoint, ...]:
+def extract_support_points(chain: RegionChainResult) -> SupportPoints:
     """Support points from every level's high cells plus the final low cells.
 
     One point per cell, placed at the center of its largest rectangular piece
@@ -45,22 +49,24 @@ def extract_support_points(chain: RegionChainResult) -> tuple[SupportPoint, ...]
     share its density, and duplicated values next to each other would let
     cross-validation of the surface fit leak.
     """
-    cells = []
+    centers, levels, weights = [], [], []
     for level in chain.levels:
         # each cell's first largest piece: pieces by cell, then by descending volume
         order = np.lexsort((-box_volumes(level.pieces), level.piece_cell))
         first = order[np.searchsorted(level.piece_cell, np.arange(level.masses.size))]
-        centers = 0.5 * (level.pieces[first, 0] + level.pieces[first, 1])
         keep = ~level.low_mask | (level is chain.levels[-1])
-        cells += [(level, m, x) for m, x in zip(level.masses[keep].tolist(), centers[keep])]
-    values = compose_density(chain, np.array([c for _, _, c in cells]))
+        centers.append(0.5 * (level.pieces[first, 0] + level.pieces[first, 1])[keep])
+        levels.append(np.full(np.count_nonzero(keep), level.index))
+        weights.append(level.weight * level.masses[keep])
+    x = np.concatenate(centers)
+    values = compose_density(chain, x)
     if np.any(values <= 0.0):
-        center = cells[int(np.argmax(values <= 0.0))][2]
-        raise AssertionError(f"composite density non-positive at cell center {center}")
-    return tuple(
-        SupportPoint(center, math.log(value), level.index, level.weight * mass)
-        for (level, mass, center), value in zip(cells, values.tolist())
-    )
+        raise AssertionError(
+            f"composite density non-positive at cell center {x[np.argmax(values <= 0.0)]}"
+        )
+    # math.log per value: np.log differs from it in the last bit for some
+    log_density = np.fromiter(map(math.log, values.tolist()), float, len(values))
+    return SupportPoints(x, log_density, np.concatenate(levels), np.concatenate(weights))
 
 
 def _kernel(diff: np.ndarray, scales: np.ndarray, signal: float) -> np.ndarray:
@@ -76,7 +82,7 @@ class RegressionSurface:
 
     predict(phi) = y_mean + sum_i coef_i * k(phi, x_i) with the squared
     exponential kernel k(a, b) = signal_var * exp(-0.5 sum_d ((a_d-b_d)/l_d)^2).
-    ``predict`` and ``gradient`` take a point ``(d,)`` or rows ``(n, d)``.
+    ``predict`` and ``gradient`` take rows ``(n, d)``.
     """
 
     x: np.ndarray
@@ -86,19 +92,18 @@ class RegressionSurface:
     noise_floor: float
     y_mean: float
 
-    def predict(self, phi: np.ndarray):
-        """Surface value: a float for a point, an ``(n,)`` array for rows."""
+    def predict(self, phi: np.ndarray) -> np.ndarray:
+        """Surface values ``(n,)`` at rows ``(n, d)``."""
         phi = np.asarray(phi, dtype=float)
-        k = _kernel(self.x - phi[..., None, :], self.length_scales, self.signal_var)
+        k = _kernel(self.x - phi[:, None, :], self.length_scales, self.signal_var)
         # a (1, n) @ (n,) product per row is one dot product, the same sum a
         # lone point's ``k @ coef`` takes; an (m, n) @ (n,) product is not
-        value = self.y_mean + (k[..., None, :] @ self.coef)[..., 0]
-        return float(value) if phi.ndim == 1 else value
+        return self.y_mean + (k[:, None, :] @ self.coef)[:, 0]
 
     def gradient(self, phi: np.ndarray) -> np.ndarray:
-        """Analytic gradient of predict: ``(d,)`` for a point, ``(n, d)`` for rows."""
+        """Analytic gradient ``(n, d)`` of predict at rows ``(n, d)``."""
         phi = np.asarray(phi, dtype=float)
-        diff = self.x - phi[..., None, :]
+        diff = self.x - phi[:, None, :]
         k = _kernel(diff, self.length_scales, self.signal_var)
         weighted = (diff / self.length_scales**2).swapaxes(-1, -2)
         return np.matmul(weighted, (k * self.coef)[..., None])[..., 0]
@@ -136,7 +141,7 @@ _NOISE_FRACTIONS = (1e-2, 3e-2, 1e-1, 3e-1)
 
 
 def fit_surface(
-    points: tuple[SupportPoint, ...],
+    points: SupportPoints,
     noise_floor: float = 1e-4,
     length_scales: np.ndarray | None = None,
 ) -> RegressionSurface:
@@ -154,9 +159,7 @@ def fit_surface(
         raise ValueError("cannot fit a surface to zero support points")
     if noise_floor <= 0:
         raise ValueError("noise_floor must be positive")
-    x = np.array([p.location for p in points], dtype=float)
-    y = np.array([p.log_density for p in points], dtype=float)
-    w = np.array([p.weight for p in points], dtype=float)
+    x, y, w = points.x, points.log_density, points.weight
 
     seen: dict[tuple, float] = {}
     keep: list[int] = []
@@ -234,8 +237,7 @@ def fit_surface(
 
 @dataclass(frozen=True)
 class SmoothedFPF:
-    """Scaled smooth FPF: exp(surface) * P(F) / p(phi), at a point ``(d,)``
-    or rows ``(n, d)``."""
+    """Scaled smooth FPF ``(n,)`` at rows ``(n, d)``: exp(surface) * P(F) / p(phi)."""
 
     surface: RegressionSurface
     pf: float
@@ -245,21 +247,19 @@ class SmoothedFPF:
     def scale(self) -> float:
         return self.pf * self.space.volume
 
-    def __call__(self, phi: np.ndarray):
+    def __call__(self, phi: np.ndarray) -> np.ndarray:
         log_value = self.surface.predict(phi)
-        if isinstance(log_value, float):
-            return math.exp(log_value) * self.scale
         # math.exp per value: np.exp differs from it in the last bit for some
         return np.fromiter(map(math.exp, log_value), float, len(log_value)) * self.scale
 
     def gradient(self, phi: np.ndarray) -> np.ndarray:
-        """Gradient of the scaled smooth FPF, shaped like ``phi``.
+        """Gradient ``(n, d)`` of the scaled smooth FPF at rows ``(n, d)``.
 
-        Any point outside the design box raises; on the boundary the value is
+        Any row outside the design box raises; on the boundary the value is
         an analytic one-sided extrapolation, flagged by one warning per call.
         """
         phi = np.asarray(phi, dtype=float)
-        outside = np.atleast_2d(phi)[~np.atleast_1d(self.space.contains(phi))]
+        outside = phi[~self.space.contains(phi)]
         if len(outside):
             raise ValueError(f"design point {outside[0]} outside the design space")
         if np.any(phi == self.space.lower) or np.any(phi == self.space.upper):
@@ -267,17 +267,4 @@ class SmoothedFPF:
                 "gradient requested on the design boundary; value is one-sided",
                 stacklevel=2,
             )
-        return np.asarray(self(phi))[..., None] * self.surface.gradient(phi)
-
-
-def smoothed_fpf(
-    chain: RegionChainResult,
-    space: DesignSpace,
-    noise_floor: float = 1e-4,
-    length_scales: np.ndarray | None = None,
-) -> SmoothedFPF:
-    """Fit the smooth FPF surface for a finished region chain."""
-    surface = fit_surface(
-        extract_support_points(chain), noise_floor=noise_floor, length_scales=length_scales
-    )
-    return SmoothedFPF(surface, chain.pf, space)
+        return self(phi)[:, None] * self.surface.gradient(phi)

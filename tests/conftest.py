@@ -17,7 +17,7 @@ from fpfkit.config import RunConfig, load_config
 from fpfkit.model import DesignSpace, LimitStateModel, RandomVariableSpec
 from fpfkit.pipeline import FPFApproximation, RegionChainResult, run_pipeline
 from fpfkit.runner import build_problem, grid_command, run_command
-from fpfkit.smoothing import SmoothedFPF, smoothed_fpf
+from fpfkit.smoothing import SmoothedFPF, extract_support_points, fit_surface
 from fpfkit.streams import Streams
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -50,9 +50,12 @@ def _run_case(path: Path, seed: int | None = None) -> PipelineCase:
         if config.smoothing.length_scales is None
         else np.asarray(config.smoothing.length_scales)
     )
-    smoothed = smoothed_fpf(
-        chain, space, noise_floor=config.smoothing.noise_floor, length_scales=scales
+    surface = fit_surface(
+        extract_support_points(chain),
+        noise_floor=config.smoothing.noise_floor,
+        length_scales=scales,
     )
+    smoothed = SmoothedFPF(surface, chain.pf, space)
     return PipelineCase(config, model, space, specs, chain, approx, smoothed)
 
 

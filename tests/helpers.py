@@ -21,6 +21,7 @@ from fpfkit.benchmarks import LAMBDA_1
 from fpfkit.model import DesignSpace, resolve_parameters
 from fpfkit.pipeline import threshold_from_ratio
 from fpfkit.smoothing import _MULT_GRID, _NOISE_FRACTIONS, RegressionSurface, SmoothedFPF
+from fpfkit.special import ndtr
 
 
 def disjoint_volume_check(boxes: np.ndarray, tol: float = 1e-9) -> bool:
@@ -112,7 +113,7 @@ def reference_level_cells(region, raw: PiecewiseConstantDensity, mass_ratio: flo
 
 def design_prior_density(space: DesignSpace, phi: np.ndarray) -> float:
     """Uniform artificial prior p(phi): 1/volume inside the box, 0 outside."""
-    return 1.0 / space.volume if space.contains(np.asarray(phi, dtype=float)) else 0.0
+    return 1.0 / space.volume if space.contains(np.asarray(phi, dtype=float)[None, :])[0] else 0.0
 
 
 # ------------------------------------------------ per-particle BSP search ---
@@ -417,7 +418,7 @@ def reference_compose_density(levels, phi: np.ndarray) -> float:
     """Composite density at one point by the deepest-level rule."""
     phi = np.asarray(phi, dtype=float)
     for level in reversed(levels):
-        if level.region.contains(phi):
+        if level.region.contains(phi[None, :])[0]:
             return reference_pdf(level.raw, phi) / level.captured * level.weight
     return 0.0
 
@@ -476,10 +477,8 @@ def _reference_loo_sse(k: np.ndarray, y: np.ndarray, lam: float, weights: np.nda
 def reference_fit_surface(points, noise_floor: float = 1e-4) -> RegressionSurface:
     """``fit_surface``'s multiplier and noise scan with a Cholesky solve per
     ridge, for support points at distinct locations."""
-    x = np.array([p.location for p in points], dtype=float)
-    y = np.array([p.log_density for p in points], dtype=float)
-    w = np.array([p.weight for p in points], dtype=float)
-    w = w / w.sum()
+    x, y = points.x, points.log_density
+    w = points.weight / points.weight.sum()
     n, d = x.shape
     y_mean = float(np.mean(y))
     yc = y - y_mean
@@ -523,6 +522,18 @@ def reference_fit_surface(points, noise_floor: float = 1e-4) -> RegressionSurfac
 
 
 # ------------------------------------------- allocating draws and physics ---
+
+
+def toy_pf_exact(lo: float = 0.0, hi: float = 4.0) -> float:
+    """Exact augmented-space P(F) for the toy: mean of Phi(-t) over [lo, hi].
+
+    Uses the closed antiderivative t*Phi(-t) - pdf(t).
+    """
+
+    def anti(t: float) -> float:
+        return t * ndtr(-t) - np.exp(-t**2 / 2.0) / np.sqrt(2 * np.pi)
+
+    return (anti(hi) - anti(lo)) / (hi - lo)
 
 
 def reference_sample_theta(specs, model, phis, rng) -> np.ndarray:

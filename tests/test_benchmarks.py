@@ -22,11 +22,10 @@ from fpfkit.benchmarks import (
     grid_points,
     table_variable_specs,
     toy_design_space,
-    toy_pf_exact,
     toy_variable_specs,
 )
 from fpfkit.model import sample_theta
-from helpers import reference_beam_frequency, reference_point_estimate
+from helpers import reference_beam_frequency, reference_point_estimate, toy_pf_exact
 
 
 # ------------------------------------------------------------ beam physics ---
@@ -179,12 +178,8 @@ def test_beam_problem_setup():
 
 
 def test_toy_fpf_is_the_normal_survival_function():
-    assert analytic_toy_fpf(1.0) == norm.sf(1.0)
     grid = np.array([0.0, 1.0, 2.5])
-    assert np.array_equal(analytic_toy_fpf(grid), norm.sf(grid))
-    # design rows (n, 1) use the first coordinate
-    rows = np.array([[0.0], [2.0]])
-    assert np.array_equal(analytic_toy_fpf(rows), norm.sf([0.0, 2.0]))
+    assert np.array_equal(analytic_toy_fpf(grid[:, None]), norm.sf(grid))
 
 
 def test_toy_augmented_failure_probability():

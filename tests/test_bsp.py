@@ -178,15 +178,17 @@ def test_estimate_rejects_points_outside_or_off_the_domain():
     with pytest.raises(ValueError, match="outside the partition domain"):
         bsp_estimate(np.array([[0.5], [1.5]]), (0.0,), (1.0,), rng)
     with pytest.raises(ValueError, match="outside the partition domain"):
-        bsp_estimate(np.array([0.5, -0.1]), (0.0,), (1.0,), rng)
+        bsp_estimate(np.array([[0.5], [-0.1]]), (0.0,), (1.0,), rng)
     with pytest.raises(ValueError, match=r"must be \(n, d\) matching the domain"):
         bsp_estimate(np.array([[0.5, 0.5]]), (0.0,), (1.0,), rng)
     with pytest.raises(ValueError, match=r"must be \(n, d\) matching the domain"):
         bsp_estimate(np.array([[0.5]]), (0.0, 0.0), (1.0, 1.0), rng)
+    with pytest.raises(ValueError, match=r"must be \(n, d\) matching the domain"):
+        bsp_estimate(np.array([0.25, 0.5]), (0.0,), (1.0,), rng)  # rows only
     with pytest.raises(ValueError, match="samples must be finite"):
         bsp_estimate(np.array([[0.5, np.nan]]), (0.0, 0.0), (1.0, 1.0), rng)
     with pytest.raises(ValueError, match="samples must be finite"):
-        bsp_estimate(np.array([0.5, np.inf]), (0.0,), (np.inf,), rng)
+        bsp_estimate(np.array([[0.5], [np.inf]]), (0.0,), (np.inf,), rng)
 
 
 def test_estimate_rejects_non_finite_settings():

@@ -1,6 +1,7 @@
 """End-to-end command line tests, driven through cli.main for real exit codes."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -13,6 +14,8 @@ from scipy.stats import norm
 
 from fpfkit import cli
 from fpfkit.artifacts import load_oracle_csv, sha256_of
+
+_REPO = Path(__file__).resolve().parents[1]
 
 
 def _write_small_toy(path, seed=7):
@@ -145,6 +148,30 @@ def test_a_missing_table_is_a_config_error_and_writes_nothing(tmp_path, command)
     assert not out.exists()
 
 
+_TWO_AXIS_TABLE = ["phi_1,phi_2,pf", "0.0,0.0,0.1", "0.0,1.0,0.2", "1.0,0.0,0.3", "1.0,1.0,0.4"]
+
+
+@pytest.mark.parametrize("command", ["run", "grid"])
+@pytest.mark.parametrize(
+    "model,bounds",
+    [
+        # the beam's b and h follow design axes 1 and 2
+        ("  type: beam\n  band: [700.0, 900.0]\n", "[[30.0, 50.0]]"),
+        ("  type: table\n  table_path: t.csv\n", "[[0.0, 1.0]]"),
+        ("  type: table\n  table_path: t.csv\n", "[[0.0, 1.0], [0.0, 1.0], [0.0, 1.0]]"),
+    ],
+    ids=["beam-1d", "table-1d", "table-3d"],
+)
+def test_bounds_without_a_pair_per_model_axis_are_a_config_error(tmp_path, command, model, bounds):
+    (tmp_path / "t.csv").write_text("\n".join(_TWO_AXIS_TABLE) + "\n")
+    cfg = tmp_path / "bounds.yaml"
+    cfg.write_text(f"seed: 0\nmodel:\n{model}design_space:\n  bounds: {bounds}\n")
+    out = tmp_path / "o"
+    code = cli.main([command, "--config", str(cfg), "--output", str(out)])
+    assert code == cli.EXIT_CONFIG
+    assert not out.exists()
+
+
 def test_argparse_surface():
     with pytest.raises(SystemExit) as exc:
         cli.main([])
@@ -221,6 +248,19 @@ def test_run_on_a_table_model_writes_the_table_column(tmp_path):
     assert grid[0] == "phi_1,phi_2,composite_fpf,smoothed_fpf,table_fpf"
     assert len(grid) == 1 + 3 * 3
     assert grid[1].endswith(",0.02")
+
+
+def test_an_allowable_no_start_meets_still_counts_its_starts(tmp_path):
+    text = (_REPO / "configs" / "toy.yaml").read_text()
+    cfg = tmp_path / "run.yaml"
+    cfg.write_text(text.replace("[1.0e-1, 1.0e-2, 1.0e-3]", "[0.1, 1.0e-12, 0.001]"))
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", str(cfg), "--output", str(out)]) == cli.EXIT_OK
+    lines = (out / "optima.csv").read_text().splitlines()
+    assert lines[0].split(",")[4:] == ["feasible", "active", "n_starts"]
+    rows = [line.split(",") for line in lines[1:]]
+    assert [row[4] for row in rows] == ["1", "0", "1"]
+    assert [row[6] for row in rows] == ["11", "11", "11"]
 
 
 # ----------------------------------------------------------- grid command ---
@@ -385,6 +425,56 @@ def test_compare_rejects_a_surface_without_coefficients(
     assert "surface.json" in caplog.text
 
 
+def _scale_first_length(record, factor):
+    record["length_scales"][0] *= factor
+
+
+# edits of the beam's seed-42 surface record, each breaking one rule of
+# surface_from_record; every one of them used to load without complaint
+_BROKEN_SURFACES = {
+    "length-scales-cut": lambda r: r.update(length_scales=r["length_scales"][:1]),
+    "x-one-column": lambda r: r.update(x=[row[:1] for row in r["x"]]),
+    "x-flat": lambda r: r.update(x=[row[0] for row in r["x"]]),
+    "coef-short": lambda r: r.update(coef=r["coef"][:-1]),
+    "negative-length-scale": lambda r: _scale_first_length(r, -1.0),
+    "zero-length-scale": lambda r: _scale_first_length(r, 0.0),
+    "nan-signal-var": lambda r: r.update(signal_var=math.nan),
+    "zero-signal-var": lambda r: r.update(signal_var=0.0),
+    "negative-noise-floor": lambda r: r.update(noise_floor=-1e-4),
+    "infinite-coef": lambda r: r["coef"].__setitem__(0, math.inf),
+    "nan-x": lambda r: r["x"][0].__setitem__(1, math.nan),
+    "nan-y-mean": lambda r: r.update(y_mean=math.nan),
+    "infinite-pf": lambda r: r.update(pf=math.inf),
+}
+
+
+@pytest.mark.parametrize("case", [None, *_BROKEN_SURFACES])
+def test_compare_rejects_a_surface_record_that_does_not_hold_together(
+    tmp_path, caplog, beam_run_dir, case
+):
+    # a 2x2 oracle on the beam's box: a sound record is judged (exit 0 or 4)
+    oracle = tmp_path / "oracle.csv"
+    oracle.write_text(
+        "phi_1,phi_2,pf_hat,n,cov\n"
+        + "".join(f"{b},{h},0.01,100,0.99\n" for b in (30.0, 50.0) for h in (30.0, 50.0))
+    )
+    record = json.loads((beam_run_dir / "surface.json").read_text())
+    if case is None:
+        out = tmp_path / "cmp"
+        (tmp_path / "run").mkdir()
+        (tmp_path / "run" / "surface.json").write_text(json.dumps(record))
+        code = cli.main(
+            ["compare", "--run", str(tmp_path / "run"), "--oracle", str(oracle),
+             "--output", str(out)]
+        )
+        assert code in (cli.EXIT_OK, cli.EXIT_COMPARISON)
+        return
+    _BROKEN_SURFACES[case](record)
+    code = _compare_with_surface(tmp_path, json.dumps(record), oracle)
+    assert code == cli.EXIT_CONFIG
+    assert "not a surface record" in caplog.text
+
+
 def test_compare_requires_both_inputs(tmp_path, toy_run_dir, toy_oracle_dir):
     code = cli.main(
         ["compare", "--run", str(tmp_path / "empty"), "--oracle",
@@ -431,8 +521,6 @@ def test_a_value_error_inside_run_exits_with_the_runtime_code(
 
 
 # ----------------------------------------------------------------- imports ---
-
-_REPO = Path(__file__).resolve().parents[1]
 
 # cli.main's argv per probe, "{out}" standing for a temporary directory;
 # None probes the import alone

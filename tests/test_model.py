@@ -33,8 +33,6 @@ def test_design_space_properties():
     assert s.volume == 4.0
     assert np.array_equal(s.lower, [0.0, 1.0])
     assert np.array_equal(s.upper, [2.0, 3.0])
-    assert s.contains(np.array([0.0, 3.0]))
-    assert not s.contains(np.array([2.1, 2.0]))
     rows = np.array([[0.0, 3.0], [2.1, 2.0], [1.0, 1.0], [np.nan, 2.0]])
     assert s.contains(rows).tolist() == [True, False, True, False]
     assert s.contains(np.empty((0, 2))).shape == (0,)
@@ -47,6 +45,8 @@ def test_design_space_validation():
         DesignSpace(((1.0, 1.0),))
     with pytest.raises(ValueError):
         DesignSpace(((0.0, 1.0),)).contains(np.array([0.5, 0.5]))
+    with pytest.raises(ValueError, match=r"shape \(n, 1\)"):
+        DesignSpace(((0.0, 1.0),)).contains(np.array([0.5]))
     with pytest.raises(ValueError):
         DesignSpace(((0.0, 1.0),)).contains(np.zeros((2, 2)))
 

@@ -34,7 +34,7 @@ def _toy_problem(allowable: float) -> DesignProblem:
     space = DesignSpace(((0.0, 4.0),))
     return DesignProblem(
         objective=lambda phi: phi[:, 0],
-        fpf=lambda phi: analytic_toy_fpf(phi[:, 0]),
+        fpf=analytic_toy_fpf,
         space=space,
         allowable=allowable,
     )
@@ -44,26 +44,19 @@ def _toy_problem(allowable: float) -> DesignProblem:
 
 
 def test_mean_area_of_a_hollow_section():
-    assert objective_mean_area(np.array([40.0, 40.0])) == pytest.approx(304.0)
-    assert objective_mean_area(np.array([30.0, 30.0])) == pytest.approx(224.0)
+    areas = objective_mean_area(np.array([[40.0, 40.0], [30.0, 30.0]]))
+    assert areas.tolist() == pytest.approx([304.0, 224.0])
     # 10x20 with wall 1: 200 - 8*18
-    assert objective_mean_area(np.array([10.0, 20.0]), wall=1.0) == pytest.approx(56.0)
+    assert objective_mean_area(np.array([[10.0, 20.0]]), wall=1.0) == pytest.approx([56.0])
 
 
 def test_mean_area_rejects_sections_thinner_than_the_walls():
     with pytest.raises(ValueError, match="too small"):
-        objective_mean_area(np.array([4.0, 10.0]))
+        objective_mean_area(np.array([[4.0, 10.0]]))
     with pytest.raises(ValueError, match="too small"):
-        objective_mean_area(np.array([10.0, 3.0]))
+        objective_mean_area(np.array([[10.0, 3.0]]))
     with pytest.raises(ValueError, match="3.0 x 10.0 too small"):
         objective_mean_area(np.array([[10.0, 10.0], [3.0, 10.0]]))
-
-
-def test_mean_area_of_rows_equals_the_area_of_each_point():
-    rows = np.array([[40.0, 40.0], [30.0, 35.5], [31.25, 49.0]])
-    areas = objective_mean_area(rows)
-    assert areas.shape == (3,)
-    assert areas.tolist() == [objective_mean_area(row) for row in rows]
 
 
 # --------------------------------------------------------------- problem ---
@@ -116,9 +109,6 @@ def test_optimize_is_deterministic_for_a_fixed_seed():
     (second,) = optimize([_toy_problem(0.1)], [np.random.SeedSequence(3)])
     assert np.array_equal(first.phi, second.phi)
     assert first.pf == second.pf
-    (default,) = optimize([_toy_problem(0.1)])
-    (seeded,) = optimize([_toy_problem(0.1)], [np.random.SeedSequence(0)])
-    assert np.array_equal(default.phi, seeded.phi)
 
 
 def test_loose_allowable_leaves_the_constraint_inactive():
@@ -160,7 +150,7 @@ def test_area_minimization_drives_width_down_and_height_to_the_limit(allowable):
     assert design.active
     assert len(design.starts) == 17  # 3x3 grid + 8 random starts
     assert design.objective == pytest.approx(
-        objective_mean_area(design.phi), rel=1e-15
+        objective_mean_area(design.phi[None, :])[0], rel=1e-15
     )
 
 
@@ -224,11 +214,12 @@ def test_searching_toy_rare_problems_together_equals_searching_each_alone(toy_ra
 def test_problems_searched_together_share_objective_fpf_and_space():
     problem = _toy_problem(0.1)
     with pytest.raises(ValueError, match="share"):
-        optimize([problem, _toy_problem(0.01)])  # each has its own lambdas
+        # each has its own lambdas
+        optimize([problem, _toy_problem(0.01)], np.random.SeedSequence(0).spawn(2))
     with pytest.raises(ValueError, match="one seed sequence each"):
         optimize([problem], np.random.SeedSequence(0).spawn(2))
     with pytest.raises(ValueError, match="one or more problems"):
-        optimize([])
+        optimize([], [])
 
 
 def test_a_run_searches_all_its_allowables_in_one_nelder_mead_call(

@@ -4,7 +4,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from fpfkit import pipeline
-from fpfkit.benchmarks import ToyModel, toy_pf_exact, toy_variable_specs
+from fpfkit.benchmarks import ToyModel, toy_variable_specs
 from fpfkit.bsp import bsp_estimate
 from fpfkit.errors import ConvergenceError, DegenerateThresholdError, RegionPopulationError
 from fpfkit.model import DesignSpace
@@ -15,9 +15,7 @@ from fpfkit.pipeline import (
     RegionChainResult,
     build_level,
     compose_density,
-    level_weights,
     run_pipeline,
-    scale_to_fpf,
     threshold_from_ratio,
 )
 from fpfkit.regions import RegionIndicator, box_volumes
@@ -26,6 +24,7 @@ from helpers import (
     reference_compose_density,
     reference_level_cells,
     reference_pdf,
+    toy_pf_exact,
 )
 from fpfkit.reliability import ChainParams, direct_mcs
 from fpfkit.streams import Streams
@@ -86,14 +85,14 @@ def test_threshold_invariants_on_random_inputs(raw_masses, seed, ratio):
     assert realized >= ratio - 1e-12
 
 
-def test_level_weights_are_cumulative_products():
-    assert level_weights(()) == (1.0,)
-    w = level_weights((0.2, 0.1))
-    assert w == pytest.approx((1.0, 0.2, 0.02))
-    with pytest.raises(ValueError):
-        level_weights((0.0,))
-    with pytest.raises(ValueError):
-        level_weights((1.0,))
+def test_level_weights_are_cumulative_products(toy_case):
+    # P(D_k | F): a leading 1, then the running product of the split ratios
+    chain = toy_case.chain
+    want = [1.0]
+    for ratio in chain.ratios:
+        want.append(want[-1] * ratio)
+    assert list(chain.weights) == want
+    assert len(chain.weights) == len(chain.levels) + 1
 
 
 def _synthetic_level():
@@ -176,18 +175,12 @@ def test_toy_rare_build_level_matches_the_per_leaf_clipping_reference(toy_rare_c
     _assert_levels_match_the_clipping_reference(toy_rare_case)
 
 
-def test_scale_to_fpf():
-    space = DesignSpace(((0.0, 4.0),))
-    assert scale_to_fpf(0.5, 0.1, space) == pytest.approx(0.2)
-
-
 def test_toy_chain_bookkeeping(toy_case):
     chain = toy_case.chain
     assert [level.index for level in chain.levels] == list(range(len(chain.levels)))
     # each level continues exactly from the previous level's low region
     for prev, nxt in zip(chain.levels, chain.levels[1:]):
         assert nxt.region is prev.low_region
-    assert chain.weights == pytest.approx(level_weights(chain.ratios))
     for level, w in zip(chain.levels, chain.weights):
         assert level.weight == pytest.approx(w)
     # evaluation ledger: pilot + one entry per iteration + total
@@ -205,17 +198,17 @@ def test_composite_density_uses_the_deepest_level(toy_case):
     chain = toy_case.chain
     deepest = chain.levels[-1]
     phi = 0.5 * (deepest.pieces[0, 0] + deepest.pieces[0, 1])
-    assert compose_density(chain, phi) == pytest.approx(
+    assert compose_density(chain, [phi])[0] == pytest.approx(
         deepest.weight * reference_pdf(deepest.raw, phi) / deepest.captured
     )
     # a point of the first level's high region never reaches deeper levels
     first = chain.levels[0]
     high = first.pieces[~first.low_mask[first.piece_cell]][0]
     phi0 = 0.5 * (high[0] + high[1])
-    assert compose_density(chain, phi0) == pytest.approx(
+    assert compose_density(chain, [phi0])[0] == pytest.approx(
         reference_pdf(first.raw, phi0) / first.captured
     )
-    assert compose_density(chain, np.array([99.0])) == 0.0
+    assert compose_density(chain, np.array([[99.0]])).tolist() == [0.0]
 
 
 @pytest.mark.parametrize("case_name", ["toy_case", "beam_case"])
@@ -250,8 +243,6 @@ def test_batch_composite_density_matches_the_per_point_reference(case_name, requ
     rows = np.vstack([np.array(probes, dtype=float), upper_face, inside])
     want = [reference_compose_density(levels, x) for x in rows]
     assert compose_density(case.chain, rows).tolist() == want
-    assert [compose_density(case.chain, x) for x in rows[:50]] == want[:50]
-    assert case.approx.composite_density(rows).tolist() == want
 
 
 def test_fpf_approximation_scales_and_vectorizes(toy_case):
@@ -262,9 +253,9 @@ def test_fpf_approximation_scales_and_vectorizes(toy_case):
     vals = approx.fpf(phis)
     assert vals.shape == (7,)
     for phi, v in zip(phis, vals):
-        dens = compose_density(chain, phi)
+        dens = compose_density(chain, phi[None, :])[0]
         assert v == pytest.approx(dens * chain.pf * space.volume)
-        assert approx.fpf(phi) == pytest.approx(v)
+        assert approx.fpf(phi[None, :])[0] == pytest.approx(v)
     assert np.all(vals > 0.0)
 
 
@@ -280,7 +271,7 @@ def test_pipeline_escalates_pilot_to_subset_simulation():
     exact = float(toy_pf_exact(3.0, 4.0))
     assert 0.5 * exact < chain.pf < 2.0 * exact
     assert chain.stopping in ("threshold-floor", "iteration-cap")
-    assert approx.fpf(np.array([3.0])) > 0.0
+    assert approx.fpf(np.array([[3.0]]))[0] > 0.0
 
 
 def test_pipeline_escalates_a_pilot_with_a_single_failure():
@@ -298,7 +289,7 @@ def test_pipeline_escalates_a_pilot_with_a_single_failure():
     assert len(chain.pilot.samples) >= 2
     exact = float(toy_pf_exact(3.0, 4.0))
     assert 0.5 * exact < chain.pf < 2.0 * exact
-    assert approx.fpf(np.array([3.0])) > 0.0
+    assert approx.fpf(np.array([[3.0]]))[0] > 0.0
 
 
 def test_pipeline_raises_when_even_subset_finds_nothing():

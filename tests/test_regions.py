@@ -35,17 +35,14 @@ def test_box_rejects_degenerate_extent():
 
 def test_box_membership_is_half_open():
     b = RegionIndicator([[[0.0, 0.0], [2.0, 1.0]]], UP2)
-    assert b.contains(np.array([0.0, 0.0]))
-    assert b.contains(np.array([1.9999, 0.9999]))
+    assert b.contains(np.array([[0.0, 0.0], [1.9999, 0.9999]])).all()
     # upper faces are open unless they sit on the space boundary
-    assert not b.contains(np.array([2.0, 0.5]))
-    assert not b.contains(np.array([1.0, 1.0]))
-    assert not b.contains(np.array([-0.1, 0.5]))
+    assert not b.contains(np.array([[2.0, 0.5], [1.0, 1.0], [-0.1, 0.5]])).any()
 
 
 def test_box_closed_on_space_upper_face():
-    assert RegionIndicator([[[0.0], [10.0]]], (10.0,)).contains(np.array([10.0]))
-    assert not RegionIndicator([[[0.0], [5.0]]], (10.0,)).contains(np.array([5.0]))
+    assert RegionIndicator([[[0.0], [10.0]]], (10.0,)).contains(np.array([[10.0]]))[0]
+    assert not RegionIndicator([[[0.0], [5.0]]], (10.0,)).contains(np.array([[5.0]]))[0]
 
 
 def test_box_intersection():
@@ -93,10 +90,10 @@ def test_region_volume_and_bounding_box():
 
 def test_region_membership_uses_space_closure():
     r = RegionIndicator([[[0.0], [1.0]], [[3.0], [4.0]]], (4.0,))
-    assert r.contains(np.array([0.5]))
-    assert r.contains(np.array([4.0]))  # closed at the space boundary
-    assert not r.contains(np.array([1.0]))  # interior face stays open
-    assert not r.contains(np.array([2.0]))
+    # closed at the space boundary 4; the interior face 1 stays open
+    assert r.contains(np.array([[0.5], [4.0], [1.0], [2.0]])).tolist() == [
+        True, True, False, False
+    ]
 
 
 def test_region_membership_of_rows_matches_single_points():
@@ -107,13 +104,15 @@ def test_region_membership_of_rows_matches_single_points():
     mask = r.contains(rows)
     assert mask.dtype == bool and mask.shape == (7,)
     assert mask.tolist() == [True, False, True, True, True, False, False]
-    assert mask.tolist() == [r.contains(p) for p in rows]
     assert r.contains(np.empty((0, 2))).shape == (0,)
 
 
 def test_region_membership_rejects_a_dimension_mismatch():
     r = RegionIndicator([[[0.0, 0.0], [1.0, 1.0]]], (1.0, 1.0))
-    for bad in (np.array([0.5]), np.array(0.5), np.zeros((3, 1)), np.zeros((3, 3))):
+    for bad in (
+        np.array([0.5]), np.array([0.5, 0.5]), np.array(0.5), np.zeros((3, 1)),
+        np.zeros((3, 3)), np.zeros((3, 1, 2)),
+    ):
         with pytest.raises(ValueError, match="shape"):
             r.contains(bad)
 

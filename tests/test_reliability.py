@@ -9,7 +9,6 @@ from fpfkit.benchmarks import (
     beam_design_space,
     beam_variable_specs,
     toy_design_space,
-    toy_pf_exact,
     toy_variable_specs,
 )
 from fpfkit.errors import ConvergenceError, RegionPopulationError
@@ -24,7 +23,7 @@ from fpfkit.reliability import (
     subset_simulation,
 )
 from fpfkit.streams import Streams
-from helpers import reference_chain_draws
+from helpers import reference_chain_draws, toy_pf_exact
 
 
 def _toy():
@@ -50,7 +49,7 @@ def test_direct_mcs_cov_formula_and_samples():
     first = est.samples[:50]
     assert np.all(model.margin(first.performance) <= 0.0)
     assert np.all(first.theta[:, 0] >= first.phi[:, 0])  # toy failure event
-    assert all(space.contains(phi) for phi in first.phi)
+    assert space.contains(first.phi).all()
 
 
 def test_direct_mcs_flags_escalation_on_zero_failures():

@@ -11,13 +11,11 @@ from fpfkit.benchmarks import grid_points
 from fpfkit.model import DesignSpace
 from fpfkit.pipeline import compose_density
 from fpfkit.smoothing import (
-    SmoothedFPF,
-    SupportPoint,
+    SupportPoints,
     _eig,
     _loo_sse,
     extract_support_points,
     fit_surface,
-    smoothed_fpf,
 )
 from helpers import (
     reference_fit_surface,
@@ -28,10 +26,21 @@ from helpers import (
 )
 
 
-def _line_points(xs, f, weight=1.0):
-    return tuple(
-        SupportPoint(np.array([x]), float(f(x)), 0, weight) for x in xs
+def _support(x, y, level=0, weight=1.0) -> SupportPoints:
+    """Support rows ``x`` (n, d) valued ``y``, with one level and weight or
+    one of each per row."""
+    x = np.asarray(x, dtype=float)
+    shape = (len(x),)
+    return SupportPoints(
+        x,
+        np.asarray(y, dtype=float),
+        np.broadcast_to(level, shape),
+        np.broadcast_to(np.asarray(weight, dtype=float), shape),
     )
+
+
+def _line_points(xs, f, weight=1.0):
+    return _support(np.asarray(xs, dtype=float)[:, None], [f(x) for x in xs], weight=weight)
 
 
 # ------------------------------------------------------- support points ---
@@ -49,22 +58,43 @@ def test_support_points_cover_high_cells_plus_final_low_region(toy_case):
                 expected.append((level, c))
     assert len(points) == len(expected)
 
-    for point, (level, c) in zip(points, expected):
+    composite = compose_density(chain, points.x)
+    for i, (level, c) in enumerate(expected):
         pieces = level.pieces[level.piece_cell == c]
         largest = max(pieces, key=lambda piece: float(np.prod(piece[1] - piece[0])))
-        assert np.array_equal(point.location, 0.5 * (largest[0] + largest[1]))
-        assert point.level == level.index
-        assert point.weight == pytest.approx(level.weight * level.masses[c])
-        assert point.weight > 0
-        assert math.isfinite(point.log_density)
-        composite = compose_density(chain, point.location)
-        assert math.exp(point.log_density) == pytest.approx(composite, rel=1e-12)
+        assert np.array_equal(points.x[i], 0.5 * (largest[0] + largest[1]))
+        assert points.level[i] == level.index
+        assert points.weight[i] == pytest.approx(level.weight * level.masses[c])
+        assert points.weight[i] > 0
+        assert math.isfinite(points.log_density[i])
+        assert math.exp(points.log_density[i]) == pytest.approx(composite[i], rel=1e-12)
+
+
+def _assert_one_row_per_covered_cell(chain):
+    # the high cells of every level, plus the last level's low cells
+    points = extract_support_points(chain)
+    n_cells = sum(int(np.count_nonzero(~level.low_mask)) for level in chain.levels)
+    n_cells += int(np.count_nonzero(chain.levels[-1].low_mask))
+    assert len(points) == n_cells
+    assert points.x.shape == (n_cells, chain.levels[0].pieces.shape[2])
+    for column in (points.log_density, points.level, points.weight):
+        assert column.shape == (n_cells,)
+    assert points.level.dtype.kind == "i"
+
+
+@pytest.mark.parametrize("case_name", ["toy_case", "beam_case"])
+def test_support_points_are_one_row_per_covered_cell(case_name, request):
+    _assert_one_row_per_covered_cell(request.getfixturevalue(case_name).chain)
+
+
+def test_toy_rare_support_points_are_one_row_per_covered_cell(toy_rare_case):
+    _assert_one_row_per_covered_cell(toy_rare_case.chain)
 
 
 def test_support_point_weights_sum_to_the_retained_mass(toy_case):
     # every level contributes weight * (high mass); the last adds its low mass
     points = extract_support_points(toy_case.chain)
-    total = sum(p.weight for p in points)
+    total = sum(points.weight.tolist())
     assert total == pytest.approx(1.0, abs=1e-10)
 
 
@@ -79,10 +109,11 @@ def test_fit_interpolates_a_smooth_function_with_explicit_scales():
     )
     assert np.array_equal(surface.length_scales, np.array([0.5]))
     assert surface.noise_floor == 1e-9
-    for x in xs:
-        assert surface.predict(np.array([x])) == pytest.approx(f(x), abs=1e-4)
-    for x in (xs[:-1] + xs[1:]) / 2:
-        assert surface.predict(np.array([x])) == pytest.approx(f(x), abs=1e-4)
+    for x, value in zip(xs, surface.predict(xs[:, None])):
+        assert value == pytest.approx(f(x), abs=1e-4)
+    mids = (xs[:-1] + xs[1:]) / 2
+    for x, value in zip(mids, surface.predict(mids[:, None])):
+        assert value == pytest.approx(f(x), abs=1e-4)
 
 
 def test_predict_batch_matches_scalar_predict():
@@ -95,7 +126,7 @@ def test_predict_batch_matches_scalar_predict():
     batch = surface.predict(phis)
     assert batch.shape == (3,)
     for value, phi in zip(batch, phis):
-        assert value == surface.predict(phi)
+        assert value == surface.predict(phi[None, :])[0]
 
 
 def test_surface_gradient_matches_central_differences_1d():
@@ -105,11 +136,9 @@ def test_surface_gradient_matches_central_differences_1d():
         _line_points(xs, f), noise_floor=1e-9, length_scales=np.array([0.5])
     )
     h = 1e-5
-    for x in (0.3, 0.9, 1.4, 1.7):
-        analytic = surface.gradient(np.array([x]))[0]
-        fd = (
-            surface.predict(np.array([x + h])) - surface.predict(np.array([x - h]))
-        ) / (2 * h)
+    xs = np.array([[0.3], [0.9], [1.4], [1.7]])
+    fds = (surface.predict(xs + h) - surface.predict(xs - h)) / (2 * h)
+    for analytic, fd in zip(surface.gradient(xs)[:, 0], fds):
         assert analytic == pytest.approx(fd, abs=1e-6)
 
 
@@ -117,67 +146,54 @@ def test_surface_gradient_matches_central_differences_2d():
     rng = np.random.default_rng(5)
     x = rng.uniform(0.0, 1.0, size=(30, 2))
     f = lambda p: math.sin(2 * p[0]) + 0.5 * p[1] ** 2
-    points = tuple(SupportPoint(xi, f(xi), 0, 1.0) for xi in x)
     surface = fit_surface(
-        points, noise_floor=1e-8, length_scales=np.array([0.4, 0.4])
+        _support(x, [f(xi) for xi in x]), noise_floor=1e-8, length_scales=np.array([0.4, 0.4])
     )
     h = 1e-5
-    for p in rng.uniform(0.1, 0.9, size=(5, 2)):
-        analytic = surface.gradient(p)
-        fd = np.array(
-            [
-                (surface.predict(p + h * e) - surface.predict(p - h * e)) / (2 * h)
-                for e in np.eye(2)
-            ]
-        )
+    rows = rng.uniform(0.1, 0.9, size=(5, 2))
+    fds = np.column_stack(
+        [(surface.predict(rows + h * e) - surface.predict(rows - h * e)) / (2 * h) for e in np.eye(2)]
+    )
+    for analytic, fd in zip(surface.gradient(rows), fds):
         assert np.allclose(analytic, fd, atol=1e-6)
 
 
 def test_auto_length_scales_track_a_linear_trend():
     xs = np.linspace(0.0, 1.0, 12)
     f = lambda x: 2.0 * x - 0.5
-    points = tuple(
-        SupportPoint(np.array([x]), f(x), 0, 0.5 + x) for x in xs
-    )
+    points = _support(xs[:, None], f(xs), weight=0.5 + xs)
     surface = fit_surface(points, noise_floor=1e-6)
     assert surface.length_scales.shape == (1,)
     assert surface.length_scales[0] > 0
-    for x in np.concatenate([xs, (xs[:-1] + xs[1:]) / 2]):
-        assert surface.predict(np.array([x])) == pytest.approx(f(x), abs=0.1)
+    probes = np.concatenate([xs, (xs[:-1] + xs[1:]) / 2])
+    for x, value in zip(probes, surface.predict(probes[:, None])):
+        assert value == pytest.approx(f(x), abs=0.1)
 
 
 def test_two_support_points_fall_back_to_the_sample_spread():
-    points = (
-        SupportPoint(np.array([0.0]), 0.0, 0, 1.0),
-        SupportPoint(np.array([1.0]), 1.0, 0, 1.0),
-    )
+    points = _support([[0.0], [1.0]], [0.0, 1.0])
     surface = fit_surface(points, noise_floor=1e-4)
     assert np.array_equal(surface.length_scales, np.array([0.5]))
-    assert surface.predict(np.array([0.5])) == pytest.approx(0.5, abs=1e-3)
+    assert surface.predict(np.array([[0.5]]))[0] == pytest.approx(0.5, abs=1e-3)
 
 
 def test_duplicate_locations_collapse_when_values_agree():
     xs = np.linspace(0.0, 1.0, 6)
-    points = _line_points(xs, lambda x: x) + (
-        SupportPoint(np.array([xs[2]]), float(xs[2]), 1, 0.3),
-    )
+    x = np.append(xs, xs[2])
+    points = _support(x[:, None], x, level=[0] * 6 + [1], weight=[1.0] * 6 + [0.3])
     surface = fit_surface(points, noise_floor=1e-6, length_scales=np.array([0.4]))
     assert len(surface.x) == len(xs)
 
 
 def test_conflicting_duplicate_values_are_rejected():
-    points = (
-        SupportPoint(np.array([0.5]), 1.0, 0, 1.0),
-        SupportPoint(np.array([0.5]), 2.0, 1, 1.0),
-        SupportPoint(np.array([0.9]), 0.0, 0, 1.0),
-    )
+    points = _support([[0.5], [0.5], [0.9]], [1.0, 2.0, 0.0], level=[0, 1, 0])
     with pytest.raises(ValueError, match="conflicting"):
         fit_surface(points, noise_floor=1e-6)
 
 
 def test_fit_surface_validation():
     with pytest.raises(ValueError, match="zero support points"):
-        fit_surface(())
+        fit_surface(_support(np.empty((0, 1)), []))
     points = _line_points(np.linspace(0, 1, 5), lambda x: x)
     with pytest.raises(ValueError, match="noise_floor"):
         fit_surface(points, noise_floor=0.0)
@@ -234,10 +250,10 @@ def test_smoothed_fpf_scales_the_exponentiated_surface(toy_case):
     assert smoothed.scale == pytest.approx(
         toy_case.chain.pf * toy_case.space.volume
     )
-    phi = np.array([1.5])
-    expected = math.exp(smoothed.surface.predict(phi)) * smoothed.scale
-    assert smoothed(phi) == pytest.approx(expected, rel=1e-15)
-    assert smoothed(phi) > 0
+    phi = np.array([[1.5]])
+    expected = math.exp(smoothed.surface.predict(phi)[0]) * smoothed.scale
+    assert smoothed(phi)[0] == pytest.approx(expected, rel=1e-15)
+    assert smoothed(phi)[0] > 0
 
 
 def test_smoothed_fpf_accepts_batches(toy_case):
@@ -246,24 +262,14 @@ def test_smoothed_fpf_accepts_batches(toy_case):
     batch = smoothed(phis)
     assert batch.shape == (4,)
     for value, phi in zip(batch, phis):
-        assert value == smoothed(phi)
+        assert value == smoothed(phi[None, :])[0]
 
 
 def test_smoothed_fpf_gradient_chains_through_the_exponential(toy_case):
     smoothed = toy_case.smoothed
-    phi = np.array([2.0])
-    expected = smoothed(phi) * smoothed.surface.gradient(phi)
+    phi = np.array([[2.0]])
+    expected = smoothed(phi)[:, None] * smoothed.surface.gradient(phi)
     assert np.array_equal(smoothed.gradient(phi), expected)
-
-
-def test_smoothed_fpf_helper_matches_manual_assembly(toy_case):
-    rebuilt = smoothed_fpf(
-        toy_case.chain, toy_case.space, noise_floor=1e-4
-    )
-    assert isinstance(rebuilt, SmoothedFPF)
-    assert rebuilt.pf == toy_case.chain.pf
-    phi = np.array([1.0])
-    assert rebuilt(phi) > 0
 
 
 # ------------------------------------------------- rows against points ---
@@ -298,45 +304,26 @@ def test_row_surface_equals_the_per_point_reference(case_name, request):
     )
 
 
-@pytest.mark.parametrize("case_name", ["toy_case", "beam_case"])
-def test_a_point_equals_its_one_row_form(case_name, request):
-    smoothed = request.getfixturevalue(case_name).smoothed
-    surface = smoothed.surface
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        for p in _probe_rows(smoothed.space)[::7]:
-            value = surface.predict(p)
-            assert isinstance(value, float)
-            assert value == surface.predict(p[None, :])[0]
-            assert np.array_equal(surface.gradient(p), surface.gradient(p[None, :])[0])
-            fpf = smoothed(p)
-            assert isinstance(fpf, float)
-            assert fpf == smoothed(p[None, :])[0]
-            grad = smoothed.gradient(p)
-            assert grad.shape == p.shape
-            assert np.array_equal(grad, smoothed.gradient(p[None, :])[0])
-
-
 # -------------------------------------------------------- gradient guard ---
 
 
 def test_gradient_outside_the_design_space_is_rejected(toy_case):
     with pytest.raises(ValueError, match="outside"):
-        toy_case.smoothed.gradient(np.array([5.0]))
+        toy_case.smoothed.gradient(np.array([[5.0]]))
 
 
 def test_gradient_on_the_boundary_warns_one_sided(toy_case):
     with pytest.warns(UserWarning, match="one-sided"):
-        grad = toy_case.smoothed.gradient(np.array([0.0]))
-    assert grad.shape == (1,)
+        grad = toy_case.smoothed.gradient(np.array([[0.0]]))
+    assert grad.shape == (1, 1)
 
 
 def test_gradient_in_the_interior_is_warning_free(toy_case):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        grad = toy_case.smoothed.gradient(np.array([2.0]))
-    assert grad.shape == (1,)
-    assert math.isfinite(grad[0])
+        grad = toy_case.smoothed.gradient(np.array([[2.0]]))
+    assert grad.shape == (1, 1)
+    assert math.isfinite(grad[0, 0])
 
 
 def test_gradient_rows_with_one_outside_row_are_rejected(toy_case):
