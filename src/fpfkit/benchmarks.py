@@ -27,7 +27,7 @@ from .model import (
     DesignSpace,
     LimitStateModel,
     RandomVariableSpec,
-    _draw_theta,
+    _redraw_invalid,
     resolve_parameters,
 )
 from .special import ndtr
@@ -35,7 +35,10 @@ from .special import ndtr
 # first root of cos(x) * cosh(x) = -1 (clamped-free beam)
 LAMBDA_1 = 1.8751040687119611
 
+# an oracle point redraws invalid draws after each batch of its stream, and
+# evaluates in blocks, which bound a worker thread's buffers
 _ORACLE_BATCH = 65536
+_ORACLE_BLOCK = 16384
 
 
 def _as_arrays(*values):
@@ -253,24 +256,54 @@ def _point_estimate(
     n: int,
     seq: np.random.SeedSequence,
 ) -> tuple[float, float]:
+    """Direct Monte Carlo ``(pf, cov)`` of ``n`` theta draws at the design ``phi``.
+
+    The point's stream is used in batches of ``_ORACLE_BATCH`` rows: a batch's
+    normals are drawn block by block, ``_ORACLE_BLOCK`` rows at a time, and the
+    rows the model rejects are held back and redrawn after the batch's last
+    block, in row order. The draws are those of one fill per batch followed by
+    its redraws, and every row is evaluated once, in calls of at most one
+    block of rows.
+    """
     rng = np.random.Generator(np.random.PCG64(seq))
     mu, sigma = resolve_parameters(specs, phi[None, :])
-    # one set of buffers per point: row-major normals, and theta stored
-    # variable by variable so the model's column reads are contiguous
-    size = min(_ORACLE_BATCH, n)
-    normals = np.empty((size, mu.shape[1]))
-    columns = np.empty((mu.shape[1], size))
+    mu, sigma = mu[0], sigma[0]
+    k = mu.size
+    size = min(_ORACLE_BLOCK, n)
+    phis = np.broadcast_to(phi, (size, phi.size))
+    # row-major normals as the stream fills them, and theta stored variable by
+    # variable so that the model's column reads are contiguous
+    normals = np.empty((size, k))
+    columns = np.empty((k, size))
     n_fail = 0
-    done = 0
-    while done < n:
-        m = min(_ORACLE_BATCH, n - done)
-        phis = np.broadcast_to(phi, (m, phi.size))
-        thetas = _draw_theta(
-            model, phis, mu[0], sigma[0], rng, normals[:m], columns[:, :m].T
-        )
-        _, failed = model.evaluate_batch(phis, thetas)
-        n_fail += int(np.count_nonzero(failed))
-        done += m
+
+    def count_failures(thetas: np.ndarray) -> int:
+        _, failed = model.evaluate_batch(phis[: len(thetas)], thetas)
+        return int(np.count_nonzero(failed))
+
+    for start in range(0, n, _ORACLE_BATCH):
+        n_held = 0
+        stop = min(start + _ORACLE_BATCH, n)
+        for lo in range(start, stop, _ORACLE_BLOCK):
+            m = min(_ORACLE_BLOCK, stop - lo)
+            rng.standard_normal(out=normals[:m])
+            block = columns[:, :m]
+            np.multiply(normals[:m].T, sigma[:, None], out=block)
+            block += mu[:, None]
+            valid = model.theta_valid_batch(phis[:m], block.T)
+            if valid.all():
+                n_fail += count_failures(block.T)
+            else:
+                n_fail += count_failures(block[:, valid].T)
+                n_held += m - int(np.count_nonzero(valid))
+        if n_held:
+            held = np.empty((k, n_held)).T  # variable by variable, as ``columns``
+            _redraw_invalid(
+                model, np.broadcast_to(phi, (n_held, phi.size)), mu, sigma, rng,
+                held, np.ones(n_held, dtype=bool),
+            )
+            for lo in range(0, n_held, _ORACLE_BLOCK):
+                n_fail += count_failures(held[lo : lo + _ORACLE_BLOCK])
     pf = n_fail / n
     cov = math.sqrt((1.0 - pf) / (n * pf)) if pf > 0 else math.inf
     return pf, cov
@@ -288,7 +321,11 @@ def grid_dmcs_oracle(
     """Fixed-design direct Monte Carlo on every gridpoint.
 
     Each point draws from its own spawned stream, so the result does not
-    depend on worker scheduling and is reproducible for a given seed.
+    depend on worker scheduling and is reproducible for a given seed. A point
+    uses its stream in batches of 65,536 rows and redraws the rows its model
+    rejects after their batch; it evaluates its rows in blocks of 16,384, so
+    a worker's buffers hold one block, plus any rejected draws of the current
+    batch, whatever ``n_per_point`` is.
     """
     if resolution < 2:
         raise ValueError("resolution must be at least 2")

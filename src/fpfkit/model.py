@@ -221,29 +221,21 @@ class LimitStateModel:
 _MAX_REDRAWS = 100
 
 
-def _draw_theta(
+def _redraw_invalid(
     model: LimitStateModel,
     phis: np.ndarray,
     mu: np.ndarray,
     sigma: np.ndarray,
     rng: np.random.Generator,
-    normals: np.ndarray,
     out: np.ndarray,
-) -> np.ndarray:
-    """Fill ``out`` (n, k) with normal theta rows, redrawing the ones the model
-    rejects; ``mu`` and ``sigma`` are (k,) or (n, k).
+    bad: np.ndarray,
+) -> None:
+    """Redraw the rows of ``out`` (n, k) flagged in ``bad`` until the model
+    accepts every row; ``mu`` and ``sigma`` are (k,) or (n, k).
 
-    ``normals`` is a C-ordered (n, k) buffer for the standard normals, which
-    the stream fills row by row; it may be ``out`` itself, or ``out`` may be a
-    column-major view so that each variable is contiguous for the model. The
-    doubles are those of ``rng.normal(mu, sigma)``, which computes
-    ``mu + sigma * z`` from the same standard normals, without its
-    per-element broadcast or fresh temporaries.
+    Each round draws one standard normal row per flagged row, in row order,
+    and rounds ``mu + sigma * z`` as ``rng.normal(mu, sigma)`` does.
     """
-    rng.standard_normal(out=normals)
-    np.multiply(normals, sigma, out=out)
-    out += mu
-    bad = ~model.theta_valid_batch(phis, out)
     tries = 0
     while np.any(bad):
         tries += 1
@@ -254,7 +246,6 @@ def _draw_theta(
         redraw += np.broadcast_to(mu, out.shape)[bad]
         out[bad] = redraw
         bad = ~model.theta_valid_batch(phis, out)
-    return out
 
 
 def sample_theta(
@@ -265,5 +256,10 @@ def sample_theta(
 ) -> np.ndarray:
     """Draw theta rows conditional on each design row, redrawing invalid ones."""
     mus, sigmas = resolve_parameters(specs, phis)
-    thetas = np.empty_like(mus)
-    return _draw_theta(model, phis, mus, sigmas, rng, thetas, thetas)
+    # the doubles of rng.normal(mus, sigmas), without its per-element broadcast
+    thetas = rng.standard_normal(mus.shape)
+    thetas *= sigmas
+    thetas += mus
+    bad = ~model.theta_valid_batch(phis, thetas)
+    _redraw_invalid(model, phis, mus, sigmas, rng, thetas, bad)
+    return thetas

@@ -302,12 +302,45 @@ class _PickyToy(ToyModel):
     ids=["beam", "redrawn-toy"],
 )
 def test_grid_oracle_equals_the_allocating_reference(model, space, specs):
-    # 70,000 samples per point: one full batch and one partial batch
-    oracle = grid_dmcs_oracle(model, space, specs, 3, 70000, np.random.SeedSequence(23))
-    seqs = np.random.SeedSequence(23).spawn(len(oracle.points))
-    for i, phi in enumerate(oracle.points):
-        pf, cov = reference_point_estimate(model, specs, phi, 70000, seqs[i])
-        assert (oracle.pf[i], oracle.cov[i]) == (pf, cov)
+    # samples per point: one full batch and a partial one; one 16,384-row
+    # block and a partial one; two full batches and a partial one
+    for n in (70000, 20000, 140000):
+        oracle = grid_dmcs_oracle(model, space, specs, 3, n, np.random.SeedSequence(23))
+        seqs = np.random.SeedSequence(23).spawn(len(oracle.points))
+        for i, phi in enumerate(oracle.points):
+            pf, cov = reference_point_estimate(model, specs, phi, n, seqs[i])
+            assert (oracle.pf[i], oracle.cov[i]) == (pf, cov)
+
+
+class _CountingPickyToy(ToyModel):
+    """Rejects about one draw in 160 and records the rows it is given: of
+    every validity check, and of every evaluation at each design point."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.checked: list[int] = []
+        self.evaluated: dict[float, list[int]] = {}
+
+    def theta_valid_batch(self, phis, thetas):
+        self.checked.append(len(thetas))
+        return thetas[:, 0] < 2.5
+
+    def evaluate_batch(self, phis, thetas):
+        self.evaluated.setdefault(float(phis[0, 0]), []).append(len(phis))
+        return super().evaluate_batch(phis, thetas)
+
+
+@pytest.mark.parametrize("n", [5000, 20000, 70000])
+def test_grid_oracle_works_in_blocks_of_16384_rows(n):
+    model = _CountingPickyToy()
+    oracle = grid_dmcs_oracle(
+        model, toy_design_space(), toy_variable_specs(), 3, n, np.random.SeedSequence(29)
+    )
+    assert max(model.checked) <= 16384
+    assert sorted(model.evaluated) == oracle.points[:, 0].tolist()
+    for rows in model.evaluated.values():
+        assert max(rows) <= 16384
+        assert sum(rows) == n
 
 
 def test_beam_grid_oracle_is_independent_of_worker_count():
