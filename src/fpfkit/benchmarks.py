@@ -30,7 +30,6 @@ from .model import (
     _redraw_invalid,
     resolve_parameters,
 )
-from .special import ndtr
 
 # first root of cos(x) * cosh(x) = -1 (clamped-free beam)
 LAMBDA_1 = 1.8751040687119611
@@ -122,9 +121,7 @@ class BoxBeamModel(LimitStateModel):
 
     def margin(self, performance):
         lo, hi = self.band
-        performance = np.asarray(performance, dtype=float)
-        out = np.maximum(lo - performance, performance - hi)
-        return out if out.ndim else float(out)
+        return np.maximum(lo - performance, performance - hi)
 
     def theta_valid_batch(self, phis: np.ndarray, thetas: np.ndarray) -> np.ndarray:
         b, h, t, rho, e = (thetas[:, j] for j in range(5))
@@ -177,8 +174,12 @@ def toy_variable_specs() -> tuple[RandomVariableSpec, ...]:
 
 
 def analytic_toy_fpf(phi: np.ndarray) -> np.ndarray:
-    """Exact toy FPF ``(n,)`` at rows ``(n, 1)``: P(theta >= phi) = Phi(-phi)."""
-    return ndtr(-np.asarray(phi, dtype=float)[:, 0])
+    """Exact toy FPF ``(n,)`` at rows ``(n, 1)``: P(theta >= phi) = Phi(-phi),
+    which is erfc(phi / sqrt(2)) / 2."""
+    rows = np.asarray(phi, dtype=float)[:, 0]
+    return np.fromiter(
+        (0.5 * math.erfc(x / math.sqrt(2.0)) for x in rows.tolist()), float, rows.size
+    )
 
 
 class TableModel(LimitStateModel):
@@ -199,12 +200,11 @@ class TableModel(LimitStateModel):
             raise ValueError("table pf values must lie in [0, 1]")
         if pf.shape != tuple(len(a) for a in axes):
             raise ValueError("table shape does not match its axes")
-        # SciPy's ufunc, not the scalar port: it runs on every model batch
+        from scipy import special
         from scipy.interpolate import RegularGridInterpolator
-        from scipy.special import ndtr as ndtr_ufunc
 
         self._interp = RegularGridInterpolator(axes, pf, method="linear")
-        self._ndtr = ndtr_ufunc
+        self._ndtr = special.ndtr
         self.axes = tuple(np.asarray(a, dtype=float) for a in axes)
 
     def design_space(self) -> DesignSpace:

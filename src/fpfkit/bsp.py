@@ -26,7 +26,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .regions import box_volumes
-from .special import loggamma
 
 
 # A cut-tree node: the cut's axis and position and its low and high child
@@ -88,6 +87,11 @@ def _partition(
     )
 
 
+def _lgamma(x: np.ndarray) -> np.ndarray:
+    """log Gamma of each entry of ``x``, flattened, from ``math.lgamma``."""
+    return np.fromiter(map(math.lgamma, x.ravel().tolist()), float, x.size)
+
+
 def log_partition_score(partition: BinaryPartition, alpha: float, beta: float) -> float:
     """Log posterior score of a partition (up to the data-only constant)."""
     if alpha <= 0:
@@ -97,8 +101,8 @@ def log_partition_score(partition: BinaryPartition, alpha: float, beta: float) -
     counts = partition.counts.astype(float)
     log_vols = np.array([math.log(v) for v in box_volumes(partition.boxes).tolist()])
     score = -beta * t
-    score += float(np.sum(loggamma(counts + alpha))) - loggamma(n_total + t * alpha)
-    score -= t * loggamma(alpha) - loggamma(t * alpha)
+    score += float(np.sum(_lgamma(counts + alpha))) - math.lgamma(n_total + t * alpha)
+    score -= t * math.lgamma(alpha) - math.lgamma(t * alpha)
     score -= float(np.sum(counts * log_vols))
     return float(score)
 
@@ -237,11 +241,11 @@ class _Particles:
         lo_arr, hi_arr = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
         n_below = np.count_nonzero(coords < 0.5 * (lo_arr + hi_arr)[:, None], axis=1)
         n = np.array(coords.shape[1])
-        lgam = loggamma(np.arange(n + 1) + alpha)
+        lgam = _lgamma(np.arange(n + 1) + alpha)
         gains = _cut_gains(n_below, n, lo_arr, hi_arr, lgam, beta)
         t_alpha = np.arange(1, max_leaves + 1) * alpha
-        lg_n, lg_t = loggamma(n + t_alpha), loggamma(t_alpha)
-        level = -lg_n[1:] + lg_n[:-1] - loggamma(alpha) + lg_t[1:] - lg_t[:-1]
+        lg_n, lg_t = _lgamma(n + t_alpha), _lgamma(t_alpha)
+        level = -lg_n[1:] + lg_n[:-1] - math.lgamma(alpha) + lg_t[1:] - lg_t[:-1]
 
         def fill(values, dtype) -> np.ndarray:
             return np.tile(np.asarray(values, dtype=dtype), (n_particles, 1, 1))

@@ -191,8 +191,9 @@ class LimitStateModel:
     def performance_batch(self, phis: np.ndarray, thetas: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def margin(self, performance):
-        """Continuous failure margin; <= 0 iff failed. Accepts arrays."""
+    def margin(self, performance: np.ndarray) -> np.ndarray:
+        """Continuous failure margin ``(n,)`` of performances ``(n,)``;
+        <= 0 iff failed."""
         raise NotImplementedError
 
     def theta_valid_batch(self, phis: np.ndarray, thetas: np.ndarray) -> np.ndarray:
@@ -215,7 +216,7 @@ class LimitStateModel:
                 f"model {self.name!r} returned performance {float(perf[i])!r} at "
                 f"phi={phis[i].tolist()}, theta={thetas[i].tolist()}"
             )
-        return perf, np.asarray(self.margin(perf)) <= 0.0
+        return perf, self.margin(perf) <= 0.0
 
 
 _MAX_REDRAWS = 100
@@ -234,18 +235,20 @@ def _redraw_invalid(
     accepts every row; ``mu`` and ``sigma`` are (k,) or (n, k).
 
     Each round draws one standard normal row per flagged row, in row order,
-    and rounds ``mu + sigma * z`` as ``rng.normal(mu, sigma)`` does.
+    and rounds ``mu + sigma * z`` as ``rng.normal(mu, sigma)`` does. Validity
+    is decided row by row, so each round checks only the rows it redrew.
     """
+    rows = np.flatnonzero(bad)
     tries = 0
-    while np.any(bad):
+    while rows.size:
         tries += 1
         if tries > _MAX_REDRAWS:
             raise RuntimeError("theta redraw limit exceeded; check variable specs")
-        redraw = rng.standard_normal((int(np.count_nonzero(bad)), out.shape[1]))
-        redraw *= np.broadcast_to(sigma, out.shape)[bad]
-        redraw += np.broadcast_to(mu, out.shape)[bad]
-        out[bad] = redraw
-        bad = ~model.theta_valid_batch(phis, out)
+        redraw = rng.standard_normal((rows.size, out.shape[1]))
+        redraw *= np.broadcast_to(sigma, out.shape)[rows]
+        redraw += np.broadcast_to(mu, out.shape)[rows]
+        out[rows] = redraw
+        rows = rows[~model.theta_valid_batch(phis[rows], redraw)]
 
 
 def sample_theta(

@@ -130,7 +130,7 @@ def mmh_chain(
     """
     if len(draws) != len(seeds):
         raise ValueError("mmh_chain needs one row of draws per seed")
-    if not np.all(np.asarray(model.margin(seeds.performance)) <= tau):
+    if not np.all(model.margin(seeds.performance) <= tau):
         raise ValueError(f"chain seed must be a failure sample (margin <= {tau})")
     if not np.all(region.contains(seeds.phi)):
         raise ValueError("chain seed lies outside the target region")
@@ -171,7 +171,7 @@ def mmh_chain(
             rows, cand_phi, cand_u, cand_theta = rows[ok], cand_phi[ok], cand_u[ok], cand_theta[ok]
         if len(rows):
             cand_perf, _ = model.evaluate_batch(cand_phi, cand_theta)
-            acc = np.asarray(model.margin(cand_perf)) <= tau
+            acc = model.margin(cand_perf) <= tau
             rows = rows[acc]
             phi[rows] = cand_phi[acc]
             u[rows] = cand_u[acc]
@@ -318,7 +318,7 @@ def subset_simulation(
 
     level = 0
     while True:
-        margins = np.asarray(model.margin(pop.performance), dtype=float)
+        margins = model.margin(pop.performance)
         failed = margins <= 0.0
         frac_fail = float(np.count_nonzero(failed)) / n_per_level
         order = np.argsort(margins, kind="stable")

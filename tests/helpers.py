@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
-from scipy.special import loggamma, logsumexp
+from scipy import special
 
 from fpfkit.bsp import (
     _NODE,
@@ -21,7 +21,10 @@ from fpfkit.benchmarks import LAMBDA_1
 from fpfkit.model import DesignSpace, resolve_parameters
 from fpfkit.pipeline import threshold_from_ratio
 from fpfkit.smoothing import _MULT_GRID, _NOISE_FRACTIONS, RegressionSurface, SmoothedFPF
-from fpfkit.special import ndtr
+
+
+# log Gamma from the C library's lgamma, as the search takes it
+loggamma = np.vectorize(math.lgamma, otypes=[float])
 
 
 def disjoint_volume_check(boxes: np.ndarray, tol: float = 1e-9) -> bool:
@@ -335,7 +338,7 @@ def reference_bsp_estimate(
         level_best = -np.inf
         for j, deltas in enumerate(level_deltas):
             part = particles[j]
-            norm = logsumexp(deltas)
+            norm = special.logsumexp(deltas)
             prob = np.exp(deltas - norm)
             prob /= prob.sum()
             choice = int(rng.choice(deltas.size, p=prob))
@@ -531,7 +534,8 @@ def toy_pf_exact(lo: float = 0.0, hi: float = 4.0) -> float:
     """
 
     def anti(t: float) -> float:
-        return t * ndtr(-t) - np.exp(-t**2 / 2.0) / np.sqrt(2 * np.pi)
+        sf = 0.5 * math.erfc(t / math.sqrt(2.0))
+        return t * sf - np.exp(-t**2 / 2.0) / np.sqrt(2 * np.pi)
 
     return (anti(hi) - anti(lo)) / (hi - lo)
 

@@ -3,6 +3,7 @@ import threading
 
 import numpy as np
 import pytest
+from scipy import special
 
 import fpfkit.bsp as bsp
 from fpfkit.artifacts import density_record
@@ -199,6 +200,16 @@ def test_estimate_rejects_non_finite_settings():
     for beta in (np.inf, -np.inf, np.nan):
         with pytest.raises(ValueError, match="beta must be finite"):
             bsp_estimate(TWO_POINTS, (0.0,), (1.0,), rng, beta=beta)
+
+
+@pytest.mark.parametrize("alpha", [0.001, 0.1, 0.5, 1.0, 2.5])
+def test_log_gamma_table_agrees_with_scipy(alpha):
+    # the search's table of log Gamma(k + alpha); relative to the value far
+    # from the zeros of log Gamma at 1 and 2, absolute near them
+    x = np.arange(10**5 + 1) + alpha
+    want = special.loggamma(x)
+    got = bsp._lgamma(x)
+    assert np.all(np.abs(got - want) <= 1e-13 * np.maximum(1.0, np.abs(want)))
 
 
 def test_score_validation():

@@ -206,6 +206,37 @@ def test_sample_theta_equals_generator_normal_draws_with_redraws():
     assert np.array_equal(got, want)
 
 
+class NegativeThetaModel(LineModel):
+    """Rejects theta_0 >= 0 and keeps the rows of every validity call."""
+
+    def __init__(self):
+        super().__init__()
+        self.seen = []
+
+    def theta_valid_batch(self, phis, thetas):
+        self.seen.append(thetas.copy())
+        return thetas[:, 0] < 0
+
+
+def test_sample_theta_checks_only_the_rows_it_redrew():
+    specs = (RandomVariableSpec("t", mean=0.0, std=1.0),)
+    phis = np.zeros((1000, 1))
+    model = NegativeThetaModel()
+    got = sample_theta(specs, model, phis, np.random.default_rng(12))
+    want = reference_sample_theta(specs, NegativeThetaModel(), phis, np.random.default_rng(12))
+    assert (got == want).all()
+    # the first call sees every row; each later one only the rows the call
+    # before it rejected, freshly drawn
+    assert len(model.seen) > 2
+    rows = np.arange(phis.shape[0])
+    for seen in model.seen:
+        assert seen.shape == (rows.size, 1)
+        ok = seen[:, 0] < 0
+        assert (got[rows[ok]] == seen[ok]).all()
+        rows = rows[~ok]
+    assert rows.size == 0
+
+
 def test_sample_theta_gives_up_on_impossible_validity():
     class Impossible(LineModel):
         def theta_valid_batch(self, phis, thetas):
