@@ -108,7 +108,8 @@ def load_oracle_csv(path: Path):
 
     The grid must be full factorial, each point once; bounds and resolution
     are recovered from the coordinate columns. Every cell is finite, except
-    a cov of +inf at a point without failures.
+    a cov of +inf at a point without failures; pf_hat lies in [0, 1] and n
+    is a positive whole number.
     """
     from .benchmarks import FPFGridOracle
 
@@ -125,14 +126,18 @@ def load_oracle_csv(path: Path):
         raise ValueError(f"{path}: a cell is not a finite number")
     points = arr[:, :ndim]
     pf = arr[:, header.index("pf_hat")]
-    n = arr[:, header.index("n")].astype(int)
+    n = arr[:, header.index("n")]
     cov = arr[:, header.index("cov")]
+    if not ((pf >= 0) & (pf <= 1)).all():
+        raise ValueError(f"{path}: pf_hat values must lie in [0, 1]")
+    if not ((n >= 1) & (n == np.floor(n))).all():
+        raise ValueError(f"{path}: n values must be positive whole numbers")
     uniques = _grid_index(path, points)[0]
     res = len(uniques[0])
     if any(len(u) != res for u in uniques):
         raise ValueError(f"{path}: points do not form a full factorial grid")
     bounds = tuple((float(u[0]), float(u[-1])) for u in uniques)
-    return FPFGridOracle(points, pf, n, cov, bounds, res)
+    return FPFGridOracle(points, pf, n.astype(int), cov, bounds, res)
 
 
 def load_table_csv(path: Path):

@@ -24,19 +24,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import (
+    MAX_REDRAWS,
     DesignSpace,
     LimitStateModel,
     RandomVariableSpec,
-    _redraw_invalid,
     resolve_parameters,
 )
 
 # first root of cos(x) * cosh(x) = -1 (clamped-free beam)
 LAMBDA_1 = 1.8751040687119611
 
-# an oracle point redraws invalid draws after each batch of its stream, and
-# evaluates in blocks, which bound a worker thread's buffers
-_ORACLE_BATCH = 65536
+# rows an oracle point draws and evaluates at a time; bounds a worker's buffers
 _ORACLE_BLOCK = 16384
 
 
@@ -258,52 +256,41 @@ def _point_estimate(
 ) -> tuple[float, float]:
     """Direct Monte Carlo ``(pf, cov)`` of ``n`` theta draws at the design ``phi``.
 
-    The point's stream is used in batches of ``_ORACLE_BATCH`` rows: a batch's
-    normals are drawn block by block, ``_ORACLE_BLOCK`` rows at a time, and the
-    rows the model rejects are held back and redrawn after the batch's last
-    block, in row order. The draws are those of one fill per batch followed by
-    its redraws, and every row is evaluated once, in calls of at most one
-    block of rows.
+    The draws are the first ``n`` rows of the point's stream that the model
+    accepts. The stream is read in blocks of at most ``_ORACLE_BLOCK`` rows,
+    none larger than the count still needed, and a block's accepted rows are
+    evaluated in one call. A point may draw ``MAX_REDRAWS * n`` rows; one
+    that needs more raises ``RuntimeError``.
     """
     rng = np.random.Generator(np.random.PCG64(seq))
-    mu, sigma = resolve_parameters(specs, phi[None, :])
-    mu, sigma = mu[0], sigma[0]
-    k = mu.size
+    (mu,), (sigma,) = resolve_parameters(specs, phi[None, :])
     size = min(_ORACLE_BLOCK, n)
     phis = np.broadcast_to(phi, (size, phi.size))
-    # row-major normals as the stream fills them, and theta stored variable by
-    # variable so that the model's column reads are contiguous
-    normals = np.empty((size, k))
-    columns = np.empty((k, size))
-    n_fail = 0
+    # normals row-major as the stream fills them, theta variable-major for column reads
+    normals = np.empty((size, mu.size))
+    columns = np.empty((mu.size, size))
 
+    # a call, so that a block's performance array is freed before the next block
     def count_failures(thetas: np.ndarray) -> int:
         _, failed = model.evaluate_batch(phis[: len(thetas)], thetas)
         return int(np.count_nonzero(failed))
 
-    for start in range(0, n, _ORACLE_BATCH):
-        n_held = 0
-        stop = min(start + _ORACLE_BATCH, n)
-        for lo in range(start, stop, _ORACLE_BLOCK):
-            m = min(_ORACLE_BLOCK, stop - lo)
-            rng.standard_normal(out=normals[:m])
-            block = columns[:, :m]
-            np.multiply(normals[:m].T, sigma[:, None], out=block)
-            block += mu[:, None]
-            valid = model.theta_valid_batch(phis[:m], block.T)
-            if valid.all():
-                n_fail += count_failures(block.T)
-            else:
-                n_fail += count_failures(block[:, valid].T)
-                n_held += m - int(np.count_nonzero(valid))
-        if n_held:
-            held = np.empty((k, n_held)).T  # variable by variable, as ``columns``
-            _redraw_invalid(
-                model, np.broadcast_to(phi, (n_held, phi.size)), mu, sigma, rng,
-                held, np.ones(n_held, dtype=bool),
-            )
-            for lo in range(0, n_held, _ORACLE_BLOCK):
-                n_fail += count_failures(held[lo : lo + _ORACLE_BLOCK])
+    n_fail = drawn = 0
+    needed = n
+    while needed:
+        m = min(size, needed)
+        drawn += m
+        if drawn > MAX_REDRAWS * n:
+            raise RuntimeError("theta redraw limit exceeded; check variable specs")
+        rng.standard_normal(out=normals[:m])
+        block = columns[:, :m]
+        np.multiply(normals[:m].T, sigma[:, None], out=block)
+        block += mu[:, None]
+        valid = model.theta_valid_batch(phis[:m], block.T)
+        n_valid = int(np.count_nonzero(valid))
+        if n_valid:
+            n_fail += count_failures(block.T if n_valid == m else block[:, valid].T)
+        needed -= n_valid
     pf = n_fail / n
     cov = math.sqrt((1.0 - pf) / (n * pf)) if pf > 0 else math.inf
     return pf, cov
@@ -322,10 +309,10 @@ def grid_dmcs_oracle(
 
     Each point draws from its own spawned stream, so the result does not
     depend on worker scheduling and is reproducible for a given seed. A point
-    uses its stream in batches of 65,536 rows and redraws the rows its model
-    rejects after their batch; it evaluates its rows in blocks of 16,384, so
-    a worker's buffers hold one block, plus any rejected draws of the current
-    batch, whatever ``n_per_point`` is.
+    counts the failures among the first ``n_per_point`` valid rows of its
+    stream, drawn and evaluated in blocks of 16,384 rows, so a worker's
+    buffers hold one block whatever ``n_per_point`` is. A point may draw 100
+    rows per requested row; one that needs more raises ``RuntimeError``.
     """
     if resolution < 2:
         raise ValueError("resolution must be at least 2")

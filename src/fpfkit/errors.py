@@ -4,7 +4,12 @@ from __future__ import annotations
 
 
 class FpfkitError(Exception):
-    """Base class for package errors."""
+    """Base class for package errors; ``partial`` is what the failing step
+    had produced when it stopped, if anything."""
+
+    def __init__(self, message: str, partial=None):
+        super().__init__(message)
+        self.partial = partial
 
 
 class ConfigError(FpfkitError):
@@ -14,17 +19,9 @@ class ConfigError(FpfkitError):
 class ConvergenceError(FpfkitError):
     """An iterative estimator exceeded its level or iteration cap."""
 
-    def __init__(self, message: str, partial=None):
-        super().__init__(message)
-        self.partial = partial
-
 
 class RegionPopulationError(FpfkitError):
     """No usable seed samples inside the target region."""
-
-    def __init__(self, message: str, partial=None):
-        super().__init__(message)
-        self.partial = partial
 
 
 class DegenerateThresholdError(FpfkitError):

@@ -219,36 +219,8 @@ class LimitStateModel:
         return perf, self.margin(perf) <= 0.0
 
 
-_MAX_REDRAWS = 100
-
-
-def _redraw_invalid(
-    model: LimitStateModel,
-    phis: np.ndarray,
-    mu: np.ndarray,
-    sigma: np.ndarray,
-    rng: np.random.Generator,
-    out: np.ndarray,
-    bad: np.ndarray,
-) -> None:
-    """Redraw the rows of ``out`` (n, k) flagged in ``bad`` until the model
-    accepts every row; ``mu`` and ``sigma`` are (k,) or (n, k).
-
-    Each round draws one standard normal row per flagged row, in row order,
-    and rounds ``mu + sigma * z`` as ``rng.normal(mu, sigma)`` does. Validity
-    is decided row by row, so each round checks only the rows it redrew.
-    """
-    rows = np.flatnonzero(bad)
-    tries = 0
-    while rows.size:
-        tries += 1
-        if tries > _MAX_REDRAWS:
-            raise RuntimeError("theta redraw limit exceeded; check variable specs")
-        redraw = rng.standard_normal((rows.size, out.shape[1]))
-        redraw *= np.broadcast_to(sigma, out.shape)[rows]
-        redraw += np.broadcast_to(mu, out.shape)[rows]
-        out[rows] = redraw
-        rows = rows[~model.theta_valid_batch(phis[rows], redraw)]
+# redraw rounds of ``sample_theta``, and rows a grid oracle point may draw per row
+MAX_REDRAWS = 100
 
 
 def sample_theta(
@@ -257,12 +229,26 @@ def sample_theta(
     phis: np.ndarray,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """Draw theta rows conditional on each design row, redrawing invalid ones."""
+    """Draw theta rows conditional on each design row, redrawing invalid ones.
+
+    A redraw round draws one standard normal row per invalid row, in row
+    order, rounds ``mu + sigma * z`` as ``rng.normal`` does and checks only
+    the rows it redrew; rows still invalid after ``MAX_REDRAWS`` rounds raise.
+    """
     mus, sigmas = resolve_parameters(specs, phis)
     # the doubles of rng.normal(mus, sigmas), without its per-element broadcast
     thetas = rng.standard_normal(mus.shape)
     thetas *= sigmas
     thetas += mus
-    bad = ~model.theta_valid_batch(phis, thetas)
-    _redraw_invalid(model, phis, mus, sigmas, rng, thetas, bad)
+    rows = np.flatnonzero(~model.theta_valid_batch(phis, thetas))
+    tries = 0
+    while rows.size:
+        tries += 1
+        if tries > MAX_REDRAWS:
+            raise RuntimeError("theta redraw limit exceeded; check variable specs")
+        redraw = rng.standard_normal((rows.size, thetas.shape[1]))
+        redraw *= sigmas[rows]
+        redraw += mus[rows]
+        thetas[rows] = redraw
+        rows = rows[~model.theta_valid_batch(phis[rows], redraw)]
     return thetas

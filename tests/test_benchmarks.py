@@ -298,17 +298,26 @@ class _PickyToy(ToyModel):
         return thetas[:, 0] < 1.0
 
 
+class _RareToy(ToyModel):
+    """Keeps about 5% of the draws, so most of a point's stream is rejected."""
+
+    def theta_valid_batch(self, phis, thetas):
+        return thetas[:, 0] > 1.645
+
+
 @pytest.mark.parametrize(
     "model, space, specs",
     [
         (BoxBeamModel(band=(700.0, 900.0)), beam_design_space(), beam_variable_specs()),
         (_PickyToy(), toy_design_space(), toy_variable_specs()),
+        (_RareToy(), toy_design_space(), toy_variable_specs()),
     ],
-    ids=["beam", "redrawn-toy"],
+    ids=["beam", "redrawn-toy", "rare-toy"],
 )
 def test_grid_oracle_equals_the_allocating_reference(model, space, specs):
-    # samples per point: one full batch and a partial one; one 16,384-row
-    # block and a partial one; two full batches and a partial one
+    # samples per point, against the reference's 65,536-row batches: one
+    # batch and part of another; one 16,384-row block and part of another;
+    # two batches and part of a third
     for n in (70000, 20000, 140000):
         oracle = grid_dmcs_oracle(model, space, specs, 3, n, np.random.SeedSequence(23))
         seqs = np.random.SeedSequence(23).spawn(len(oracle.points))
@@ -346,6 +355,26 @@ def test_grid_oracle_works_in_blocks_of_16384_rows(n):
     for rows in model.evaluated.values():
         assert max(rows) <= 16384
         assert sum(rows) == n
+
+
+class _NeverValidToy(_CountingPickyToy):
+    def theta_valid_batch(self, phis, thetas):
+        self.checked.append(len(thetas))
+        return np.zeros(len(thetas), dtype=bool)
+
+
+@pytest.mark.parametrize("n", [300, 20000])
+def test_grid_oracle_gives_up_after_100_draws_per_requested_row(n):
+    model = _NeverValidToy()
+    with pytest.raises(RuntimeError, match="theta redraw limit exceeded"):
+        grid_dmcs_oracle(
+            model, toy_design_space(), toy_variable_specs(), 2, n, np.random.SeedSequence(3)
+        )
+    # each of the two points draws its budget of 100 * n rows, up to the one
+    # block that would overdraw it, and then raises
+    assert max(model.checked) <= 16384
+    assert 100 * n - 16384 < sum(model.checked) / 2 <= 100 * n
+    assert not model.evaluated  # a block with no valid row is not evaluated
 
 
 def test_beam_grid_oracle_is_independent_of_worker_count():

@@ -466,6 +466,18 @@ def test_oracle_csv_rejects_malformed_files(tmp_path):
     ragged.write_text("phi_1,pf_hat,n,cov\n0.0,0.5,100,0.1\n0.0,0.4,100,0.1\n")
     with pytest.raises(ValueError, match="full factorial"):
         load_oracle_csv(ragged)
+    for name, pf, n, match in [
+        ("pf_high", "1.5", "100", "pf_hat"),
+        ("pf_low", "-0.2", "100", "pf_hat"),
+        ("n_fractional", "0.5", "99.7", "n values"),
+        ("n_negative", "0.5", "-5", "n values"),
+        ("n_zero", "0.5", "0", "n values"),
+    ]:
+        bad = tmp_path / f"{name}.csv"
+        bad.write_text(f"phi_1,pf_hat,n,cov\n0.0,0.5,100,0.1\n4.0,{pf},{n},0.1\n")
+        with pytest.raises(ValueError, match=match) as exc:
+            load_oracle_csv(bad)
+        assert str(bad) in str(exc.value)
 
 
 def test_table_csv_loader(tmp_path):
