@@ -22,6 +22,7 @@ from .benchmarks import (
     beam_section,
     beam_variable_specs,
     grid_dmcs_oracle,
+    objective_mean_area,
     toy_design_space,
     toy_variable_specs,
 )
@@ -41,7 +42,7 @@ from .model import (
     SampleSet,
     resolve_parameters,
 )
-from .optimize import DesignProblem, OptimalDesign, objective_mean_area, optimize
+from .optimize import Optima, optimize
 from .pipeline import (
     FPFApproximation,
     RegionChainResult,
@@ -67,13 +68,12 @@ __all__ = [
     "ConfigError",
     "ConvergenceError",
     "DegenerateThresholdError",
-    "DesignProblem",
     "DesignSpace",
     "FailureEstimate",
     "FPFApproximation",
     "FpfkitError",
     "LimitStateModel",
-    "OptimalDesign",
+    "Optima",
     "PiecewiseConstantDensity",
     "PipelineConfig",
     "RandomVariableSpec",

@@ -70,6 +70,19 @@ def beam_section(b, h, t):
     return area.reshape(shape)[()], inertia.reshape(shape)[()]
 
 
+def objective_mean_area(phi: np.ndarray, wall: float = 2.0) -> np.ndarray:
+    """Mean cross-sectional area ``(n,)`` of hollow rectangular sections at
+    rows ``(n, 2)``, mm^2: ``beam_section``'s area at phi = (outer width,
+    outer height) and wall thickness ``wall``, all at their mean values."""
+    phi = np.asarray(phi, dtype=float)
+    b, h = phi[:, 0], phi[:, 1]
+    thin = (b <= 2 * wall) | (h <= 2 * wall)
+    if thin.any():
+        bad = phi[np.argmax(thin)]
+        raise ValueError(f"section {bad[0]} x {bad[1]} too small for wall {wall}")
+    return beam_section(b, h, wall)[0]
+
+
 def beam_frequency(b, h, t, rho, e_gpa, length_mm: float = 500.0):
     """First natural frequency (rad/s) of the cantilever box beam.
 

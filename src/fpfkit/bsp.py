@@ -92,21 +92,6 @@ def _lgamma(x: np.ndarray) -> np.ndarray:
     return np.fromiter(map(math.lgamma, x.ravel().tolist()), float, x.size)
 
 
-def log_partition_score(partition: BinaryPartition, alpha: float, beta: float) -> float:
-    """Log posterior score of a partition (up to the data-only constant)."""
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
-    t = partition.n_leaves
-    n_total = partition.n_samples
-    counts = partition.counts.astype(float)
-    log_vols = np.array([math.log(v) for v in box_volumes(partition.boxes).tolist()])
-    score = -beta * t
-    score += float(np.sum(_lgamma(counts + alpha))) - math.lgamma(n_total + t * alpha)
-    score -= t * math.lgamma(alpha) - math.lgamma(t * alpha)
-    score -= float(np.sum(counts * log_vols))
-    return float(score)
-
-
 @dataclass(frozen=True)
 class PiecewiseConstantDensity:
     """Normalized piecewise-constant density on a binary partition.
@@ -395,8 +380,9 @@ def bsp_estimate(
     coords = np.ascontiguousarray(points[np.argsort(points[:, 0])].T)
     top = np.asarray(hi, dtype=float)
     swarm = _Particles.start(lo, hi, coords, n_particles, max_leaves, alpha, beta)
-    base = _partition(lo, hi, swarm.cuts[0, :0], swarm.n[0], n)
-    base_score = log_partition_score(base, alpha, beta)
+    # the one-leaf score: its log-gamma terms cancel, leaving -beta - N log|box|;
+    # 0.0 - beta, not -beta, keeps a zero score +0.0 as the term-by-term sum has it
+    base_score = 0.0 - beta - n * math.log(box_volumes(np.array([lo, hi], dtype=float)))
     rows = np.arange(n_particles)
     scores = np.full(n_particles, base_score)
     log_w = np.zeros(n_particles)

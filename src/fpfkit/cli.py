@@ -123,10 +123,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         log.error("configuration error: %s", exc)
         return EXIT_CONFIG
-    except FpfkitError as exc:
-        log.error("runtime failure: %s", exc)
-        return EXIT_RUNTIME
-    except (AssertionError, RuntimeError, ValueError) as exc:
+    except (FpfkitError, AssertionError, RuntimeError, ValueError) as exc:
         log.error("runtime failure: %s", exc)
         return EXIT_RUNTIME
     return EXIT_OK

@@ -5,7 +5,6 @@ FPF surface instead of fresh limit-state runs."""
 from __future__ import annotations
 
 import itertools
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,60 +18,45 @@ ACTIVE_MARGIN = 0.05  # relative distance to the allowable that counts as active
 SLACK = 1e-6  # relative excess over the allowable that still counts as feasible
 
 
-def objective_mean_area(phi: np.ndarray, wall: float = 2.0) -> np.ndarray:
-    """Mean cross-sectional area ``(n,)`` of hollow rectangular sections at
-    rows ``(n, 2)``, mm^2.
-
-    phi = (outer width, outer height) at their mean values; ``wall`` is the
-    mean wall thickness. Both outer dimensions must exceed twice the wall.
-    """
-    phi = np.asarray(phi, dtype=float)
-    b, h = phi[:, 0], phi[:, 1]
-    thin = (b <= 2 * wall) | (h <= 2 * wall)
-    if thin.any():
-        bad = phi[np.argmax(thin)]
-        raise ValueError(f"section {bad[0]} x {bad[1]} too small for wall {wall}")
-    return b * h - (b - 2 * wall) * (h - 2 * wall)
-
-
 @dataclass(frozen=True)
-class DesignProblem:
-    """Objective + FPF constraint over a design space.
+class Optima:
+    """Every start's search under every allowable, as arrays: allowable ``k``
+    searched ``S`` starts in ``d`` design axes.
 
-    Both callables take design rows ``(n, d)`` and return ``(n,)`` values.
+    ``start`` and ``phi`` hold the start and end points ``(k, S, d)``;
+    ``objective``, ``pf`` and ``n_iterations`` the values at the end points
+    ``(k, S)``; feasibility, the reported column and activity derive from
+    them.
     """
 
-    objective: object  # callable(rows (n, d)) -> (n,)
-    fpf: object  # callable(rows (n, d)) -> (n,)
-    space: DesignSpace
-    allowable: float
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.allowable < 1.0:
-            raise ValueError("allowable failure probability must lie in (0, 1)")
-
-    def feasible(self, pf: float) -> bool:
-        return pf <= self.allowable * (1.0 + SLACK)
-
-
-@dataclass(frozen=True)
-class StartRecord:
+    allowable: np.ndarray  # (k,)
     start: np.ndarray
     phi: np.ndarray
-    objective: float
-    pf: float
-    feasible: bool
-    n_iterations: int
+    objective: np.ndarray
+    pf: np.ndarray
+    n_iterations: np.ndarray
 
+    @property
+    def feasible(self) -> np.ndarray:
+        """``(k, S)``: end points with pf <= allowable * (1 + SLACK)."""
+        return self.pf <= self.allowable[:, None] * (1.0 + SLACK)
 
-@dataclass(frozen=True)
-class OptimalDesign:
-    phi: np.ndarray
-    objective: float
-    pf: float
-    feasible: bool
-    active: bool
-    starts: tuple[StartRecord, ...]
+    @property
+    def best(self) -> np.ndarray:
+        """``(k,)``: each allowable's reported column, the least objective among
+        its feasible end points, ties broken lexicographically by phi; with
+        none feasible, the first with the least pf."""
+        feasible = self.feasible
+        # lexsort's last key sorts first: feasible, objective, then phi_1..phi_d
+        order = np.lexsort((*np.moveaxis(self.phi, -1, 0)[::-1], self.objective, ~feasible))
+        return np.where(feasible.any(axis=1), order[:, 0], np.argmin(self.pf, axis=1))
+
+    @property
+    def active(self) -> np.ndarray:
+        """``(k,)``: the reported end point is feasible and its pf lies within
+        ``ACTIVE_MARGIN`` (relative) of the allowable."""
+        at = np.arange(len(self.allowable)), self.best
+        return self.feasible[at] & (self.pf[at] >= self.allowable * (1.0 - ACTIVE_MARGIN))
 
 
 def _starts(space: DesignSpace, rng) -> np.ndarray:
@@ -184,59 +168,38 @@ def _penalized(objective, fpf, allowables: np.ndarray):
     return penalized
 
 
-def optimize(
-    problems: Sequence[DesignProblem],
-    seed_seqs: Sequence[np.random.SeedSequence],
-) -> tuple[OptimalDesign, ...]:
-    """Multistart Nelder-Mead with an exact penalty and feasibility filter,
-    one ``OptimalDesign`` per problem; the problems share their objective,
-    FPF and space and differ in the allowable.
+def optimize(objective, fpf, space: DesignSpace, allowables, rngs) -> Optima:
+    """Multistart Nelder-Mead with an exact penalty and feasibility filter
+    under each of ``allowables`` ``(k,)``.
 
-    Problem ``k`` draws its starts from ``seed_seqs[k]``: a ``GRID_PER_DIM``
-    grid per axis plus ``N_RANDOM_STARTS`` uniform points, inset 2% from the
-    faces. Each start minimizes objective + PENALTY * max(0, pf/allowable - 1)
-    within the box. The starts of all problems advance together
-    (``_nelder_mead``), so the objective and the FPF are called on rows of
-    candidates, not one point at a time; each row's arithmetic is its own,
-    so a problem's result equals a search of it alone. Candidates with
-    pf <= allowable * (1 + SLACK) are feasible and the best feasible
-    objective wins (ties broken lexicographically by phi); with none, the
-    least-violating candidate comes back flagged ``feasible=False``. A feasible design is flagged ``active``
-    when its pf sits within ``ACTIVE_MARGIN`` (relative) of the allowable.
+    ``objective`` and ``fpf`` take design rows ``(n, d)`` and return ``(n,)``
+    values. Allowable ``k`` draws its starts from ``rngs[k]``: a
+    ``GRID_PER_DIM`` grid per axis plus ``N_RANDOM_STARTS`` uniform points,
+    inset 2% from the faces. Each start minimizes objective + PENALTY *
+    max(0, pf/allowable - 1) within the box. The starts of all allowables
+    advance together (``_nelder_mead``), so the objective and the FPF are
+    called on rows of candidates, not one point at a time; each row's
+    arithmetic is its own, so an allowable's result equals a search of it
+    alone.
     """
-    problems = tuple(problems)
-    if not problems or len(seed_seqs) != len(problems):
-        raise ValueError("optimize needs one or more problems, with one seed sequence each")
-    objective, fpf, space = problems[0].objective, problems[0].fpf, problems[0].space
-    if any(p.objective is not objective or p.fpf is not fpf or p.space != space for p in problems):
-        raise ValueError("problems searched together must share objective, fpf and space")
-    rngs = [np.random.Generator(np.random.PCG64(seq)) for seq in seed_seqs]
-    starts = np.vstack([_starts(space, rng) for rng in rngs])
-    n = len(starts) // len(problems)
+    allowables = np.asarray(allowables, dtype=float)
+    if not len(allowables) or len(rngs) != len(allowables):
+        raise ValueError("optimize needs one or more allowables, with one generator each")
+    if not np.all((0.0 < allowables) & (allowables < 1.0)):
+        raise ValueError("allowable failure probability must lie in (0, 1)")
+    start = np.stack([_starts(space, rng) for rng in rngs])
+    k, n, d = start.shape
     x, nit = _nelder_mead(
-        _penalized(objective, fpf, np.repeat([p.allowable for p in problems], n)),
-        starts,
+        _penalized(objective, fpf, np.repeat(allowables, n)),
+        start.reshape(k * n, d),
         space.lower,
         space.upper,
         xatol=1e-6 * float(np.max(space.upper - space.lower)),
         fatol=1e-10,
         maxiter=2000,
     )
-    phis = np.clip(x, space.lower, space.upper)
-    values = zip(starts, phis, objective(phis).tolist(), fpf(phis).tolist(), nit.tolist())
-    designs = []
-    for problem in problems:
-        records = tuple(
-            StartRecord(start, phi, obj, pf, problem.feasible(pf), it)
-            for start, phi, obj, pf, it in itertools.islice(values, n)
-        )
-        feasible = [r for r in records if r.feasible]
-        if feasible:
-            best = min(feasible, key=lambda r: (r.objective, tuple(r.phi)))
-        else:
-            best = min(records, key=lambda r: r.pf)
-        active = best.feasible and best.pf >= problem.allowable * (1.0 - ACTIVE_MARGIN)
-        designs.append(
-            OptimalDesign(best.phi, best.objective, best.pf, best.feasible, active, records)
-        )
-    return tuple(designs)
+    flat = np.clip(x, space.lower, space.upper)
+    return Optima(
+        allowables, start, flat.reshape(k, n, d), objective(flat).reshape(k, n),
+        fpf(flat).reshape(k, n), nit.reshape(k, n),
+    )

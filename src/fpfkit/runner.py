@@ -34,6 +34,7 @@ from .benchmarks import (
     beam_variable_specs,
     grid_dmcs_oracle,
     grid_points,
+    objective_mean_area,
     table_variable_specs,
     toy_design_space,
     toy_variable_specs,
@@ -41,7 +42,7 @@ from .benchmarks import (
 from .config import RunConfig
 from .errors import ConfigError
 from .model import DesignSpace
-from .optimize import DesignProblem, objective_mean_area, optimize
+from .optimize import optimize
 from .pipeline import run_pipeline
 from .smoothing import extract_support_points, fit_surface, SmoothedFPF
 from .streams import Streams
@@ -173,30 +174,25 @@ def run_command(config: RunConfig, out_dir: Path, base_dir: Path | None = None) 
         np.column_stack([pts, smooth_vals, grads]).tolist(),
     )
 
-    optima_summary = []
-    if config.optimization.allowable:
-        objective = _objective_for(config, model)
-        problems = [
-            DesignProblem(objective, smoothed, space, allowable)
-            for allowable in config.optimization.allowable
+    optima = []
+    allowables = config.optimization.allowable
+    if allowables:
+        found = optimize(
+            _objective_for(config, model), smoothed, space, allowables,
+            [streams.generator() for _ in allowables],
+        )
+        at = np.arange(len(allowables)), found.best
+        columns = (found.phi[at], found.objective[at], found.pf[at], found.feasible[at], found.active)
+        optima = [
+            {"allowable": a, "phi": phi, "objective": obj, "pf": pf, "feasible": ok, "active": act}
+            for a, phi, obj, pf, ok, act in zip(allowables, *(c.tolist() for c in columns))
         ]
-        designs = optimize(problems, [streams.child() for _ in problems])
-        rows = []
-        for allowable, design in zip(config.optimization.allowable, designs):
-            rows.append(
-                [allowable] + list(design.phi)
-                + [design.objective, design.pf, design.feasible, design.active,
-                   len(design.starts)]
-            )
-            optima_summary.append(
-                {"allowable": allowable, "phi": [float(v) for v in design.phi],
-                 "objective": design.objective, "pf": design.pf,
-                 "feasible": design.feasible, "active": design.active}
-            )
+        n_starts = found.phi.shape[1]
         write_csv(
             out_dir / "optima.csv",
             ["allowable"] + phi_cols + ["objective", "pf", "feasible", "active", "n_starts"],
-            rows,
+            ([o["allowable"], *o["phi"], o["objective"], o["pf"], o["feasible"], o["active"],
+              n_starts] for o in optima),
         )
 
     total = chain.evaluations["total"]
@@ -222,7 +218,7 @@ def run_command(config: RunConfig, out_dir: Path, base_dir: Path | None = None) 
             "weights": list(chain.weights),
             "thresholds": [level.threshold for level in chain.levels],
         },
-        "optima": optima_summary,
+        "optima": optima,
     }
     _checksum_manifest(out_dir, manifest)
     return manifest
@@ -308,6 +304,11 @@ def compare_command(
             f"design spaces differ: run has {mine}, oracle has {theirs}"
         )
 
+    try:
+        estimates = smoothed(oracle.points).tolist()
+    except OverflowError as exc:
+        raise ConfigError(f"{surface_path}: surface values overflow on the oracle grid ({exc})")
+
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     ndim = oracle.points.shape[1]
@@ -315,9 +316,7 @@ def compare_command(
     judged = 0
     within = 0
     abs_ratios = []
-    for phi, opf, mpf in zip(
-        oracle.points, oracle.pf.tolist(), smoothed(oracle.points).tolist()
-    ):
+    for phi, opf, mpf in zip(oracle.points, oracle.pf.tolist(), estimates):
         if opf > 0.0:
             ratio = math.log10(mpf / opf)
         else:

@@ -15,16 +15,31 @@ from fpfkit.bsp import (
     PiecewiseConstantDensity,
     _posterior_masses,
     _systematic_resample,
-    log_partition_score,
 )
 from fpfkit.benchmarks import LAMBDA_1
 from fpfkit.model import DesignSpace, resolve_parameters
 from fpfkit.pipeline import threshold_from_ratio
+from fpfkit.regions import box_volumes
 from fpfkit.smoothing import _MULT_GRID, _NOISE_FRACTIONS, RegressionSurface, SmoothedFPF
 
 
 # log Gamma from the C library's lgamma, as the search takes it
 loggamma = np.vectorize(math.lgamma, otypes=[float])
+
+
+def log_partition_score(partition: BinaryPartition, alpha: float, beta: float) -> float:
+    """Log posterior score of a partition (up to the data-only constant)."""
+    if alpha <= 0:
+        raise ValueError("alpha must be positive")
+    t = partition.n_leaves
+    n_total = partition.n_samples
+    counts = partition.counts.astype(float)
+    log_vols = np.array([math.log(v) for v in box_volumes(partition.boxes).tolist()])
+    score = -beta * t
+    score += float(np.sum(loggamma(counts + alpha))) - math.lgamma(n_total + t * alpha)
+    score -= t * math.lgamma(alpha) - math.lgamma(t * alpha)
+    score -= float(np.sum(counts * log_vols))
+    return float(score)
 
 
 def disjoint_volume_check(boxes: np.ndarray, tol: float = 1e-9) -> bool:

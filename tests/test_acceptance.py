@@ -20,13 +20,12 @@ from fpfkit.benchmarks import (
     toy_design_space,
     toy_variable_specs,
 )
-from fpfkit.bsp import log_partition_score
-from fpfkit.optimize import DesignProblem, optimize
+from fpfkit.optimize import optimize
 from fpfkit.pipeline import compose_density
 from fpfkit.reliability import _chains, direct_mcs
 from fpfkit.runner import compare_command, run_command
 from fpfkit.streams import Streams
-from helpers import propose_cut, root_partition
+from helpers import log_partition_score, propose_cut, root_partition
 from tests.conftest import CONFIG_DIR
 
 from fpfkit.config import load_config
@@ -73,15 +72,13 @@ def test_toy_run_tracks_the_analytic_curve_within_budget(toy_case):
 def test_toy_optima_sit_near_the_analytic_boundary(toy_case, allowable):
     # minimizing phi subject to FPF(phi) <= allowable has the analytic
     # solution isf(allowable); the fitted surface must land within 0.15
-    problem = DesignProblem(
-        objective=lambda phi: np.sum(phi, axis=-1),
-        fpf=toy_case.smoothed,
-        space=toy_case.space,
-        allowable=allowable,
+    found = optimize(
+        lambda phi: np.sum(phi, axis=-1), toy_case.smoothed, toy_case.space, [allowable],
+        [np.random.default_rng(np.random.SeedSequence(7))],
     )
-    (design,) = optimize([problem], [np.random.SeedSequence(7)])
-    assert design.feasible
-    assert abs(design.phi[0] - stats.norm.isf(allowable)) <= 0.15
+    (best,) = found.best
+    assert found.feasible[0, best]
+    assert abs(found.phi[0, best, 0] - stats.norm.isf(allowable)) <= 0.15
 
 
 # ------------------------------------------------------------ beam benchmark ---

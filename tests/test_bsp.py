@@ -7,9 +7,10 @@ from scipy import special
 
 import fpfkit.bsp as bsp
 from fpfkit.artifacts import density_record
-from fpfkit.bsp import bsp_estimate, log_partition_score
+from fpfkit.bsp import bsp_estimate
 from fpfkit.regions import RegionIndicator, box_volumes
 from helpers import (
+    log_partition_score,
     propose_cut,
     reference_bsp_estimate,
     reference_locate,
@@ -34,6 +35,24 @@ def test_single_leaf_score_hand_value():
     )
     assert d.partition.n_leaves == 1
     assert math.exp(d.log_score) == pytest.approx(math.exp(-1.0), abs=1e-12)
+
+
+def test_one_leaf_score_equals_the_reference_bit_for_bit():
+    # the estimator scores its one-leaf start in closed form; the reference
+    # sums every term, and both must agree to the bit, zero's sign included
+    rng = np.random.default_rng(5)
+    cases = [(1, (0.0,), (1.0,)), (1, (0.0, 2.0), (1.0, 3.0)), (2, (0.0,), (1.0,))]
+    for _ in range(200):
+        d = int(rng.integers(1, 4))
+        lo = rng.uniform(-5.0, 5.0, d)
+        cases.append((int(rng.integers(1, 50)), tuple(lo), tuple(lo + rng.uniform(1e-3, 10.0, d))))
+    for n, lo, hi in cases:
+        points = rng.uniform(lo, hi, (n, len(lo)))
+        for beta in (None, 0.0, 1.7):
+            got = bsp_estimate(points, lo, hi, rng, beta=beta, max_leaves=1).log_score
+            want_beta = (math.log(n) if n > 1 else 0.0) if beta is None else beta
+            want = log_partition_score(root_partition(points, lo, hi), 0.5, want_beta)
+            assert repr(got) == repr(want), (n, lo, hi, beta)
 
 
 def test_midpoint_cut_score_hand_value():

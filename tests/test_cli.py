@@ -425,6 +425,18 @@ def test_compare_rejects_a_surface_without_coefficients(
     assert "surface.json" in caplog.text
 
 
+def test_compare_rejects_a_surface_whose_values_overflow(
+    tmp_path, caplog, capsys, toy_run_dir, toy_oracle_dir
+):
+    # every number is finite, but exp of the log surface passes the float range
+    record = json.loads((toy_run_dir / "surface.json").read_text())
+    record["y_mean"] = 800.0
+    code = _compare_with_surface(tmp_path, json.dumps(record), toy_oracle_dir)
+    assert code == cli.EXIT_CONFIG
+    assert "surface.json" in caplog.text and "overflow" in caplog.text
+    assert "Traceback" not in capsys.readouterr().err + caplog.text
+
+
 def _scale_first_length(record, factor):
     record["length_scales"][0] *= factor
 

@@ -11,33 +11,41 @@ import pytest
 from scipy.optimize import minimize
 from scipy.stats import norm
 
-from fpfkit.benchmarks import analytic_toy_fpf
+from fpfkit.benchmarks import analytic_toy_fpf, objective_mean_area
 from fpfkit.config import load_config
 from fpfkit.model import DesignSpace
-from fpfkit.optimize import (
-    DesignProblem,
-    OptimalDesign,
-    StartRecord,
-    _nelder_mead,
-    _penalized,
-    _starts,
-    objective_mean_area,
-    optimize,
-)
+from fpfkit.optimize import Optima, _nelder_mead, _penalized, _starts, optimize
 from fpfkit.runner import _objective_for, run_command
 
 SRC_DIR = Path(__file__).resolve().parents[1] / "src"
 CONFIG_DIR = SRC_DIR.parent / "configs"
 
 
-def _toy_problem(allowable: float) -> DesignProblem:
-    space = DesignSpace(((0.0, 4.0),))
-    return DesignProblem(
-        objective=lambda phi: phi[:, 0],
-        fpf=analytic_toy_fpf,
-        space=space,
-        allowable=allowable,
+def _toy(allowables, seed: int = 3) -> Optima:
+    """minimize phi on [0, 4] under the toy's exact FPF, one stream per
+    allowable"""
+    return optimize(
+        lambda phi: phi[:, 0], analytic_toy_fpf, DesignSpace(((0.0, 4.0),)), allowables,
+        [np.random.default_rng(seed) for _ in allowables],
     )
+
+
+def _reported(found: Optima, k: int = 0) -> dict:
+    """Allowable ``k``'s reported end point, checked against the selection
+    rule one start at a time: the least (objective, phi) among the feasible
+    end points, else the first with the least pf."""
+    starts = range(found.phi.shape[1])
+    feasible = [j for j in starts if found.feasible[k, j]]
+    if feasible:
+        want = min(feasible, key=lambda j: (found.objective[k, j], tuple(found.phi[k, j])))
+    else:
+        want = min(starts, key=lambda j: found.pf[k, j])
+    assert found.best[k] == want
+    return {
+        "phi": found.phi[k, want], "objective": found.objective[k, want],
+        "pf": found.pf[k, want], "feasible": found.feasible[k, want],
+        "active": found.active[k],
+    }
 
 
 # ------------------------------------------------------------- objective ---
@@ -59,23 +67,22 @@ def test_mean_area_rejects_sections_thinner_than_the_walls():
         objective_mean_area(np.array([[10.0, 10.0], [3.0, 10.0]]))
 
 
-# --------------------------------------------------------------- problem ---
+# ----------------------------------------------------------- allowables ---
 
 
 def test_problem_validation():
-    space = DesignSpace(((0.0, 4.0),))
-    for allowable in (0.0, 1.0, 1.5, -0.1):
-        with pytest.raises(ValueError, match="allowable"):
-            DesignProblem(
-                lambda p: np.zeros(len(p)), lambda p: np.zeros(len(p)), space, allowable
-            )
+    for allowable in (0.0, 1.0, 1.5, -0.1, float("nan")):
+        with pytest.raises(ValueError, match="allowable failure probability"):
+            _toy([0.1, allowable])
 
 
 def test_feasibility_allows_the_stated_slack():
-    problem = _toy_problem(0.01)
-    assert problem.feasible(0.01)
-    assert problem.feasible(0.01 * (1.0 + 1e-6))
-    assert not problem.feasible(0.01 * (1.0 + 2e-6))
+    pf = np.array([[0.01, 0.01 * (1.0 + 1e-6), 0.01 * (1.0 + 2e-6)]])
+    found = Optima(
+        np.array([0.01]), np.zeros((1, 3, 1)), np.zeros((1, 3, 1)), np.zeros((1, 3)), pf,
+        np.ones((1, 3), dtype=int),
+    )
+    assert found.feasible.tolist() == [[True, True, False]]
 
 
 # -------------------------------------------------------------- 1-d runs ---
@@ -85,49 +92,86 @@ def test_feasibility_allows_the_stated_slack():
 def test_minimum_design_sits_on_the_constraint_boundary(allowable):
     # objective increases in phi while the failure probability decreases, so
     # the optimum is the smallest phi meeting the allowable
-    (design,) = optimize([_toy_problem(allowable)], [np.random.SeedSequence(3)])
-    assert isinstance(design, OptimalDesign)
-    assert design.phi[0] == pytest.approx(norm.isf(allowable), abs=1e-6)
-    assert design.pf == pytest.approx(allowable, rel=1e-6)
-    assert design.feasible
-    assert design.active
-    assert len(design.starts) == 11  # 3 grid + 8 random starts in 1-d
+    found = _toy([allowable])
+    assert isinstance(found, Optima)
+    # 3 grid + 8 random starts in 1-d
+    assert found.start.shape == found.phi.shape == (1, 11, 1)
+    assert found.objective.shape == found.pf.shape == found.n_iterations.shape == (1, 11)
+    design = _reported(found)
+    assert design["phi"][0] == pytest.approx(norm.isf(allowable), abs=1e-6)
+    assert design["pf"] == pytest.approx(allowable, rel=1e-6)
+    assert design["feasible"]
+    assert design["active"]
 
 
 def test_starts_keep_a_margin_from_the_box_faces():
-    (design,) = optimize([_toy_problem(0.1)], [np.random.SeedSequence(3)])
-    starts = np.array([record.start[0] for record in design.starts])
-    assert starts.min() >= 0.08
-    assert starts.max() <= 3.92
-    for record in design.starts:
-        assert isinstance(record, StartRecord)
-        assert record.n_iterations > 0
+    found = _toy([0.1])
+    assert found.start.min() >= 0.08
+    assert found.start.max() <= 3.92
+    assert np.all(found.n_iterations > 0)
 
 
 def test_optimize_is_deterministic_for_a_fixed_seed():
-    (first,) = optimize([_toy_problem(0.1)], [np.random.SeedSequence(3)])
-    (second,) = optimize([_toy_problem(0.1)], [np.random.SeedSequence(3)])
+    first, second = _toy([0.1]), _toy([0.1])
     assert np.array_equal(first.phi, second.phi)
-    assert first.pf == second.pf
+    assert np.array_equal(first.pf, second.pf)
 
 
 def test_loose_allowable_leaves_the_constraint_inactive():
-    (design,) = optimize([_toy_problem(0.9)], [np.random.SeedSequence(3)])
-    assert design.phi[0] == pytest.approx(0.0, abs=1e-6)
-    assert design.pf == pytest.approx(0.5, rel=1e-9)
-    assert design.feasible
-    assert not design.active
+    design = _reported(_toy([0.9]))
+    assert design["phi"][0] == pytest.approx(0.0, abs=1e-6)
+    assert design["pf"] == pytest.approx(0.5, rel=1e-9)
+    assert design["feasible"]
+    assert not design["active"]
 
 
 def test_infeasible_problem_reports_the_least_violating_candidate():
     # the smallest attainable pf on [0, 4] is sf(4), far above 1e-6
-    (design,) = optimize([_toy_problem(1e-6)], [np.random.SeedSequence(3)])
-    assert design.pf == pytest.approx(norm.sf(4.0), rel=1e-9)
-    assert design.phi[0] == pytest.approx(4.0, abs=1e-9)
-    assert not design.feasible
-    assert not design.active
-    assert not any(record.feasible for record in design.starts)
-    assert design.pf == min(record.pf for record in design.starts)
+    found = _toy([1e-6])
+    design = _reported(found)
+    assert design["pf"] == pytest.approx(norm.sf(4.0), rel=1e-9)
+    assert design["phi"][0] == pytest.approx(4.0, abs=1e-9)
+    assert not design["feasible"]
+    assert not design["active"]
+    assert not found.feasible.any()
+    assert design["pf"] == found.pf.min()
+
+
+# ------------------------------------------------------- selection rule ---
+
+
+def _phi_1_under(fpf, allowable: float) -> Optima:
+    """minimize phi_1 on [1, 2] x [0, 1]: the objective ignores phi_2, so
+    the starts end with equal phi_1 wherever phi_2 stops"""
+    return optimize(
+        lambda phi: phi[:, 0], fpf, DesignSpace(((1.0, 2.0), (0.0, 1.0))), [allowable],
+        [np.random.default_rng(4)],
+    )
+
+
+def test_equal_objectives_report_the_lexicographically_smallest_phi():
+    # an FPF below the allowable everywhere puts every phi_1 at its bound
+    found = _phi_1_under(lambda phi: np.full(len(phi), 1e-3), 1e-2)
+    assert found.feasible.all()
+    assert np.all(found.objective == 1.0)
+    assert len(np.unique(found.phi[0, :, 1])) > 1  # the ties differ in phi_2
+    phi = _reported(found)["phi"]
+    assert tuple(phi.tolist()) == min(map(tuple, found.phi[0].tolist()))
+    assert found.best[0] > 0  # not merely the first start
+
+
+def test_an_allowable_no_start_meets_reports_its_first_least_pf_start():
+    # pf ties at every end point, so the first start is reported
+    found = _phi_1_under(lambda phi: np.full(len(phi), 0.5), 1e-2)
+    assert not found.feasible.any()
+    assert found.best.tolist() == [0]
+    assert not _reported(found)["active"]
+    # pf 2e-6 below phi_2 = 0.5 and 1e-6 above: the first start above is reported
+    found = _phi_1_under(lambda phi: np.where(phi[:, 1] < 0.5, 2e-6, 1e-6), 1e-7)
+    above = np.flatnonzero(found.phi[0, :, 1] >= 0.5)
+    assert 0 < above[0] and len(above) > 1
+    assert found.best.tolist() == [above[0]]
+    assert not _reported(found)["feasible"]
 
 
 # -------------------------------------------------------------- 2-d runs ---
@@ -137,37 +181,21 @@ def test_infeasible_problem_reports_the_least_violating_candidate():
 def test_area_minimization_drives_width_down_and_height_to_the_limit(allowable):
     # fpf depends on height only, so the width falls to its lower bound and
     # the height stops where the constraint becomes active
-    space = DesignSpace(((30.0, 50.0), (30.0, 50.0)))
-    problem = DesignProblem(
-        objective=objective_mean_area,
-        fpf=lambda phi: norm.sf(phi[:, 1] - 30.0),
-        space=space,
-        allowable=allowable,
+    found = optimize(
+        objective_mean_area, lambda phi: norm.sf(phi[:, 1] - 30.0),
+        DesignSpace(((30.0, 50.0), (30.0, 50.0))), [allowable], [np.random.default_rng(9)],
     )
-    (design,) = optimize([problem], [np.random.SeedSequence(9)])
-    assert design.phi[0] == pytest.approx(30.0, abs=1e-9)
-    assert design.phi[1] == pytest.approx(30.0 + norm.isf(allowable), abs=1e-6)
-    assert design.active
-    assert len(design.starts) == 17  # 3x3 grid + 8 random starts
-    assert design.objective == pytest.approx(
-        objective_mean_area(design.phi[None, :])[0], rel=1e-15
+    design = _reported(found)
+    assert design["phi"][0] == pytest.approx(30.0, abs=1e-9)
+    assert design["phi"][1] == pytest.approx(30.0 + norm.isf(allowable), abs=1e-6)
+    assert design["active"]
+    assert found.phi.shape == (1, 17, 2)  # 3x3 grid + 8 random starts
+    assert design["objective"] == pytest.approx(
+        objective_mean_area(design["phi"][None, :])[0], rel=1e-15
     )
 
 
-# ------------------------------------------------ many problems at once ---
-
-
-def _assert_same_design(together, alone):
-    assert together.phi.tolist() == alone.phi.tolist()
-    assert (together.objective, together.pf) == (alone.objective, alone.pf)
-    assert (together.feasible, together.active) == (alone.feasible, alone.active)
-    assert len(together.starts) == len(alone.starts)
-    for a, b in zip(together.starts, alone.starts):
-        assert a.start.tolist() == b.start.tolist()
-        assert a.phi.tolist() == b.phi.tolist()
-        assert (a.n_iterations, a.objective, a.pf, a.feasible) == (
-            b.n_iterations, b.objective, b.pf, b.feasible
-        )
+# ----------------------------------------------- many allowables at once ---
 
 
 def _assert_together_equals_alone(case, mixed):
@@ -182,18 +210,24 @@ def _assert_together_equals_alone(case, mixed):
         least_fpf = float(case.smoothed(_starts(case.space, np.random.default_rng(0))).min())
         allowables = [1e-9 * least_fpf, allowables[0], 1e-12 * least_fpf, allowables[-1]]
         reachable = [False, True, False, True]
-    problems = [DesignProblem(objective, case.smoothed, case.space, a) for a in allowables]
-    seqs = np.random.SeedSequence(5).spawn(len(problems))
-    designs = optimize(problems, seqs)
-    assert len(designs) == len(problems)
-    for problem, seq, design, feasible in zip(problems, seqs, designs, reachable):
-        (alone,) = optimize([problem], [seq])
-        _assert_same_design(design, alone)
-        assert design.feasible == feasible
+    seqs = np.random.SeedSequence(5).spawn(len(allowables))
+
+    def search(allowables, seqs):
+        rngs = [np.random.default_rng(seq) for seq in seqs]
+        return optimize(objective, case.smoothed, case.space, allowables, rngs)
+
+    together = search(allowables, seqs)
+    assert together.phi.shape[0] == len(allowables)
+    for k, (allowable, seq, feasible) in enumerate(zip(allowables, seqs, reachable)):
+        alone = search([allowable], [seq])
+        for name in ("start", "phi", "objective", "pf", "n_iterations", "feasible"):
+            assert getattr(together, name)[k].tolist() == getattr(alone, name)[0].tolist(), name
+        assert (together.best[k], together.active[k]) == (alone.best[0], alone.active[0])
+        design = _reported(together, k)
+        assert design["feasible"] == feasible
         if not feasible:
-            assert not design.active
-            least = min(design.starts, key=lambda r: r.pf)
-            assert (design.phi.tolist(), design.pf) == (least.phi.tolist(), least.pf)
+            assert not design["active"]
+            assert design["pf"] == together.pf[k].min()
 
 
 @pytest.mark.parametrize("mixed", [False, True], ids=["config", "mixed"])
@@ -212,14 +246,15 @@ def test_searching_toy_rare_problems_together_equals_searching_each_alone(toy_ra
 
 
 def test_problems_searched_together_share_objective_fpf_and_space():
-    problem = _toy_problem(0.1)
-    with pytest.raises(ValueError, match="share"):
-        # each has its own lambdas
-        optimize([problem, _toy_problem(0.01)], np.random.SeedSequence(0).spawn(2))
-    with pytest.raises(ValueError, match="one seed sequence each"):
-        optimize([problem], np.random.SeedSequence(0).spawn(2))
-    with pytest.raises(ValueError, match="one or more problems"):
-        optimize([], [])
+    # one objective, FPF and space serve every allowable; each needs its own
+    # generator
+    with pytest.raises(ValueError, match="one generator each"):
+        optimize(
+            lambda phi: phi[:, 0], analytic_toy_fpf, DesignSpace(((0.0, 4.0),)), [0.1],
+            [np.random.default_rng(0), np.random.default_rng(1)],
+        )
+    with pytest.raises(ValueError, match="one or more allowables"):
+        _toy([])
 
 
 def test_a_run_searches_all_its_allowables_in_one_nelder_mead_call(
