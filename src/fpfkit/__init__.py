@@ -10,6 +10,14 @@ regression surface fitted to the partition cells supports gradients and
 design optimization.
 """
 
+import os
+
+# Set before anything imports NumPy: OpenBLAS reads it once, at load. `run`
+# is single-threaded by design and `grid`'s workers never call BLAS, so a
+# BLAS worker pool only idles, and on a contended CPU its threads stall the
+# surface fit's small eigendecompositions. A value the caller set is kept.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 __version__ = "0.1.0"
 
 from .benchmarks import (

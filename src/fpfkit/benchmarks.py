@@ -37,6 +37,9 @@ LAMBDA_1 = 1.8751040687119611
 # rows an oracle point draws and evaluates at a time; bounds a worker's buffers
 _ORACLE_BLOCK = 16384
 
+# the beam's mean wall thickness, mm: the ``t`` spec's mean and the objective's wall
+WALL_MM = 2.0
+
 
 def _as_arrays(*values):
     """The broadcast shape of ``values`` and the values as float arrays of
@@ -70,7 +73,7 @@ def beam_section(b, h, t):
     return area.reshape(shape)[()], inertia.reshape(shape)[()]
 
 
-def objective_mean_area(phi: np.ndarray, wall: float = 2.0) -> np.ndarray:
+def objective_mean_area(phi: np.ndarray, wall: float = WALL_MM) -> np.ndarray:
     """Mean cross-sectional area ``(n,)`` of hollow rectangular sections at
     rows ``(n, 2)``, mm^2: ``beam_section``'s area at phi = (outer width,
     outer height) and wall thickness ``wall``, all at their mean values."""
@@ -154,7 +157,7 @@ def beam_variable_specs() -> tuple[RandomVariableSpec, ...]:
     return (
         RandomVariableSpec("b", mean_design=0, cov=0.02),
         RandomVariableSpec("h", mean_design=1, cov=0.02),
-        RandomVariableSpec("t", mean=2.0, std=0.1),
+        RandomVariableSpec("t", mean=WALL_MM, std=0.1),
         RandomVariableSpec("rho", mean=7800.0, std=156.0),
         RandomVariableSpec("E", mean=210.0, std=4.2),
     )

@@ -53,12 +53,6 @@ def build_parser() -> argparse.ArgumentParser:
     cmp_p.add_argument("--oracle", required=True, type=Path,
                        help="oracle.csv path, or a grid output directory")
     cmp_p.add_argument("--output", required=True, type=Path, help="output directory")
-    cmp_p.add_argument("--tol-log10", type=float, default=0.3,
-                       help="allowed |log10(estimate/oracle)| per point")
-    cmp_p.add_argument("--min-pf", type=float, default=1e-4,
-                       help="oracle pf below this is reported but not judged")
-    cmp_p.add_argument("--min-fraction", type=float, default=0.9,
-                       help="required fraction of judged points within tolerance")
     return parser
 
 
@@ -101,12 +95,7 @@ def main(argv: list[str] | None = None) -> int:
                 "grid complete: %d evaluations", manifest["evaluations"]["total"]
             )
         elif args.command == "compare":
-            passed, summary = compare_command(
-                args.run, args.oracle, args.output,
-                tol_log10=args.tol_log10,
-                min_pf=args.min_pf,
-                min_fraction=args.min_fraction,
-            )
+            passed, summary = compare_command(args.run, args.oracle, args.output)
             print(json.dumps(summary, indent=2, sort_keys=True))
             if not passed:
                 log.error(

@@ -25,15 +25,8 @@ class ModelConfig:
 
 
 @dataclass(frozen=True)
-class SmoothingConfig:
-    noise_floor: float = 1e-4
-    length_scales: tuple[float, ...] | None = None
-
-
-@dataclass(frozen=True)
 class OptimizationConfig:
     allowable: tuple[float, ...] = ()
-    wall_mm: float = 2.0
 
 
 @dataclass(frozen=True)
@@ -53,7 +46,6 @@ class RunConfig:
     model: ModelConfig = field(default_factory=ModelConfig)
     bounds: tuple[tuple[float, float], ...] | None = None
     pipeline: PipelineConfig = field(default_factory=PipelineConfig)
-    smoothing: SmoothingConfig = field(default_factory=SmoothingConfig)
     optimization: OptimizationConfig = field(default_factory=OptimizationConfig)
     grid: GridConfig = field(default_factory=GridConfig)
     output: OutputConfig = field(default_factory=OutputConfig)
@@ -159,8 +151,6 @@ _MMH = {
     "scale_factor": (float, *_POSITIVE),
 }
 _SUBSET = {"p0": (float, *_OPEN_UNIT), "max_levels": (int, *_AT_LEAST_1)}
-_SMOOTHING = {"noise_floor": (float, *_POSITIVE)}
-_OPTIMIZATION = {"wall_mm": (float, *_POSITIVE)}
 _GRID = {"resolution": (int, *_AT_LEAST_2), "n_per_point": (int, *_POSITIVE)}
 _OUTPUT = {"fpf_grid_resolution": (int, *_AT_LEAST_2)}
 
@@ -183,16 +173,16 @@ def _parse_bounds(raw, errors: list[str], path: str):
     return bounds
 
 
-def _parse_numbers(raw, errors: list[str], path: str, check, note: str):
+def _parse_allowable(raw, errors: list[str]):
     if raw is None:
         return None
     try:
         values = tuple(float(v) for v in raw)
     except (TypeError, ValueError):
-        errors.append(f"{path}: expected a list of numbers")
+        errors.append("optimization.allowable: expected a list of numbers")
         return None
-    if not all(check(v) for v in values):
-        errors.append(f"{path}: {note}")
+    if not all(0 < v < 1 for v in values):
+        errors.append("optimization.allowable: values must lie in (0, 1)")
     return values
 
 
@@ -248,23 +238,10 @@ def parse_config(data: dict) -> RunConfig:
             "(subset simulation regrows each level as equal-length chains)"
         )
 
-    s = r.section(data, "smoothing", "")
-    scales = _parse_numbers(s.pop("length_scales", None), errors,
-                            "smoothing.length_scales", *_POSITIVE)
-    if scales == ():
-        errors.append("smoothing.length_scales: must not be empty")
-    smoothing = SmoothingConfig(
-        **r.fields(s, _SMOOTHING, "smoothing.", length_scales=scales)
-    )
-
     o = r.section(data, "optimization", "")
     # An absent key or an empty list means no optimization.
-    allowable = _parse_numbers(o.pop("allowable", None), errors,
-                               "optimization.allowable", lambda v: 0 < v < 1,
-                               "values must lie in (0, 1)")
-    optimization = OptimizationConfig(
-        **r.fields(o, _OPTIMIZATION, "optimization.", allowable=allowable)
-    )
+    allowable = _parse_allowable(o.pop("allowable", None), errors)
+    optimization = OptimizationConfig(**r.fields(o, {}, "optimization.", allowable=allowable))
 
     grid = GridConfig(**r.fields(r.section(data, "grid", ""), _GRID, "grid."))
     output = OutputConfig(**r.fields(r.section(data, "output", ""), _OUTPUT, "output."))
@@ -277,7 +254,6 @@ def parse_config(data: dict) -> RunConfig:
         model=model,
         bounds=bounds,
         pipeline=pipeline,
-        smoothing=smoothing,
         optimization=optimization,
         grid=grid,
         output=output,

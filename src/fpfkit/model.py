@@ -74,21 +74,17 @@ class RandomVariableSpec:
     """Normal random variable whose parameters may follow a design coordinate.
 
     Exactly one of ``mean``/``mean_design`` must be given, and exactly one of
-    ``std``/``cov``. A coefficient of variation multiplies the referenced
-    design coordinate (``cov_design``, defaulting to ``mean_design``).
+    ``std``/``cov``. A coefficient of variation multiplies the design
+    coordinate the mean follows.
     """
 
     name: str
-    family: str = "normal"
     mean: float | None = None
     mean_design: int | None = None
     std: float | None = None
     cov: float | None = None
-    cov_design: int | None = None
 
     def __post_init__(self) -> None:
-        if self.family != "normal":
-            raise ValueError(f"unsupported family {self.family!r} for {self.name!r}")
         if (self.mean is None) == (self.mean_design is None):
             raise ValueError(f"{self.name!r}: give exactly one of mean, mean_design")
         if (self.std is None) == (self.cov is None):
@@ -98,10 +94,8 @@ class RandomVariableSpec:
         if self.cov is not None:
             if self.cov <= 0:
                 raise ValueError(f"{self.name!r}: cov must be positive")
-            if self.cov_design is None and self.mean_design is None:
-                raise ValueError(
-                    f"{self.name!r}: cov needs a design coordinate reference"
-                )
+            if self.mean_design is None:
+                raise ValueError(f"{self.name!r}: cov needs a design-tied mean")
 
 
 def resolve_parameters(
@@ -122,8 +116,7 @@ def resolve_parameters(
         if spec.std is not None:
             sigmas[:, j] = spec.std
             continue
-        ref = spec.cov_design if spec.cov_design is not None else spec.mean_design
-        sigma = np.multiply(spec.cov, phis[:, ref], out=sigmas[:, j])
+        sigma = np.multiply(spec.cov, phis[:, spec.mean_design], out=sigmas[:, j])
         if (sigma <= 0).any():
             raise ValueError(f"{spec.name!r}: resolved std is not positive")
     return mus, sigmas

@@ -47,6 +47,12 @@ from .pipeline import run_pipeline
 from .smoothing import extract_support_points, fit_surface, SmoothedFPF
 from .streams import Streams
 
+# the compare rule: judge oracle pf >= MIN_PF, pass when MIN_FRACTION of those
+# points lie within TOL_LOG10 decades of the oracle
+TOL_LOG10 = 0.3
+MIN_PF = 1e-4
+MIN_FRACTION = 0.9
+
 
 def build_problem(config: RunConfig, base_dir: Path | None = None):
     """Model, design space, and variable specs for a run configuration."""
@@ -86,24 +92,18 @@ def build_problem(config: RunConfig, base_dir: Path | None = None):
     else:
         raise ConfigError(f"unknown model type {kind!r}")
     for spec in specs:
-        for axis in (spec.mean_design, spec.cov_design):
-            if axis is not None and axis >= space.ndim:
-                raise ConfigError(
-                    f"variable {spec.name!r} follows design axis {axis + 1}, but the "
-                    f"design bounds have {space.ndim} axes"
-                )
-    scales = config.smoothing.length_scales
-    if scales is not None and len(scales) != space.ndim:
-        raise ConfigError(
-            f"smoothing.length_scales: expected {space.ndim} (one per axis), got {len(scales)}"
-        )
+        axis = spec.mean_design
+        if axis is not None and axis >= space.ndim:
+            raise ConfigError(
+                f"variable {spec.name!r} follows design axis {axis + 1}, but the "
+                f"design bounds have {space.ndim} axes"
+            )
     return model, space, specs
 
 
-def _objective_for(config: RunConfig, model):
+def _objective_for(model):
     if isinstance(model, BoxBeamModel):
-        wall = config.optimization.wall_mm
-        return lambda phi: objective_mean_area(phi, wall)
+        return objective_mean_area
     return lambda phi: np.sum(phi, axis=-1)
 
 
@@ -127,11 +127,7 @@ def run_command(config: RunConfig, out_dir: Path, base_dir: Path | None = None) 
     chain, approx = run_pipeline(model, space, specs, config.pipeline, streams)
 
     support = extract_support_points(chain)
-    surface = fit_surface(
-        support,
-        noise_floor=config.smoothing.noise_floor,
-        length_scales=config.smoothing.length_scales,
-    )
+    surface = fit_surface(support)
     smoothed = SmoothedFPF(surface, chain.pf, space)
 
     theta_names = [s.name for s in specs]
@@ -178,7 +174,7 @@ def run_command(config: RunConfig, out_dir: Path, base_dir: Path | None = None) 
     allowables = config.optimization.allowable
     if allowables:
         found = optimize(
-            _objective_for(config, model), smoothed, space, allowables,
+            _objective_for(model), smoothed, space, allowables,
             [streams.generator() for _ in allowables],
         )
         at = np.arange(len(allowables)), found.best
@@ -259,26 +255,13 @@ def grid_command(
     return manifest
 
 
-def compare_command(
-    run_dir: Path,
-    oracle_path: Path,
-    out_dir: Path,
-    tol_log10: float = 0.3,
-    min_pf: float = 1e-4,
-    min_fraction: float = 0.9,
-) -> tuple[bool, dict]:
+def compare_command(run_dir: Path, oracle_path: Path, out_dir: Path) -> tuple[bool, dict]:
     """Per-point log10 comparison of a run's smoothed FPF against an oracle.
 
-    Points with oracle pf below ``min_pf`` are reported but not judged. The
-    comparison passes when at least ``min_fraction`` of the judged points are
-    within ``tol_log10`` decades.
+    Points with oracle pf below ``MIN_PF`` are reported but not judged. The
+    comparison passes when at least ``MIN_FRACTION`` of the judged points are
+    within ``TOL_LOG10`` decades.
     """
-    if not min_pf > 0.0:
-        raise ConfigError(f"--min-pf must be > 0, got {min_pf}")
-    if not tol_log10 >= 0.0:
-        raise ConfigError(f"--tol-log10 must be >= 0, got {tol_log10}")
-    if not 0.0 < min_fraction <= 1.0:
-        raise ConfigError(f"--min-fraction must be in (0, 1], got {min_fraction}")
     run_dir = Path(run_dir)
     surface_path = run_dir / "surface.json"
     if not surface_path.exists():
@@ -321,8 +304,8 @@ def compare_command(
             ratio = math.log10(mpf / opf)
         else:
             ratio = math.nan
-        include = opf >= min_pf
-        ok = include and abs(ratio) <= tol_log10
+        include = opf >= MIN_PF
+        ok = include and abs(ratio) <= TOL_LOG10
         if include:
             judged += 1
             abs_ratios.append(abs(ratio))
@@ -330,15 +313,15 @@ def compare_command(
                 within += 1
         rows.append(list(phi) + [opf, mpf, ratio, include, ok])
     fraction = within / judged if judged else 0.0
-    passed = judged > 0 and fraction >= min_fraction
+    passed = judged > 0 and fraction >= MIN_FRACTION
     summary = {
         "n_points": len(oracle.points),
         "n_judged": judged,
         "n_within": within,
         "fraction_within": fraction,
-        "tol_log10": tol_log10,
-        "min_pf": min_pf,
-        "min_fraction": min_fraction,
+        "tol_log10": TOL_LOG10,
+        "min_pf": MIN_PF,
+        "min_fraction": MIN_FRACTION,
         "max_abs_log10": max(abs_ratios) if abs_ratios else None,
         "median_abs_log10": float(np.median(abs_ratios)) if abs_ratios else None,
         "pass": passed,

@@ -10,6 +10,7 @@ whose exponential is rescaled to the FPF.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -199,9 +200,11 @@ def fit_surface(
             scales = base
         else:
             noise_grid = [max(noise_floor, f * signal) for f in _NOISE_FRACTIONS]
-
-            def score(mults: np.ndarray) -> tuple[float, float]:
-                eig = _eig(_kernel(r, base * mults, signal), yc)
+            # the sweep meets vectors the scan or an earlier axis scored, and
+            # a repeat never scores strictly lower, so each is scored once
+            @functools.cache
+            def score(mults: tuple) -> tuple[float, float]:
+                eig = _eig(_kernel(r, base * np.array(mults), signal), yc)
                 best = (math.inf, noise_grid[0])
                 for lam in noise_grid:
                     sse = _loo_sse(eig, lam, w)
@@ -210,19 +213,18 @@ def fit_surface(
                 return best
 
             best_sse = math.inf
-            mults = np.ones(d)
+            mults = (1.0,) * d
             for m in _MULT_GRID:
-                sse, lam = score(np.full(d, m))
+                sse, lam = score((m,) * d)
                 if sse < best_sse:
-                    best_sse, mults, noise = sse, np.full(d, m), lam
+                    best_sse, mults, noise = sse, (m,) * d, lam
             for axis in range(d):
                 for m in _MULT_GRID:
-                    cand = mults.copy()
-                    cand[axis] = m
+                    cand = mults[:axis] + (m,) + mults[axis + 1:]
                     sse, lam = score(cand)
                     if sse < best_sse:
                         best_sse, mults, noise = sse, cand, lam
-            scales = base * mults
+            scales = base * np.array(mults)
     else:
         scales = np.asarray(length_scales, dtype=float)
         if scales.shape != (d,) or np.any(scales <= 0):

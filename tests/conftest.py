@@ -45,17 +45,7 @@ def _run_case(path: Path, seed: int | None = None) -> PipelineCase:
     chain, approx = run_pipeline(
         model, space, specs, config.pipeline, Streams(np.random.SeedSequence(config.seed))
     )
-    scales = (
-        None
-        if config.smoothing.length_scales is None
-        else np.asarray(config.smoothing.length_scales)
-    )
-    surface = fit_surface(
-        extract_support_points(chain),
-        noise_floor=config.smoothing.noise_floor,
-        length_scales=scales,
-    )
-    smoothed = SmoothedFPF(surface, chain.pf, space)
+    smoothed = SmoothedFPF(fit_surface(extract_support_points(chain)), chain.pf, space)
     return PipelineCase(config, model, space, specs, chain, approx, smoothed)
 
 

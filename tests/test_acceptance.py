@@ -102,10 +102,7 @@ def test_beam_oracle_is_brute_force_scale_and_matches_the_run(
     assert oracle.total_evaluations >= 5e7  # one run, fifty million evaluations
     assert np.all(oracle.n >= 1e5)
 
-    passed, summary = compare_command(
-        beam_run_dir, beam_oracle_dir / "oracle.csv", tmp_path,
-        tol_log10=0.3, min_pf=1e-4, min_fraction=0.9,
-    )
+    passed, summary = compare_command(beam_run_dir, beam_oracle_dir / "oracle.csv", tmp_path)
     assert passed
     assert summary["n_judged"] >= 50
     assert summary["fraction_within"] >= 0.9

@@ -92,17 +92,6 @@ def test_bad_grid_size_is_a_config_error(tmp_path, flag):
     assert not out.exists()
 
 
-def test_length_scale_count_mismatch_is_a_config_error(tmp_path):
-    # the toy has one design axis; the mismatch is caught before the pipeline
-    cfg = tmp_path / "run.yaml"
-    _write_small_toy(cfg)
-    cfg.write_text(cfg.read_text() + "smoothing:\n  length_scales: [1.0, 2.0]\n")
-    out = tmp_path / "o"
-    code = cli.main(["run", "--config", str(cfg), "--output", str(out)])
-    assert code == cli.EXIT_CONFIG
-    assert not [p for p in out.rglob("*") if p.is_file()]
-
-
 # A 2x2 grid broken three ways: (0, 0) twice in place of (0, 1), so the
 # distinct coordinates still multiply to the row count; (0, 1) left out; and
 # a nan where (0, 1)'s probability belongs.
@@ -315,6 +304,8 @@ def test_compare_passes_for_a_faithful_run(tmp_path, toy_run_dir, toy_oracle_dir
     assert summary["pass"] is True
     assert summary["n_judged"] > 0
     assert summary["fraction_within"] >= 0.9
+    # the README's fixed compare rule, recorded with the result
+    assert (summary["tol_log10"], summary["min_pf"], summary["min_fraction"]) == (0.3, 1e-4, 0.9)
     assert (out / "comparison.csv").exists()
 
 
@@ -382,18 +373,16 @@ def test_compare_rejects_a_broken_oracle_grid(tmp_path, case):
     assert not out.exists()
 
 
-@pytest.mark.parametrize(
-    "flag",
-    ["--min-pf=0", "--min-pf=-1e-4", "--min-pf=nan", "--tol-log10=-1",
-     "--min-fraction=0", "--min-fraction=1.5"],
-)
-def test_compare_rejects_out_of_range_thresholds(tmp_path, toy_run_dir, toy_oracle_dir, flag):
+@pytest.mark.parametrize("flag", ["--tol-log10=0.3", "--min-pf=1e-4", "--min-fraction=0.9"])
+def test_compare_thresholds_are_not_flags(tmp_path, toy_run_dir, toy_oracle_dir, flag):
+    # the compare rule's thresholds are fixed; argparse exits 2 on the flags
     out = tmp_path / "cmp"
-    code = cli.main(
-        ["compare", "--run", str(toy_run_dir), "--oracle", str(toy_oracle_dir),
-         "--output", str(out), flag]
-    )
-    assert code == cli.EXIT_CONFIG
+    with pytest.raises(SystemExit) as exc:
+        cli.main(
+            ["compare", "--run", str(toy_run_dir), "--oracle", str(toy_oracle_dir),
+             "--output", str(out), flag]
+        )
+    assert exc.value.code == cli.EXIT_CONFIG
     assert not out.exists()
 
 
@@ -544,6 +533,20 @@ _NO_SCIPY_PROBES = {
         "--resolution", "3", "--per-point", "2000", "--threads", "1",
     ],
 }
+
+
+@pytest.mark.parametrize("preset", [None, "3"])
+def test_importing_fpfkit_sets_one_blas_thread_unless_the_caller_did(preset):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(_REPO / "src"), env.get("PYTHONPATH")]))
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    probe = "import os, fpfkit; print(os.environ['OPENBLAS_NUM_THREADS'])"
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == (preset or "1")
 
 
 @pytest.mark.parametrize("probe", list(_NO_SCIPY_PROBES))

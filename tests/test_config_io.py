@@ -6,7 +6,9 @@ import math
 
 import numpy as np
 import pytest
+import yaml
 
+from fpfkit import cli
 from fpfkit.artifacts import (
     density_record,
     fmt,
@@ -57,10 +59,7 @@ def test_minimal_config_fills_every_default():
         10, 100, 1.0,
     )
     assert (p.subset.p0, p.subset.max_levels) == (0.1, 8)
-    assert cfg.smoothing.noise_floor == 1e-4
-    assert cfg.smoothing.length_scales is None
     assert cfg.optimization.allowable == ()
-    assert cfg.optimization.wall_mm == 2.0
     assert (cfg.grid.resolution, cfg.grid.n_per_point) == (21, 130000)
     assert cfg.output.fpf_grid_resolution == 21
 
@@ -73,6 +72,15 @@ def test_missing_required_fields_are_reported_together():
     assert "model.type: required" in message
 
 
+# removed keys: path -> (a value, the unknown key parse_config reports; a
+# smoothing section is unknown as a whole)
+_REMOVED_SETTINGS = {
+    "smoothing.noise_floor": (1e-4, "smoothing"),
+    "smoothing.length_scales": ([0.5], "smoothing"),
+    "optimization.wall_mm": (2.0, "optimization.wall_mm"),
+}
+
+
 def test_unknown_keys_are_rejected_at_every_level():
     with pytest.raises(ConfigError, match="extra: unknown key"):
         parse_config(_minimal(extra={}))
@@ -80,6 +88,21 @@ def test_unknown_keys_are_rejected_at_every_level():
         parse_config({"seed": 1, "model": {"type": "toy", "shape": 3}})
     with pytest.raises(ConfigError, match=r"pipeline.bsp.depth: unknown key"):
         parse_config(_minimal(pipeline={"bsp": {"depth": 4}}))
+    for path, (value, reported) in _REMOVED_SETTINGS.items():
+        section, key = path.split(".")
+        with pytest.raises(ConfigError) as exc:
+            parse_config(_minimal(**{section: {key: value}}))
+        assert str(exc.value).splitlines()[1:] == [f"  {reported}: unknown key"]
+
+
+@pytest.mark.parametrize("path", list(_REMOVED_SETTINGS))
+def test_a_removed_setting_exits_2_through_run(tmp_path, path):
+    section, key = path.split(".")
+    cfg = tmp_path / "run.yaml"
+    cfg.write_text(yaml.safe_dump(_minimal(**{section: {key: _REMOVED_SETTINGS[path][0]}})))
+    out = tmp_path / "o"
+    assert cli.main(["run", "--config", str(cfg), "--output", str(out)]) == cli.EXIT_CONFIG
+    assert not out.exists()
 
 
 def test_scalar_type_and_range_checks():
@@ -144,23 +167,14 @@ def test_bounds_validation():
 
 
 def test_smoothing_and_optimization_validation():
-    with pytest.raises(ConfigError, match="length_scales: must be positive"):
-        parse_config(_minimal(smoothing={"length_scales": [0.5, -1.0]}))
-    with pytest.raises(ConfigError, match="length_scales: expected a list"):
-        parse_config(_minimal(smoothing={"length_scales": ["wide"]}))
-    with pytest.raises(ConfigError, match="length_scales: must not be empty"):
-        parse_config(_minimal(smoothing={"length_scales": []}))
+    # the surface fit has no settings: a smoothing section is an unknown key
+    with pytest.raises(ConfigError, match="smoothing: unknown key"):
+        parse_config(_minimal(smoothing={}))
     with pytest.raises(ConfigError, match=r"allowable: values must lie in \(0, 1\)"):
         parse_config(_minimal(optimization={"allowable": [0.5, 1.5]}))
-    with pytest.raises(ConfigError, match="noise_floor: must be positive"):
-        parse_config(_minimal(smoothing={"noise_floor": 0}))
-    cfg = parse_config(
-        _minimal(
-            smoothing={"length_scales": [0.4]},
-            optimization={"allowable": [0.1, 0.01]},
-        )
-    )
-    assert cfg.smoothing.length_scales == (0.4,)
+    with pytest.raises(ConfigError, match="allowable: expected a list of numbers"):
+        parse_config(_minimal(optimization={"allowable": ["wide"]}))
+    cfg = parse_config(_minimal(optimization={"allowable": [0.1, 0.01]}))
     assert cfg.optimization.allowable == (0.1, 0.01)
 
 
@@ -223,8 +237,7 @@ _EVERY_KEY = {
         "mmh": {"burn_in": 5, "max_chains": 40, "scale_factor": 1.5},
         "subset": {"p0": 0.2, "max_levels": 6},
     },
-    "smoothing": {"noise_floor": 1e-3, "length_scales": [0.3, 0.6]},
-    "optimization": {"allowable": [0.05], "wall_mm": 3},
+    "optimization": {"allowable": [0.05]},
     "grid": {"resolution": 11, "n_per_point": 5000},
     "output": {"fpf_grid_resolution": 9},
 }
@@ -252,8 +265,7 @@ def test_every_key_lands_on_its_own_field():
             "chains": {"burn_in": 5, "max_chains": 40, "scale_factor": 1.5},
             "subset": {"p0": 0.2, "max_levels": 6},
         },
-        "smoothing": {"noise_floor": 1e-3, "length_scales": [0.3, 0.6]},
-        "optimization": {"allowable": [0.05], "wall_mm": 3.0},
+        "optimization": {"allowable": [0.05]},
         "grid": {"resolution": 11, "n_per_point": 5000},
         "output": {"fpf_grid_resolution": 9},
     }
@@ -282,8 +294,6 @@ def test_every_key_lands_on_its_own_field():
         ("pipeline.mmh.scale_factor", 0, "must be positive"),
         ("pipeline.subset.p0", 0.0, "must lie in (0, 1)"),
         ("pipeline.subset.max_levels", 0, "must be >= 1"),
-        ("smoothing.noise_floor", 0, "must be positive"),
-        ("optimization.wall_mm", 0, "must be positive"),
         ("grid.resolution", 1, "must be >= 2"),
         ("grid.n_per_point", 0, "must be positive"),
         ("output.fpf_grid_resolution", 1, "must be >= 2"),

@@ -79,9 +79,7 @@ def test_variable_spec_requires_exactly_one_mean_and_spread():
         RandomVariableSpec("x", mean=1.0, std=1.0, cov=0.1)
     with pytest.raises(ValueError):
         RandomVariableSpec("x", mean=1.0, std=-1.0)
-    with pytest.raises(ValueError):
-        RandomVariableSpec("x", family="lognormal", mean=1.0, std=1.0)
-    # cov without any design reference has no mean to scale
+    # cov scales the design coordinate the mean follows; a fixed mean follows none
     with pytest.raises(ValueError, match="cov"):
         RandomVariableSpec("x", mean=1.0, cov=0.1)
 
@@ -95,8 +93,6 @@ def test_variable_spec_resolution():
     assert one_row(fixed, [9.9]) == (3.0, 0.5)
     tied = RandomVariableSpec("b", mean_design=1, cov=0.05)
     assert one_row(tied, [10.0, 20.0]) == (20.0, 1.0)
-    cross = RandomVariableSpec("c", mean=0.0, cov=0.1, cov_design=0)
-    assert one_row(cross, [4.0, 0.0]) == (0.0, 0.4)
 
 
 def test_resolve_parameters_stacks_per_design_row():
@@ -191,7 +187,7 @@ def test_sample_theta_equals_generator_normal_draws_with_redraws():
     # per-row (n, k) parameters; rows whose theta_0 is not positive are redrawn
     specs = (
         RandomVariableSpec("t", mean_design=0, std=1.0),
-        RandomVariableSpec("u", mean=3.0, cov=0.1, cov_design=1),
+        RandomVariableSpec("u", mean_design=1, cov=0.1),
     )
     phis = np.random.default_rng(1).uniform(0.0, 2.0, size=(3000, 2))
     model = PositiveThetaModel()

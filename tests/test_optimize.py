@@ -201,7 +201,7 @@ def test_area_minimization_drives_width_down_and_height_to_the_limit(allowable):
 def _assert_together_equals_alone(case, mixed):
     """One search over a case's allowables equals one search per allowable;
     ``mixed`` puts allowables no start can meet between the config's."""
-    objective = _objective_for(case.config, case.model)
+    objective = _objective_for(case.model)
     allowables = list(case.config.optimization.allowable)
     reachable = [True] * len(allowables)
     if mixed:
@@ -300,7 +300,7 @@ def _assert_port_matches_scipy(f, starts, lower, upper, xatol, fatol=1e-10, maxi
 
 def _assert_surface_optima_match_scipy(case, seed):
     # the same starts under every allowable of the config, all in one search
-    objective = _objective_for(case.config, case.model)
+    objective = _objective_for(case.model)
     space = case.space
     allowables = case.config.optimization.allowable
     starts = _starts(space, np.random.default_rng(seed))

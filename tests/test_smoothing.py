@@ -9,6 +9,7 @@ import pytest
 
 from fpfkit.benchmarks import grid_points
 from fpfkit.model import DesignSpace
+from fpfkit import smoothing
 from fpfkit.pipeline import compose_density
 from fpfkit.smoothing import (
     SupportPoints,
@@ -205,9 +206,8 @@ def test_fit_surface_validation():
 
 def _assert_fit_matches_the_cholesky_scan(case):
     points = extract_support_points(case.chain)
-    noise_floor = case.config.smoothing.noise_floor
-    surface = fit_surface(points, noise_floor=noise_floor)
-    reference = reference_fit_surface(points, noise_floor=noise_floor)
+    surface = fit_surface(points)
+    reference = reference_fit_surface(points)
     assert np.array_equal(surface.x, reference.x)
     assert np.array_equal(surface.length_scales, reference.length_scales)
     assert surface.noise_floor == reference.noise_floor
@@ -226,6 +226,20 @@ def test_beam_fit_picks_what_the_cholesky_scan_picks(beam_case):
 
 def test_toy_rare_fit_picks_what_the_cholesky_scan_picks(toy_rare_case):
     _assert_fit_matches_the_cholesky_scan(toy_rare_case)
+
+
+def test_a_1d_fit_scores_each_multiplier_once(monkeypatch):
+    # in 1-D the coordinate sweep meets only the scan's 13 multipliers, so
+    # the 13 scores and the final solve take one eigendecomposition each
+    calls = []
+
+    def counted(k, y):
+        calls.append(k.shape)
+        return _eig(k, y)
+
+    monkeypatch.setattr(smoothing, "_eig", counted)
+    fit_surface(_line_points(np.linspace(0.0, 1.0, 9), lambda x: x * x))
+    assert calls == [(9, 9)] * 14
 
 
 def test_a_ridge_that_is_not_positive_definite_scores_inf():
