@@ -59,7 +59,6 @@ from .pipeline import (
 )
 from .regions import RegionIndicator
 from .reliability import (
-    ChainParams,
     FailureEstimate,
     direct_mcs,
     mmh_chain,
@@ -72,7 +71,6 @@ from .streams import Streams
 __all__ = [
     "BinaryPartition",
     "BoxBeamModel",
-    "ChainParams",
     "ConfigError",
     "ConvergenceError",
     "DegenerateThresholdError",

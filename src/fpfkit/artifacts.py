@@ -232,8 +232,8 @@ def surface_record(smoothed: SmoothedFPF) -> dict:
 def surface_from_record(rec: dict) -> SmoothedFPF:
     """The smoothed FPF of a surface record. Raises ValueError unless ``x`` is
     (n, d) with one column per bound, ``coef`` is (n,), ``length_scales`` is
-    (d,) and positive, ``signal_var`` and ``noise_floor`` are positive, and
-    every number is finite."""
+    (d,) and positive, ``signal_var`` and ``noise_floor`` are positive, ``pf``
+    lies in (0, 1], and every number is finite."""
     surface = RegressionSurface(
         x=np.array(rec["x"], dtype=float),
         coef=np.array(rec["coef"], dtype=float),
@@ -254,6 +254,8 @@ def surface_from_record(rec: dict) -> SmoothedFPF:
         raise ValueError("every number of a surface must be finite")
     if not (np.all(scales > 0) and surface.signal_var > 0 and surface.noise_floor > 0):
         raise ValueError("length_scales, signal_var and noise_floor must be positive")
+    if not 0 < rec["pf"] <= 1:
+        raise ValueError(f"pf {rec['pf']!r} is not a probability in (0, 1]")
     return SmoothedFPF(surface, rec["pf"], space)
 
 

@@ -1,8 +1,8 @@
 """Benchmark limit states and the brute-force grid oracle.
 
-The box-beam benchmark is a cantilever of length L with a hollow rectangular
-section whose first natural frequency must avoid a resonance band. With the
-Euler-Bernoulli first bending mode,
+The box-beam benchmark is a cantilever of length L = 500 mm with a hollow
+rectangular section whose first natural frequency must avoid a resonance
+band. With the Euler-Bernoulli first bending mode,
 
     omega_1 = lambda_1^2 * sqrt(E * I / (rho * A * L^4)),   lambda_1 = 1.87510...
 
@@ -117,21 +117,16 @@ class BoxBeamModel(LimitStateModel):
 
     name = "beam"
 
-    def __init__(
-        self, band: tuple[float, float] = (550.0, 600.0), length_mm: float = 500.0
-    ) -> None:
+    def __init__(self, band: tuple[float, float] = (550.0, 600.0)) -> None:
         super().__init__()
         lo, hi = band
         if not lo < hi:
             raise ValueError(f"band must be an increasing pair, got {band}")
-        if length_mm <= 0:
-            raise ValueError("length must be positive")
         self.band = (float(lo), float(hi))
-        self.length_mm = float(length_mm)
 
     def performance_batch(self, phis: np.ndarray, thetas: np.ndarray) -> np.ndarray:
         b, h, t, rho, e = (thetas[:, j] for j in range(5))
-        return beam_frequency(b, h, t, rho, e, self.length_mm)
+        return beam_frequency(b, h, t, rho, e)
 
     def margin(self, performance):
         lo, hi = self.band

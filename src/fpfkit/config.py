@@ -13,14 +13,13 @@ import yaml
 
 from .errors import ConfigError
 from .pipeline import BSPParams, PipelineConfig, SubsetParams
-from .reliability import ChainParams
+from .reliability import P0
 
 
 @dataclass(frozen=True)
 class ModelConfig:
     type: str = "toy"
     band: tuple[float, float] = (550.0, 600.0)
-    length_mm: float = 500.0
     table_path: str | None = None
 
 
@@ -131,7 +130,7 @@ _AT_LEAST_2 = (lambda v: v >= 2, "must be >= 2")
 _OPEN_UNIT = (lambda v: 0 < v < 1, "must lie in (0, 1)")
 
 # The scalar settings of each section: key -> (type, check, message).
-_MODEL = {"length_mm": (float, *_POSITIVE), "table_path": (str,)}
+_MODEL = {"table_path": (str,)}
 _PIPELINE = {
     "pilot_budget": (int, *_POSITIVE),
     "iteration_budget": (int, *_POSITIVE),
@@ -139,18 +138,8 @@ _PIPELINE = {
     "mass_ratio": (float, *_OPEN_UNIT),
     "pf_floor": (float, *_POSITIVE),
 }
-_BSP = {
-    "alpha": (float, *_POSITIVE),
-    "beta": (float,),
-    "particles": (int, *_AT_LEAST_1),
-    "max_leaves": (int, *_AT_LEAST_2),
-}
-_MMH = {
-    "burn_in": (int, *_AT_LEAST_0),
-    "max_chains": (int, *_AT_LEAST_1),
-    "scale_factor": (float, *_POSITIVE),
-}
-_SUBSET = {"p0": (float, *_OPEN_UNIT), "max_levels": (int, *_AT_LEAST_1)}
+_BSP = {"max_leaves": (int, *_AT_LEAST_2)}
+_SUBSET = {"max_levels": (int, *_AT_LEAST_1)}
 _GRID = {"resolution": (int, *_AT_LEAST_2), "n_per_point": (int, *_POSITIVE)}
 _OUTPUT = {"fpf_grid_resolution": (int, *_AT_LEAST_2)}
 
@@ -219,23 +208,17 @@ def parse_config(data: dict) -> RunConfig:
     r.fields(ds, {}, "design_space.")
 
     p = r.section(data, "pipeline", "")
-    bsp, mmh, su = (r.section(p, key, "pipeline.") for key in ("bsp", "mmh", "subset"))
+    bsp, su = (r.section(p, key, "pipeline.") for key in ("bsp", "subset"))
     pipeline = PipelineConfig(**r.fields(
         p, _PIPELINE, "pipeline.",
         bsp=BSPParams(**r.fields(bsp, _BSP, "pipeline.bsp.")),
-        chains=ChainParams(**r.fields(mmh, _MMH, "pipeline.mmh.")),
         subset=SubsetParams(**r.fields(su, _SUBSET, "pipeline.subset.")),
     ))
-    n0 = pipeline.pilot_budget * pipeline.subset.p0
+    n0 = pipeline.pilot_budget * P0
     if abs(n0 - round(n0)) > 1e-9 or round(n0) < 2:
         errors.append(
-            "pipeline.pilot_budget: times subset.p0 must be an integer >= 2 "
-            "(needed if the pilot escalates to subset simulation)"
-        )
-    elif pipeline.pilot_budget % round(n0):
-        errors.append(
-            "pipeline.pilot_budget: must be a multiple of pilot_budget * subset.p0 "
-            "(subset simulation regrows each level as equal-length chains)"
+            f"pipeline.pilot_budget: times subset simulation's level probability {P0} "
+            "must be an integer >= 2 (needed if the pilot escalates to subset simulation)"
         )
 
     o = r.section(data, "optimization", "")

@@ -30,13 +30,7 @@ from .bsp import PiecewiseConstantDensity, bsp_estimate
 from .errors import ConvergenceError, DegenerateThresholdError, RegionPopulationError
 from .model import DesignSpace, LimitStateModel, RandomVariableSpec, SampleSet
 from .regions import RegionIndicator, box_volumes
-from .reliability import (
-    ChainParams,
-    FailureEstimate,
-    direct_mcs,
-    populate_region,
-    subset_simulation,
-)
+from .reliability import P0, FailureEstimate, direct_mcs, populate_region, subset_simulation
 from .streams import Streams
 
 logger = logging.getLogger(__name__)
@@ -228,15 +222,11 @@ class FPFApproximation:
 
 @dataclass(frozen=True)
 class BSPParams:
-    alpha: float = 0.5
-    beta: float | None = None
-    particles: int = 100
     max_leaves: int = 64
 
 
 @dataclass(frozen=True)
 class SubsetParams:
-    p0: float = 0.1
     max_levels: int = 8
 
 
@@ -250,7 +240,6 @@ class PipelineConfig:
     mass_ratio: float = 0.1
     pf_floor: float = 1e-4
     bsp: BSPParams = field(default_factory=BSPParams)
-    chains: ChainParams = field(default_factory=ChainParams)
     subset: SubsetParams = field(default_factory=SubsetParams)
 
     def __post_init__(self) -> None:
@@ -302,7 +291,7 @@ def run_pipeline(
             space,
             specs,
             config.pilot_budget,
-            config.subset.p0,
+            P0,
             streams,
             max_levels=config.subset.max_levels,
         )
@@ -330,14 +319,7 @@ def run_pipeline(
     for k in range(config.max_iterations + 1):
         lo, hi = region.bounding_box()
         raw = bsp_estimate(
-            samples.phi,
-            lo,
-            hi,
-            streams.generator(),
-            alpha=config.bsp.alpha,
-            beta=config.bsp.beta,
-            n_particles=config.bsp.particles,
-            max_leaves=config.bsp.max_leaves,
+            samples.phi, lo, hi, streams.generator(), max_leaves=config.bsp.max_leaves
         )
         try:
             level = build_level(k, region, raw, weight, config.mass_ratio, samples)
@@ -362,8 +344,7 @@ def run_pipeline(
         mark = model.n_evaluations
         try:
             samples = populate_region(
-                samples, region, model, space, specs, config.iteration_budget,
-                config.chains, streams,
+                samples, region, model, space, specs, config.iteration_budget, streams
             )
         except RegionPopulationError as exc:
             raise RegionPopulationError(

@@ -39,6 +39,12 @@ from .streams import Streams
 logger = logging.getLogger(__name__)
 
 _BATCH = 4096
+# region population: discarded steps at the start of each chain, and the most
+# chains started per region
+BURN_IN = 10
+MAX_CHAINS = 100
+# subset simulation: the conditional probability of each intermediate level
+P0 = 0.1
 
 
 @dataclass(frozen=True)
@@ -84,23 +90,6 @@ def direct_mcs(
         return FailureEstimate(0.0, math.inf, n, samples, "direct-mcs")
     cov = math.sqrt((1.0 - pf) / (n * pf))
     return FailureEstimate(pf, cov, n, samples, "direct-mcs")
-
-
-@dataclass(frozen=True)
-class ChainParams:
-    """Tuning for region-conditional MMH chains."""
-
-    burn_in: int = 10
-    max_chains: int = 100
-    scale_factor: float = 1.0
-
-    def __post_init__(self) -> None:
-        if self.burn_in < 0:
-            raise ValueError("burn_in must be >= 0")
-        if self.max_chains < 1:
-            raise ValueError("max_chains must be >= 1")
-        if self.scale_factor <= 0:
-            raise ValueError("scale_factor must be positive")
 
 
 def mmh_chain(
@@ -191,19 +180,18 @@ def _chains(
     space: DesignSpace,
     specs: tuple[RandomVariableSpec, ...],
     n_steps: int,
-    factor: float,
     streams: Streams,
     tau: float = 0.0,
 ) -> SampleSet:
     """``n_steps`` of ``mmh_chain`` from each row ``pool[starts]``, each chain
-    on its own child stream. Proposal half-widths are ``factor`` x the pool's
-    std per (phi, u) coordinate, with fallbacks for a degenerate spread (5% of
+    on its own child stream. Proposal half-widths are the pool's std per
+    (phi, u) coordinate, with fallbacks for a degenerate spread (5% of
     the design width for phi, 1.0 for u)."""
     mus, sigmas = resolve_parameters(specs, pool.phi)
-    scales_phi = np.std(pool.phi, axis=0) * factor
+    scales_phi = np.std(pool.phi, axis=0)
     bad = ~(scales_phi > 0)
     scales_phi[bad] = 0.05 * (space.upper - space.lower)[bad]
-    scales_u = np.std((pool.theta - mus) / sigmas, axis=0) * factor
+    scales_u = np.std((pool.theta - mus) / sigmas, axis=0)
     scales_u[~(scales_u > 0)] = 1.0
     width = pool.phi.shape[1] + 2 * pool.theta.shape[1]
     draws = streams.uniforms(len(starts), (n_steps, width))
@@ -236,15 +224,14 @@ def populate_region(
     space: DesignSpace,
     specs: tuple[RandomVariableSpec, ...],
     budget: int,
-    params: ChainParams,
     streams: Streams,
 ) -> SampleSet:
     """Repopulate ``region`` with chains of ``budget`` steps in all.
 
     The in-region samples of ``prev`` are the seeds and lead the output, in
-    order. ``n_chains = min(seeds, params.max_chains)`` chains start from
+    order. ``n_chains = min(seeds, MAX_CHAINS)`` chains start from
     evenly strided seeds and take ``budget // n_chains`` steps each; their
-    states after ``params.burn_in`` follow in chain order. No seed in
+    states after ``BURN_IN`` steps follow in chain order. No seed in
     ``region`` raises ``RegionPopulationError``; steps per chain not above
     the burn-in raise ``ConvergenceError``.
     """
@@ -255,17 +242,14 @@ def populate_region(
             "increase the previous-stage budget",
             partial=prev,
         )
-    n_chains = min(len(seeds), params.max_chains)
+    n_chains = min(len(seeds), MAX_CHAINS)
     steps = budget // n_chains
-    if steps <= params.burn_in:
+    if steps <= BURN_IN:
         raise ConvergenceError(
-            "iteration budget cannot cover chain burn-in; "
-            "raise iteration_budget or lower max_chains"
+            "iteration budget cannot cover chain burn-in; raise iteration_budget"
         )
     starts = (np.arange(n_chains) * len(seeds)) // n_chains
-    states = _chains(
-        seeds, starts, region, model, space, specs, steps, params.scale_factor, streams,
-    )[:, params.burn_in :]
+    states = _chains(seeds, starts, region, model, space, specs, steps, streams)[:, BURN_IN:]
     total = states.performance.size
     distinct = _distinct_states(states.phi)
     if total and distinct / total < 0.05:
@@ -347,6 +331,6 @@ def subset_simulation(
         seeds = pop[order[:n0]]
         states = _chains(
             seeds, np.arange(n0), space.region(), model, space, specs,
-            n_per_level // n0 - 1, 1.0, streams, tau=tau,
+            n_per_level // n0 - 1, streams, tau=tau,
         )
         pop = SampleSet.concat([seeds[:, None], states], axis=1).flatten()

@@ -58,7 +58,7 @@ def build_problem(config: RunConfig, base_dir: Path | None = None):
     """Model, design space, and variable specs for a run configuration."""
     kind = config.model.type
     if kind == "beam":
-        model = BoxBeamModel(config.model.band, config.model.length_mm)
+        model = BoxBeamModel(config.model.band)
         space = DesignSpace(config.bounds) if config.bounds else beam_design_space()
         specs = beam_variable_specs()
     elif kind == "toy":
@@ -288,9 +288,12 @@ def compare_command(run_dir: Path, oracle_path: Path, out_dir: Path) -> tuple[bo
         )
 
     try:
-        estimates = smoothed(oracle.points).tolist()
+        estimates = smoothed(oracle.points)
     except OverflowError as exc:
         raise ConfigError(f"{surface_path}: surface values overflow on the oracle grid ({exc})")
+    if not estimates.all():
+        phi = oracle.points[np.argmin(estimates)].tolist()
+        raise ConfigError(f"{surface_path}: surface value underflows to 0 at oracle point {phi}")
 
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -299,7 +302,7 @@ def compare_command(run_dir: Path, oracle_path: Path, out_dir: Path) -> tuple[bo
     judged = 0
     within = 0
     abs_ratios = []
-    for phi, opf, mpf in zip(oracle.points, oracle.pf.tolist(), estimates):
+    for phi, opf, mpf in zip(oracle.points, oracle.pf.tolist(), estimates.tolist()):
         if opf > 0.0:
             ratio = math.log10(mpf / opf)
         else:

@@ -195,19 +195,24 @@ def fit_surface(
 
     r = x[:, None, :] - x[None, :, :]
     noise = noise_floor
+    eig = None  # the chosen kernel's decomposition, once the search has made it
     if length_scales is None:
         if n < 3:
             scales = base
         else:
             noise_grid = [max(noise_floor, f * signal) for f in _NOISE_FRACTIONS]
             # the sweep meets vectors the scan or an earlier axis scored, and
-            # a repeat never scores strictly lower, so each is scored once
+            # a repeat never scores strictly lower, so each is scored once and
+            # a new best is always the vector ``score`` decomposed last
+            last = None
+
             @functools.cache
             def score(mults: tuple) -> tuple[float, float]:
-                eig = _eig(_kernel(r, base * np.array(mults), signal), yc)
+                nonlocal last
+                last = _eig(_kernel(r, base * np.array(mults), signal), yc)
                 best = (math.inf, noise_grid[0])
                 for lam in noise_grid:
-                    sse = _loo_sse(eig, lam, w)
+                    sse = _loo_sse(last, lam, w)
                     if sse < best[0]:
                         best = (sse, lam)
                 return best
@@ -217,20 +222,22 @@ def fit_surface(
             for m in _MULT_GRID:
                 sse, lam = score((m,) * d)
                 if sse < best_sse:
-                    best_sse, mults, noise = sse, (m,) * d, lam
+                    best_sse, mults, noise, eig = sse, (m,) * d, lam, last
             for axis in range(d):
                 for m in _MULT_GRID:
                     cand = mults[:axis] + (m,) + mults[axis + 1:]
                     sse, lam = score(cand)
                     if sse < best_sse:
-                        best_sse, mults, noise = sse, cand, lam
+                        best_sse, mults, noise, eig = sse, cand, lam, last
             scales = base * np.array(mults)
     else:
         scales = np.asarray(length_scales, dtype=float)
         if scales.shape != (d,) or np.any(scales <= 0):
             raise ValueError("length_scales must be positive with one entry per axis")
 
-    solved = _ridge(_eig(_kernel(r, scales, signal), yc), noise)
+    if eig is None:
+        eig = _eig(_kernel(r, scales, signal), yc)
+    solved = _ridge(eig, noise)
     if solved is None:
         raise np.linalg.LinAlgError("kernel matrix plus ridge is not positive definite")
     coef = solved[0]

@@ -184,7 +184,7 @@ def test_chain_states_reach_the_conditional_failure_distribution():
 
     # proposal scales from every pilot failure, one chain from the first
     states = _chains(
-        seeds, np.arange(1), space.region(), model, space, specs, 210000, 1.0, streams
+        seeds, np.arange(1), space.region(), model, space, specs, 210000, streams
     )[0]
     kept = states[10000::20]
     assert len(kept) == 10000

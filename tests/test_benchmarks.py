@@ -160,8 +160,6 @@ def test_beam_theta_validity():
 def test_beam_constructor_validation():
     with pytest.raises(ValueError, match="band"):
         BoxBeamModel(band=(900.0, 700.0))
-    with pytest.raises(ValueError, match="length"):
-        BoxBeamModel(band=(700.0, 900.0), length_mm=0.0)
     assert BoxBeamModel().band == (550.0, 600.0)
 
 

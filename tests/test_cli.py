@@ -63,6 +63,7 @@ def test_negative_seed_override_is_a_config_error(tmp_path, command):
     assert not out.exists()
 
 
+# alpha and beta are no longer settings, so these exit 2 as unknown keys
 @pytest.mark.parametrize("setting", ["beta: .nan", "beta: .inf", "beta: -.inf", "alpha: .inf"])
 def test_non_finite_bsp_setting_is_a_config_error(tmp_path, setting):
     cfg = tmp_path / "bad.yaml"
@@ -423,6 +424,24 @@ def test_compare_rejects_a_surface_whose_values_overflow(
     code = _compare_with_surface(tmp_path, json.dumps(record), toy_oracle_dir)
     assert code == cli.EXIT_CONFIG
     assert "surface.json" in caplog.text and "overflow" in caplog.text
+    assert "Traceback" not in capsys.readouterr().err + caplog.text
+
+
+@pytest.mark.parametrize(
+    "field, value, reason",
+    [("pf", 0.0, "not a probability"), ("pf", -0.001, "not a probability"),
+     ("y_mean", -800.0, "underflows to 0")],
+)
+def test_compare_rejects_a_surface_it_cannot_evaluate(
+    tmp_path, caplog, capsys, toy_run_dir, toy_oracle_dir, field, value, reason
+):
+    # a pf outside (0, 1], or a surface whose exp underflows to 0 at an
+    # oracle point, leaves no log10 ratio to judge
+    record = json.loads((toy_run_dir / "surface.json").read_text())
+    record[field] = value
+    code = _compare_with_surface(tmp_path, json.dumps(record), toy_oracle_dir)
+    assert code == cli.EXIT_CONFIG
+    assert "surface.json" in caplog.text and reason in caplog.text
     assert "Traceback" not in capsys.readouterr().err + caplog.text
 
 

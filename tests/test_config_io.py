@@ -46,19 +46,13 @@ def test_minimal_config_fills_every_default():
     assert cfg.seed == 1
     assert cfg.model.type == "toy"
     assert cfg.model.band == (550.0, 600.0)
-    assert cfg.model.length_mm == 500.0
     assert cfg.model.table_path is None
     assert cfg.bounds is None
     p = cfg.pipeline
     assert (p.pilot_budget, p.iteration_budget, p.max_iterations) == (8000, 8000, 4)
     assert (p.mass_ratio, p.pf_floor) == (0.1, 1e-4)
-    assert (p.bsp.alpha, p.bsp.beta, p.bsp.particles, p.bsp.max_leaves) == (
-        0.5, None, 100, 64,
-    )
-    assert (p.chains.burn_in, p.chains.max_chains, p.chains.scale_factor) == (
-        10, 100, 1.0,
-    )
-    assert (p.subset.p0, p.subset.max_levels) == (0.1, 8)
+    assert p.bsp.max_leaves == 64
+    assert p.subset.max_levels == 8
     assert cfg.optimization.allowable == ()
     assert (cfg.grid.resolution, cfg.grid.n_per_point) == (21, 130000)
     assert cfg.output.fpf_grid_resolution == 21
@@ -72,13 +66,33 @@ def test_missing_required_fields_are_reported_together():
     assert "model.type: required" in message
 
 
-# removed keys: path -> (a value, the unknown key parse_config reports; a
-# smoothing section is unknown as a whole)
+# removed keys: path -> (the value they last had, the unknown key
+# parse_config reports; the smoothing and pipeline.mmh sections are unknown
+# as a whole)
 _REMOVED_SETTINGS = {
     "smoothing.noise_floor": (1e-4, "smoothing"),
     "smoothing.length_scales": ([0.5], "smoothing"),
     "optimization.wall_mm": (2.0, "optimization.wall_mm"),
+    "model.length_mm": (500.0, "model.length_mm"),
+    "pipeline.bsp.alpha": (0.5, "pipeline.bsp.alpha"),
+    "pipeline.bsp.beta": (3.5, "pipeline.bsp.beta"),
+    "pipeline.bsp.particles": (100, "pipeline.bsp.particles"),
+    "pipeline.mmh.burn_in": (10, "pipeline.mmh"),
+    "pipeline.mmh.max_chains": (100, "pipeline.mmh"),
+    "pipeline.mmh.scale_factor": (1.0, "pipeline.mmh"),
+    "pipeline.subset.p0": (0.1, "pipeline.subset.p0"),
 }
+
+
+def _with_setting(path: str, value) -> dict:
+    """The minimal config with ``value`` set at the dotted ``path``."""
+    data = _minimal()
+    *sections, key = path.split(".")
+    node = data
+    for name in sections:
+        node = node.setdefault(name, {})
+    node[key] = value
+    return data
 
 
 def test_unknown_keys_are_rejected_at_every_level():
@@ -89,17 +103,15 @@ def test_unknown_keys_are_rejected_at_every_level():
     with pytest.raises(ConfigError, match=r"pipeline.bsp.depth: unknown key"):
         parse_config(_minimal(pipeline={"bsp": {"depth": 4}}))
     for path, (value, reported) in _REMOVED_SETTINGS.items():
-        section, key = path.split(".")
         with pytest.raises(ConfigError) as exc:
-            parse_config(_minimal(**{section: {key: value}}))
-        assert str(exc.value).splitlines()[1:] == [f"  {reported}: unknown key"]
+            parse_config(_with_setting(path, value))
+        assert str(exc.value).splitlines()[1:] == [f"  {reported}: unknown key"], path
 
 
 @pytest.mark.parametrize("path", list(_REMOVED_SETTINGS))
 def test_a_removed_setting_exits_2_through_run(tmp_path, path):
-    section, key = path.split(".")
     cfg = tmp_path / "run.yaml"
-    cfg.write_text(yaml.safe_dump(_minimal(**{section: {key: _REMOVED_SETTINGS[path][0]}})))
+    cfg.write_text(yaml.safe_dump(_with_setting(path, _REMOVED_SETTINGS[path][0])))
     out = tmp_path / "o"
     assert cli.main(["run", "--config", str(cfg), "--output", str(out)]) == cli.EXIT_CONFIG
     assert not out.exists()
@@ -146,12 +158,6 @@ def test_pilot_budget_must_split_under_subset_simulation():
         parse_config(_minimal(pipeline={"pilot_budget": 10}))
     cfg = parse_config(_minimal(pipeline={"pilot_budget": 2000}))
     assert cfg.pipeline.pilot_budget == 2000
-    for p0 in (0.3, 0.4):  # 2400 or 3200 seeds cannot regrow 8000 in equal chains
-        with pytest.raises(ConfigError, match="multiple of pilot_budget"):
-            parse_config(_minimal(pipeline={"pilot_budget": 8000, "subset": {"p0": p0}}))
-    for p0 in (0.2, 0.25, 0.5):
-        cfg = parse_config(_minimal(pipeline={"pilot_budget": 8000, "subset": {"p0": p0}}))
-        assert cfg.pipeline.subset.p0 == p0
 
 
 def test_bounds_validation():
@@ -220,22 +226,21 @@ def test_with_seed_and_resolved_echo():
     echo = cfg.resolved()
     assert echo["seed"] == 1
     assert echo["model"]["band"] == [550.0, 600.0]
-    assert echo["pipeline"]["bsp"]["alpha"] == 0.5
+    assert echo["pipeline"]["bsp"]["max_leaves"] == 64
+    assert "chains" not in echo["pipeline"]
     assert echo["optimization"]["allowable"] == []
     json.dumps(echo)  # manifest-ready
 
 
 _EVERY_KEY = {
     "seed": 9,
-    "model": {"type": "beam", "band": [700, 900], "length_mm": 450,
-              "table_path": "t.csv"},
+    "model": {"type": "beam", "band": [700, 900], "table_path": "t.csv"},
     "design_space": {"bounds": [[1, 2], [3, 4]]},
     "pipeline": {
         "pilot_budget": 5000, "iteration_budget": 6000, "max_iterations": 2,
         "mass_ratio": 0.2, "pf_floor": 1e-3,
-        "bsp": {"alpha": 0.7, "beta": 3.5, "particles": 50, "max_leaves": 32},
-        "mmh": {"burn_in": 5, "max_chains": 40, "scale_factor": 1.5},
-        "subset": {"p0": 0.2, "max_levels": 6},
+        "bsp": {"max_leaves": 32},
+        "subset": {"max_levels": 6},
     },
     "optimization": {"allowable": [0.05]},
     "grid": {"resolution": 11, "n_per_point": 5000},
@@ -255,15 +260,13 @@ def test_every_key_lands_on_its_own_field():
     echo = parse_config(_EVERY_KEY).resolved()
     assert echo == {
         "seed": 9,
-        "model": {"type": "beam", "band": [700.0, 900.0], "length_mm": 450.0,
-                  "table_path": "t.csv"},
+        "model": {"type": "beam", "band": [700.0, 900.0], "table_path": "t.csv"},
         "bounds": [[1.0, 2.0], [3.0, 4.0]],
         "pipeline": {
             "pilot_budget": 5000, "iteration_budget": 6000, "max_iterations": 2,
             "mass_ratio": 0.2, "pf_floor": 1e-3,
-            "bsp": {"alpha": 0.7, "beta": 3.5, "particles": 50, "max_leaves": 32},
-            "chains": {"burn_in": 5, "max_chains": 40, "scale_factor": 1.5},
-            "subset": {"p0": 0.2, "max_levels": 6},
+            "bsp": {"max_leaves": 32},
+            "subset": {"max_levels": 6},
         },
         "optimization": {"allowable": [0.05]},
         "grid": {"resolution": 11, "n_per_point": 5000},
@@ -280,38 +283,24 @@ def test_every_key_lands_on_its_own_field():
     [
         ("seed", -1, "must be >= 0"),
         ("model.type", "cube", "must be one of beam, toy, table"),
-        ("model.length_mm", 0, "must be positive"),
         ("pipeline.pilot_budget", 0, "must be positive"),
         ("pipeline.iteration_budget", 0, "must be positive"),
         ("pipeline.max_iterations", -1, "must be >= 0"),
         ("pipeline.mass_ratio", 1.0, "must lie in (0, 1)"),
         ("pipeline.pf_floor", 0, "must be positive"),
-        ("pipeline.bsp.alpha", 0, "must be positive"),
-        ("pipeline.bsp.particles", 0, "must be >= 1"),
         ("pipeline.bsp.max_leaves", 1, "must be >= 2"),
-        ("pipeline.mmh.burn_in", -1, "must be >= 0"),
-        ("pipeline.mmh.max_chains", 0, "must be >= 1"),
-        ("pipeline.mmh.scale_factor", 0, "must be positive"),
-        ("pipeline.subset.p0", 0.0, "must lie in (0, 1)"),
         ("pipeline.subset.max_levels", 0, "must be >= 1"),
         ("grid.resolution", 1, "must be >= 2"),
         ("grid.n_per_point", 0, "must be positive"),
         ("output.fpf_grid_resolution", 1, "must be >= 2"),
-        ("model.length_mm", "long", "expected float"),
         ("model.table_path", 3, "expected str"),
-        ("pipeline.bsp.beta", "wide", "expected float"),
+        ("pipeline.mass_ratio", "wide", "expected float"),
         ("grid.resolution", 2.5, "expected int"),
     ],
 )
 def test_each_scalar_rule_names_its_full_key_path(path, bad, message):
-    data = _minimal()
-    *sections, key = path.split(".")
-    node = data
-    for name in sections:
-        node = node.setdefault(name, {})
-    node[key] = bad
     with pytest.raises(ConfigError) as exc:
-        parse_config(data)
+        parse_config(_with_setting(path, bad))
     lines = [line.strip() for line in str(exc.value).splitlines()[1:]]
     assert f"{path}: {message}" in lines
 
@@ -321,12 +310,27 @@ def test_each_scalar_rule_names_its_full_key_path(path, bad, message):
     [("beta", ".nan"), ("beta", ".inf"), ("beta", "-.inf"), ("alpha", ".inf")],
 )
 def test_non_finite_bsp_settings_are_rejected(tmp_path, key, text):
+    # alpha and beta are no longer settings: an old config's value, finite or
+    # not, is refused as an unknown key before it could reach the search
     path = tmp_path / "run.yaml"
     path.write_text(f"seed: 1\nmodel:\n  type: toy\npipeline:\n  bsp:\n    {key}: {text}\n")
     with pytest.raises(ConfigError) as exc:
         load_config(path)
     lines = [line.strip() for line in str(exc.value).splitlines()[1:]]
-    assert lines == [f"pipeline.bsp.{key}: must be finite"]
+    assert lines == [f"pipeline.bsp.{key}: unknown key"]
+
+
+@pytest.mark.parametrize(
+    "key, text",
+    [("pf_floor", ".nan"), ("pf_floor", ".inf"), ("mass_ratio", "-.inf"), ("mass_ratio", ".inf")],
+)
+def test_non_finite_float_settings_are_rejected(tmp_path, key, text):
+    path = tmp_path / "run.yaml"
+    path.write_text(f"seed: 1\nmodel:\n  type: toy\npipeline:\n  {key}: {text}\n")
+    with pytest.raises(ConfigError) as exc:
+        load_config(path)
+    lines = [line.strip() for line in str(exc.value).splitlines()[1:]]
+    assert lines == [f"pipeline.{key}: must be finite"]
 
 
 # --------------------------------------------------------------- loading ---

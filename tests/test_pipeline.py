@@ -26,7 +26,7 @@ from helpers import (
     reference_pdf,
     toy_pf_exact,
 )
-from fpfkit.reliability import ChainParams, direct_mcs
+from fpfkit.reliability import BURN_IN, direct_mcs
 from fpfkit.streams import Streams
 
 
@@ -315,10 +315,8 @@ def test_pipeline_rejects_degenerate_first_level():
 def test_pipeline_requires_budget_beyond_burn_in():
     model = ToyModel()
     space = DesignSpace(((0.0, 4.0),))
-    cfg = PipelineConfig(
-        pilot_budget=500, iteration_budget=5, max_iterations=1,
-        chains=ChainParams(burn_in=10),
-    )
+    cfg = PipelineConfig(pilot_budget=500, iteration_budget=5, max_iterations=1)
+    assert cfg.iteration_budget <= BURN_IN
     with pytest.raises(ConvergenceError, match="burn-in"):
         run_pipeline(model, space, toy_variable_specs(), cfg, Streams(np.random.SeedSequence(1)))
 

@@ -15,7 +15,8 @@ from fpfkit.errors import ConvergenceError, RegionPopulationError
 from fpfkit.model import DesignSpace, SampleSet, sample_theta
 from fpfkit.regions import RegionIndicator
 from fpfkit.reliability import (
-    ChainParams,
+    BURN_IN,
+    MAX_CHAINS,
     _distinct_states,
     direct_mcs,
     mmh_chain,
@@ -219,12 +220,11 @@ def test_populate_region_makes_at_most_one_model_call_per_step():
     pilot = direct_mcs(model, space, specs, 3000, np.random.default_rng(6))
     region = RegionIndicator([[[1.5], [4.0]]], (4.0,))
     n_seeds = int(np.count_nonzero(region.contains(pilot.samples.phi)))
-    params = ChainParams()
-    n_chains = min(n_seeds, params.max_chains)
+    n_chains = min(n_seeds, MAX_CHAINS)
     assert n_chains > 1
     before = model.n_evaluations
     model.calls.clear()
-    populate_region(pilot.samples, region, model, space, specs, 1000, params,
+    populate_region(pilot.samples, region, model, space, specs, 1000,
                     Streams(np.random.SeedSequence(7)))
     assert 0 < len(model.calls) <= 1000 // n_chains
     assert sum(model.calls) == model.n_evaluations - before
@@ -247,15 +247,13 @@ def test_populate_region_reaches_target_and_keeps_seeds():
     pilot = direct_mcs(model, space, specs, 3000, np.random.default_rng(6))
     region = RegionIndicator([[[1.5], [4.0]]], (4.0,))
     seeds = pilot.samples[region.contains(pilot.samples.phi)]
-    params = ChainParams()
-    n_chains = min(len(seeds), params.max_chains)
-    assert 1 < n_chains and 1000 // n_chains > params.burn_in
+    n_chains = min(len(seeds), MAX_CHAINS)
+    assert 1 < n_chains and 1000 // n_chains > BURN_IN
     out = populate_region(
-        pilot.samples, region, model, space, specs, 1000,
-        params, Streams(np.random.SeedSequence(7)),
+        pilot.samples, region, model, space, specs, 1000, Streams(np.random.SeedSequence(7)),
     )
     # every chain takes budget // n_chains steps and drops its burn-in
-    assert len(out) == len(seeds) + n_chains * (1000 // n_chains - params.burn_in)
+    assert len(out) == len(seeds) + n_chains * (1000 // n_chains - BURN_IN)
     # retained seeds lead the output, in order
     assert np.array_equal(out.phi[: len(seeds)], seeds.phi)
     assert np.all(model.margin(out.performance) <= 0.0)
@@ -267,9 +265,9 @@ def test_populate_region_is_deterministic():
     pilot = direct_mcs(model, space, specs, 3000, np.random.default_rng(6))
     region = RegionIndicator([[[1.5], [4.0]]], (4.0,))
     a = populate_region(pilot.samples, region, ToyModel(), space, specs, 400,
-                        ChainParams(), Streams(np.random.SeedSequence(7)))
+                        Streams(np.random.SeedSequence(7)))
     b = populate_region(pilot.samples, region, ToyModel(), space, specs, 400,
-                        ChainParams(), Streams(np.random.SeedSequence(7)))
+                        Streams(np.random.SeedSequence(7)))
     assert len(a) == len(b)
     assert np.array_equal(a.phi, b.phi) and np.array_equal(a.theta, b.theta)
 
@@ -279,16 +277,16 @@ def test_populate_region_refuses_a_budget_that_cannot_cover_the_burn_in():
     pilot = direct_mcs(model, space, specs, 3000, np.random.default_rng(6))
     region = RegionIndicator([[[1.5], [4.0]]], (4.0,))
     n_chains = int(np.count_nonzero(region.contains(pilot.samples.phi)))
-    assert 1 < n_chains < ChainParams().max_chains
+    assert 1 < n_chains < MAX_CHAINS
     # 11 steps per chain run past a burn-in of 10; 10 steps do not
-    params = ChainParams(burn_in=10)
+    assert BURN_IN == 10
     out = populate_region(pilot.samples, region, model, space, specs, 11 * n_chains + 1,
-                          params, Streams(np.random.SeedSequence(0)))
+                          Streams(np.random.SeedSequence(0)))
     assert len(out) == 2 * n_chains
     before = model.n_evaluations
     with pytest.raises(ConvergenceError, match="burn-in"):
         populate_region(pilot.samples, region, model, space, specs, 11 * n_chains - 1,
-                        params, Streams(np.random.SeedSequence(0)))
+                        Streams(np.random.SeedSequence(0)))
     assert model.n_evaluations == before
 
 
@@ -299,7 +297,7 @@ def test_populate_region_requires_a_seed_inside():
     assert not region.contains(pilot.samples.phi).any()
     with pytest.raises(RegionPopulationError) as exc:
         populate_region(pilot.samples, region, model, space, specs, 100,
-                        ChainParams(), Streams(np.random.SeedSequence(0)))
+                        Streams(np.random.SeedSequence(0)))
     assert exc.value.partial is pilot.samples
 
 
@@ -365,11 +363,3 @@ def test_subset_simulation_gives_up_beyond_max_levels():
         subset_simulation(model, space, specs, 1000, 0.1,
                           Streams(np.random.SeedSequence(12)), max_levels=3)
 
-
-def test_chain_params_validation():
-    with pytest.raises(ValueError):
-        ChainParams(burn_in=-1)
-    with pytest.raises(ValueError):
-        ChainParams(max_chains=0)
-    with pytest.raises(ValueError):
-        ChainParams(scale_factor=0.0)

@@ -230,7 +230,8 @@ def test_toy_rare_fit_picks_what_the_cholesky_scan_picks(toy_rare_case):
 
 def test_a_1d_fit_scores_each_multiplier_once(monkeypatch):
     # in 1-D the coordinate sweep meets only the scan's 13 multipliers, so
-    # the 13 scores and the final solve take one eigendecomposition each
+    # the 13 scores take one eigendecomposition each, and the final solve
+    # reuses the winner's
     calls = []
 
     def counted(k, y):
@@ -239,7 +240,13 @@ def test_a_1d_fit_scores_each_multiplier_once(monkeypatch):
 
     monkeypatch.setattr(smoothing, "_eig", counted)
     fit_surface(_line_points(np.linspace(0.0, 1.0, 9), lambda x: x * x))
-    assert calls == [(9, 9)] * 14
+    assert calls == [(9, 9)] * 13
+    # no search: fixed length scales, or too few points, decompose once
+    calls.clear()
+    fit_surface(_line_points(np.linspace(0.0, 1.0, 9), lambda x: x * x),
+                length_scales=np.array([0.3]))
+    fit_surface(_line_points(np.linspace(0.0, 1.0, 2), lambda x: x * x))
+    assert calls == [(9, 9), (2, 2)]
 
 
 def test_a_ridge_that_is_not_positive_definite_scores_inf():
