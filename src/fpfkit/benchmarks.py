@@ -7,12 +7,9 @@ band. With the Euler-Bernoulli first bending mode,
     omega_1 = lambda_1^2 * sqrt(E * I / (rho * A * L^4)),   lambda_1 = 1.87510...
 
 designs (outer width, outer height) in [30, 50] mm with 2 mm walls give
-omega_1 of roughly 836-1430 rad/s. The constructor's default band keeps the
-classical (550, 600) rad/s setting, which this frequency model cannot reach
-anywhere in that design box (its FPF is ~0 there); benchmark configs
-therefore calibrate the band to bracket the low-design frequencies so the
-failure probability spans several decades across the box. See
-configs/beam.yaml for the calibrated setting used by the acceptance runs.
+omega_1 of roughly 836-1430 rad/s. The model takes its band with no
+default; configs/beam.yaml brackets the low-design frequencies so the failure
+probability spans several decades across the box.
 """
 
 from __future__ import annotations
@@ -39,6 +36,8 @@ _ORACLE_BLOCK = 16384
 
 # the beam's mean wall thickness, mm: the ``t`` spec's mean and the objective's wall
 WALL_MM = 2.0
+# the cantilever's length, mm
+LENGTH_MM = 500.0
 
 
 def _as_arrays(*values):
@@ -73,23 +72,24 @@ def beam_section(b, h, t):
     return area.reshape(shape)[()], inertia.reshape(shape)[()]
 
 
-def objective_mean_area(phi: np.ndarray, wall: float = WALL_MM) -> np.ndarray:
+def objective_mean_area(phi: np.ndarray) -> np.ndarray:
     """Mean cross-sectional area ``(n,)`` of hollow rectangular sections at
     rows ``(n, 2)``, mm^2: ``beam_section``'s area at phi = (outer width,
-    outer height) and wall thickness ``wall``, all at their mean values."""
+    outer height) and wall thickness ``WALL_MM``, all at their mean values."""
     phi = np.asarray(phi, dtype=float)
     b, h = phi[:, 0], phi[:, 1]
-    thin = (b <= 2 * wall) | (h <= 2 * wall)
+    thin = (b <= 2 * WALL_MM) | (h <= 2 * WALL_MM)
     if thin.any():
         bad = phi[np.argmax(thin)]
-        raise ValueError(f"section {bad[0]} x {bad[1]} too small for wall {wall}")
-    return beam_section(b, h, wall)[0]
+        raise ValueError(f"section {bad[0]} x {bad[1]} too small for wall {WALL_MM}")
+    return beam_section(b, h, WALL_MM)[0]
 
 
-def beam_frequency(b, h, t, rho, e_gpa, length_mm: float = 500.0):
-    """First natural frequency (rad/s) of the cantilever box beam.
+def beam_frequency(b, h, t, rho, e_gpa):
+    """First natural frequency (rad/s) of the cantilever box beam of length
+    ``LENGTH_MM``.
 
-    b, h, t in mm; rho in kg/m^3; e_gpa in GPa; length in mm.
+    b, h, t in mm; rho in kg/m^3; e_gpa in GPa.
     """
     shape, (b, h, t, rho, e_gpa) = _as_arrays(b, h, t, rho, e_gpa)
     area, inertia = beam_section(b, h, t)
@@ -100,7 +100,7 @@ def beam_frequency(b, h, t, rho, e_gpa, length_mm: float = 500.0):
     freq *= inertia
     area *= 1e-6
     area *= rho
-    area *= (length_mm * 1e-3) ** 4
+    area *= (LENGTH_MM * 1e-3) ** 4
     freq /= area
     np.sqrt(freq, out=freq)
     freq *= LAMBDA_1**2
@@ -117,7 +117,7 @@ class BoxBeamModel(LimitStateModel):
 
     name = "beam"
 
-    def __init__(self, band: tuple[float, float] = (550.0, 600.0)) -> None:
+    def __init__(self, band: tuple[float, float]) -> None:
         super().__init__()
         lo, hi = band
         if not lo < hi:

@@ -27,6 +27,9 @@ import numpy as np
 
 from .regions import box_volumes
 
+# the additive mass prior of each leaf, and the SIS particles of a search
+ALPHA = 0.5
+N_PARTICLES = 100
 
 # A cut-tree node: the cut's axis and position and its low and high child
 # nodes at a cut, and the leaf index at a leaf (-1 at a cut).
@@ -333,9 +336,6 @@ def bsp_estimate(
     lo: tuple[float, ...],
     hi: tuple[float, ...],
     rng: np.random.Generator,
-    alpha: float = 0.5,
-    beta: float | None = None,
-    n_particles: int = 100,
     max_leaves: int = 64,
 ) -> PiecewiseConstantDensity:
     """Search cut sequences by SIS and return the best-scoring estimate.
@@ -351,23 +351,17 @@ def bsp_estimate(
 
     All particles advance together on arrays (``_Particles``), which count
     the points of each distinct cut box once per level; the returned
-    partition is built from the winner's cut log and leaf counts. ``beta``
-    defaults to log(N).
+    partition is built from the winner's cut log and leaf counts. The search
+    runs ``N_PARTICLES`` particles with the mass prior ``ALPHA`` and the cut
+    penalty beta = log(N) for N samples (0 for one sample).
     """
     points = np.asarray(points, dtype=float)
     n = points.shape[0]
     if n == 0:
         raise ValueError("cannot estimate a density from zero samples")
-    if n_particles < 1:
-        raise ValueError("need at least one particle")
     if max_leaves < 1:
         raise ValueError("max_leaves must be >= 1")
-    if beta is None:
-        beta = math.log(n) if n > 1 else 0.0
-    if not 0 < alpha < math.inf:
-        raise ValueError("alpha must be positive and finite")
-    if not math.isfinite(beta):
-        raise ValueError("beta must be finite")
+    beta = math.log(n) if n > 1 else 0.0
 
     lo, hi = tuple(lo), tuple(hi)
     if points.ndim != 2 or points.shape[1] != len(lo):
@@ -379,13 +373,13 @@ def bsp_estimate(
 
     coords = np.ascontiguousarray(points[np.argsort(points[:, 0])].T)
     top = np.asarray(hi, dtype=float)
-    swarm = _Particles.start(lo, hi, coords, n_particles, max_leaves, alpha, beta)
+    swarm = _Particles.start(lo, hi, coords, N_PARTICLES, max_leaves, ALPHA, beta)
     # the one-leaf score: its log-gamma terms cancel, leaving -beta - N log|box|;
     # 0.0 - beta, not -beta, keeps a zero score +0.0 as the term-by-term sum has it
     base_score = 0.0 - beta - n * math.log(box_volumes(np.array([lo, hi], dtype=float)))
-    rows = np.arange(n_particles)
-    scores = np.full(n_particles, base_score)
-    log_w = np.zeros(n_particles)
+    rows = np.arange(N_PARTICLES)
+    scores = np.full(N_PARTICLES, base_score)
+    log_w = np.zeros(N_PARTICLES)
     best_cuts, best_counts, best_score = swarm.cuts[0, :0], swarm.n[0].copy(), base_score
     stagnant = 0
 
@@ -400,7 +394,7 @@ def bsp_estimate(
         # the normalized cumulative sum (searchsorted side="right")
         cdf = np.cumsum(prob, axis=1)
         cdf /= cdf[:, -1:]
-        choice = np.count_nonzero(cdf <= rng.random(n_particles)[:, None], axis=1)
+        choice = np.count_nonzero(cdf <= rng.random(N_PARTICLES)[:, None], axis=1)
         # SIS weight update: delta_chosen - log q(chosen) = logsumexp(deltas)
         log_w += norm
         scores += deltas[rows, choice]
@@ -417,17 +411,17 @@ def bsp_estimate(
         shifted = np.exp(log_w - np.max(log_w))
         w_norm = shifted / shifted.sum()
         ess = 1.0 / float(np.sum(w_norm**2))
-        if ess < n_particles / 2 and swarm.n_leaves < max_leaves:
+        if ess < N_PARTICLES / 2 and swarm.n_leaves < max_leaves:
             keep = _systematic_resample(w_norm, rng)
             swarm = swarm.take(keep)
             scores = scores[keep]
-            log_w = np.zeros(n_particles)
+            log_w = np.zeros(N_PARTICLES)
 
     best_partition = _partition(lo, hi, best_cuts, best_counts, n)
     return PiecewiseConstantDensity(
         best_partition,
-        _posterior_masses(best_partition, alpha),
-        alpha,
-        float(beta),
+        _posterior_masses(best_partition, ALPHA),
+        ALPHA,
+        beta,
         float(best_score),
     )

@@ -19,7 +19,7 @@ from .reliability import P0
 @dataclass(frozen=True)
 class ModelConfig:
     type: str = "toy"
-    band: tuple[float, float] = (550.0, 600.0)
+    band: tuple[float, float] | None = None
     table_path: str | None = None
 
 
@@ -200,6 +200,8 @@ def parse_config(data: dict) -> RunConfig:
             if not low < high:
                 errors.append("model.band: must be an increasing pair")
     model = ModelConfig(**r.fields(m, _MODEL, "model.", type=mtype, band=band))
+    if model.type == "beam" and band_raw is None:
+        errors.append("model.band: required for the beam model")
     if model.type == "table" and model.table_path is None:
         errors.append("model.table_path: required for the table model")
 

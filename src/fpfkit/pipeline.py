@@ -30,7 +30,7 @@ from .bsp import PiecewiseConstantDensity, bsp_estimate
 from .errors import ConvergenceError, DegenerateThresholdError, RegionPopulationError
 from .model import DesignSpace, LimitStateModel, RandomVariableSpec, SampleSet
 from .regions import RegionIndicator, box_volumes
-from .reliability import P0, FailureEstimate, direct_mcs, populate_region, subset_simulation
+from .reliability import FailureEstimate, direct_mcs, populate_region, subset_simulation
 from .streams import Streams
 
 logger = logging.getLogger(__name__)
@@ -291,7 +291,6 @@ def run_pipeline(
             space,
             specs,
             config.pilot_budget,
-            P0,
             streams,
             max_levels=config.subset.max_levels,
         )

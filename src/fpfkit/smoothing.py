@@ -139,27 +139,23 @@ def _loo_sse(eig: tuple[np.ndarray, ...], lam: float, weights: np.ndarray) -> fl
 
 _MULT_GRID = np.logspace(-1.0, 1.0, 13)
 _NOISE_FRACTIONS = (1e-2, 3e-2, 1e-1, 3e-1)
+# the smallest ridge noise a fit takes
+NOISE_FLOOR = 1e-4
 
 
-def fit_surface(
-    points: SupportPoints,
-    noise_floor: float = 1e-4,
-    length_scales: np.ndarray | None = None,
-) -> RegressionSurface:
+def fit_surface(points: SupportPoints) -> RegressionSurface:
     """Fit the log-density surface.
 
-    With ``length_scales`` unset, per-dimension multipliers of the support
-    spread and the ridge noise are chosen by minimizing the mass-weighted
-    leave-one-out squared error: a shared-multiplier grid scan followed by one
-    coordinate-descent sweep over the dimensions. Weighting by cell mass keeps
-    the sparsely populated deep-tail cells from driving the fit toward
-    oversmoothing. Duplicate locations with conflicting values are a fit
-    error.
+    Per-dimension multipliers of the support spread and the ridge noise are
+    chosen by minimizing the mass-weighted leave-one-out squared error: a
+    shared-multiplier grid scan followed by one coordinate-descent sweep over
+    the dimensions. Weighting by cell mass keeps the sparsely populated
+    deep-tail cells from driving the fit toward oversmoothing. Fewer than
+    three support points take the spread itself and ``NOISE_FLOOR``.
+    Duplicate locations with conflicting values are a fit error.
     """
     if not points:
         raise ValueError("cannot fit a surface to zero support points")
-    if noise_floor <= 0:
-        raise ValueError("noise_floor must be positive")
     x, y, w = points.x, points.log_density, points.weight
 
     seen: dict[tuple, float] = {}
@@ -194,46 +190,40 @@ def fit_surface(
     base = np.where(base > 0, base, 1.0)
 
     r = x[:, None, :] - x[None, :, :]
-    noise = noise_floor
+    noise = NOISE_FLOOR
+    scales = base
     eig = None  # the chosen kernel's decomposition, once the search has made it
-    if length_scales is None:
-        if n < 3:
-            scales = base
-        else:
-            noise_grid = [max(noise_floor, f * signal) for f in _NOISE_FRACTIONS]
-            # the sweep meets vectors the scan or an earlier axis scored, and
-            # a repeat never scores strictly lower, so each is scored once and
-            # a new best is always the vector ``score`` decomposed last
-            last = None
+    if n >= 3:
+        noise_grid = [max(NOISE_FLOOR, f * signal) for f in _NOISE_FRACTIONS]
+        # the sweep meets vectors the scan or an earlier axis scored, and a
+        # repeat never scores strictly lower, so each is scored once and a new
+        # best is always the vector ``score`` decomposed last
+        last = None
 
-            @functools.cache
-            def score(mults: tuple) -> tuple[float, float]:
-                nonlocal last
-                last = _eig(_kernel(r, base * np.array(mults), signal), yc)
-                best = (math.inf, noise_grid[0])
-                for lam in noise_grid:
-                    sse = _loo_sse(last, lam, w)
-                    if sse < best[0]:
-                        best = (sse, lam)
-                return best
+        @functools.cache
+        def score(mults: tuple) -> tuple[float, float]:
+            nonlocal last
+            last = _eig(_kernel(r, base * np.array(mults), signal), yc)
+            best = (math.inf, noise_grid[0])
+            for lam in noise_grid:
+                sse = _loo_sse(last, lam, w)
+                if sse < best[0]:
+                    best = (sse, lam)
+            return best
 
-            best_sse = math.inf
-            mults = (1.0,) * d
+        best_sse = math.inf
+        mults = (1.0,) * d
+        for m in _MULT_GRID:
+            sse, lam = score((m,) * d)
+            if sse < best_sse:
+                best_sse, mults, noise, eig = sse, (m,) * d, lam, last
+        for axis in range(d):
             for m in _MULT_GRID:
-                sse, lam = score((m,) * d)
+                cand = mults[:axis] + (m,) + mults[axis + 1:]
+                sse, lam = score(cand)
                 if sse < best_sse:
-                    best_sse, mults, noise, eig = sse, (m,) * d, lam, last
-            for axis in range(d):
-                for m in _MULT_GRID:
-                    cand = mults[:axis] + (m,) + mults[axis + 1:]
-                    sse, lam = score(cand)
-                    if sse < best_sse:
-                        best_sse, mults, noise, eig = sse, cand, lam, last
-            scales = base * np.array(mults)
-    else:
-        scales = np.asarray(length_scales, dtype=float)
-        if scales.shape != (d,) or np.any(scales <= 0):
-            raise ValueError("length_scales must be positive with one entry per axis")
+                    best_sse, mults, noise, eig = sse, cand, lam, last
+        scales = base * np.array(mults)
 
     if eig is None:
         eig = _eig(_kernel(r, scales, signal), yc)

@@ -322,21 +322,19 @@ def reference_bsp_estimate(
     lo: tuple[float, ...],
     hi: tuple[float, ...],
     rng: np.random.Generator,
-    alpha: float = 0.5,
-    beta: float | None = None,
-    n_particles: int = 100,
     max_leaves: int = 64,
 ) -> PiecewiseConstantDensity:
     """The SIS search one particle at a time, each holding a partition tree:
     scipy's ``logsumexp`` and one ``Generator.choice`` per particle and level,
     and ``propose_cut`` for every cut. The search stops before a level at
-    which some particle has no candidate cut left."""
+    which some particle has no candidate cut left. It runs 100 particles with
+    alpha = 0.5 and beta = log(N), as ``bsp_estimate`` does."""
     points = np.asarray(points, dtype=float)
     if points.ndim == 1:
         points = points[:, None]
     n = points.shape[0]
-    if beta is None:
-        beta = math.log(n) if n > 1 else 0.0
+    alpha, n_particles = 0.5, 100
+    beta = math.log(n) if n > 1 else 0.0
 
     base = root_partition(points, lo, hi)
     base_score = log_partition_score(base, alpha, beta)
@@ -492,9 +490,11 @@ def _reference_loo_sse(k: np.ndarray, y: np.ndarray, lam: float, weights: np.nda
     return float(np.sum(weights * (coef / diag) ** 2))
 
 
-def reference_fit_surface(points, noise_floor: float = 1e-4) -> RegressionSurface:
+def reference_fit_surface(points) -> RegressionSurface:
     """``fit_surface``'s multiplier and noise scan with a Cholesky solve per
-    ridge, for support points at distinct locations."""
+    ridge, for support points at distinct locations, with a noise floor of
+    1e-4."""
+    noise_floor = 1e-4
     x, y = points.x, points.log_density
     w = points.weight / points.weight.sum()
     n, d = x.shape
@@ -536,6 +536,21 @@ def reference_fit_surface(points, noise_floor: float = 1e-4) -> RegressionSurfac
                 best_sse, mults, noise = sse, cand, lam
     scales = base * mults
     coef = cho_solve(cho_factor(kernel(scales) + noise * np.eye(n)), yc)
+    return RegressionSurface(x, coef, scales, signal, noise, y_mean)
+
+
+def fixed_scale_surface(points, length_scales, noise: float) -> RegressionSurface:
+    """A kernel ridge surface through support points at distinct locations,
+    with the given length scales and ridge noise: ``fit_surface``'s centring
+    and signal variance, and one Cholesky solve."""
+    x, y = points.x, points.log_density
+    y_mean = float(np.mean(y))
+    yc = y - y_mean
+    signal = float(np.var(yc)) or 1.0
+    scales = np.asarray(length_scales, dtype=float)
+    z = (x[:, None, :] - x[None, :, :]) / scales
+    k = signal * np.exp(-0.5 * (z * z).sum(axis=-1))
+    coef = cho_solve(cho_factor(k + noise * np.eye(len(x))), yc)
     return RegressionSurface(x, coef, scales, signal, noise, y_mean)
 
 
@@ -591,8 +606,9 @@ def reference_point_estimate(model, specs, phi, n, seq) -> tuple[float, float]:
     return pf, cov
 
 
-def reference_beam_frequency(b, h, t, rho, e_gpa, length_mm: float = 500.0):
-    """Beam frequency with one fresh array per operation."""
+def reference_beam_frequency(b, h, t, rho, e_gpa):
+    """Beam frequency of the 500 mm cantilever with one fresh array per
+    operation."""
     b = np.asarray(b, dtype=float)
     h = np.asarray(h, dtype=float)
     t = np.asarray(t, dtype=float)
@@ -602,7 +618,7 @@ def reference_beam_frequency(b, h, t, rho, e_gpa, length_mm: float = 500.0):
     inertia = (b * h**3 - bi * hi**3) / 12.0
     area_m2 = area * 1e-6
     inertia_m4 = inertia * 1e-12
-    length_m = length_mm * 1e-3
+    length_m = 500.0 * 1e-3
     e_pa = np.asarray(e_gpa, dtype=float) * 1e9
     rho = np.asarray(rho, dtype=float)
     return LAMBDA_1**2 * np.sqrt(e_pa * inertia_m4 / (rho * area_m2 * length_m**4))

@@ -138,6 +138,21 @@ def test_a_missing_table_is_a_config_error_and_writes_nothing(tmp_path, command)
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["run", "grid"])
+def test_a_beam_config_without_a_band_is_a_config_error_and_writes_nothing(
+    tmp_path, caplog, command
+):
+    text = (_REPO / "configs" / "beam.yaml").read_text()
+    assert "  band: [700.0, 900.0]\n" in text
+    cfg = tmp_path / "beam.yaml"
+    cfg.write_text(text.replace("  band: [700.0, 900.0]\n", ""))
+    out = tmp_path / "o"
+    code = cli.main([command, "--config", str(cfg), "--output", str(out)])
+    assert code == cli.EXIT_CONFIG
+    assert not out.exists()
+    assert "model.band: required for the beam model" in caplog.text
+
+
 _TWO_AXIS_TABLE = ["phi_1,phi_2,pf", "0.0,0.0,0.1", "0.0,1.0,0.2", "1.0,0.0,0.3", "1.0,1.0,0.4"]
 
 

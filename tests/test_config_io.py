@@ -45,7 +45,7 @@ def test_minimal_config_fills_every_default():
     cfg = parse_config(_minimal())
     assert cfg.seed == 1
     assert cfg.model.type == "toy"
-    assert cfg.model.band == (550.0, 600.0)
+    assert cfg.model.band is None
     assert cfg.model.table_path is None
     assert cfg.bounds is None
     p = cfg.pipeline
@@ -142,6 +142,9 @@ def test_band_validation():
             parse_config(_minimal(model={"type": "beam", "band": wrong_length}))
     cfg = parse_config(_minimal(model={"type": "beam", "band": [700, 900]}))
     assert cfg.model.band == (700.0, 900.0)
+    with pytest.raises(ConfigError) as exc:
+        parse_config(_minimal(model={"type": "beam"}))
+    assert str(exc.value).splitlines()[1:] == ["  model.band: required for the beam model"]
 
 
 def test_table_model_requires_a_path():
@@ -225,7 +228,7 @@ def test_with_seed_and_resolved_echo():
     assert cfg.seed == 1
     echo = cfg.resolved()
     assert echo["seed"] == 1
-    assert echo["model"]["band"] == [550.0, 600.0]
+    assert echo["model"]["band"] is None
     assert echo["pipeline"]["bsp"]["max_leaves"] == 64
     assert "chains" not in echo["pipeline"]
     assert echo["optimization"]["allowable"] == []

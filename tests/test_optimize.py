@@ -54,8 +54,8 @@ def _reported(found: Optima, k: int = 0) -> dict:
 def test_mean_area_of_a_hollow_section():
     areas = objective_mean_area(np.array([[40.0, 40.0], [30.0, 30.0]]))
     assert areas.tolist() == pytest.approx([304.0, 224.0])
-    # 10x20 with wall 1: 200 - 8*18
-    assert objective_mean_area(np.array([[10.0, 20.0]]), wall=1.0) == pytest.approx([56.0])
+    # 10x20 with the 2 mm wall: 200 - 6*16
+    assert objective_mean_area(np.array([[10.0, 20.0]])) == pytest.approx([104.0])
 
 
 def test_mean_area_rejects_sections_thinner_than_the_walls():

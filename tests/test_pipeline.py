@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from fpfkit import pipeline
 from fpfkit.benchmarks import ToyModel, toy_variable_specs
 from fpfkit.bsp import bsp_estimate
+from fpfkit.config import load_config
 from fpfkit.errors import ConvergenceError, DegenerateThresholdError, RegionPopulationError
 from fpfkit.model import DesignSpace
 from fpfkit.pipeline import (
@@ -27,7 +28,9 @@ from helpers import (
     toy_pf_exact,
 )
 from fpfkit.reliability import BURN_IN, direct_mcs
+from fpfkit.runner import run_command
 from fpfkit.streams import Streams
+from tests.conftest import REPO_ROOT
 
 
 def test_threshold_splits_off_the_lowest_density_mass():
@@ -290,6 +293,19 @@ def test_pipeline_escalates_a_pilot_with_a_single_failure():
     exact = float(toy_pf_exact(3.0, 4.0))
     assert 0.5 * exact < chain.pf < 2.0 * exact
     assert approx.fpf(np.array([[3.0]]))[0] > 0.0
+
+
+@pytest.mark.parametrize(
+    "seed",
+    [
+        1900002,  # wraps a repeated chain state in leaves a few ulps wide
+        3500000,  # the pilot sees exactly one failure
+    ],
+)
+def test_toy_rare_runs_that_once_crashed_finish_under_subset_simulation(tmp_path, seed):
+    config = load_config(REPO_ROOT / "bench" / "toy_rare.yaml").with_seed(seed)
+    manifest = run_command(config, tmp_path, base_dir=REPO_ROOT / "bench")
+    assert manifest["chain"]["pilot_method"] == "subset-simulation"
 
 
 def test_pipeline_raises_when_even_subset_finds_nothing():

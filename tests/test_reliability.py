@@ -233,7 +233,7 @@ def test_populate_region_makes_at_most_one_model_call_per_step():
 def test_subset_simulation_makes_at_most_one_model_call_per_step():
     _, _, specs = _toy()
     model = CountingToy()
-    est = subset_simulation(model, DesignSpace(((3.0, 4.0),)), specs, 2000, 0.1,
+    est = subset_simulation(model, DesignSpace(((3.0, 4.0),)), specs, 2000,
                             Streams(np.random.SeedSequence(10)))
     steps_per_level = 2000 // 200 - 1
     assert est.n_levels >= 3
@@ -305,8 +305,7 @@ def test_subset_simulation_estimates_a_rare_toy_probability():
     """Design box [3, 4]: P(F) = 3.75e-4, far beyond a 2000-draw pilot."""
     model, _, specs = _toy()
     space = DesignSpace(((3.0, 4.0),))
-    est = subset_simulation(model, space, specs, 2000, 0.1,
-                            Streams(np.random.SeedSequence(10)))
+    est = subset_simulation(model, space, specs, 2000, Streams(np.random.SeedSequence(10)))
     exact = toy_pf_exact(3.0, 4.0)
     assert est.method == "subset-simulation"
     assert est.n_levels >= 3
@@ -318,8 +317,7 @@ def test_subset_simulation_estimates_a_rare_toy_probability():
 
 def test_subset_simulation_agrees_with_direct_mcs_when_failures_are_common():
     model, space, specs = _toy()
-    est = subset_simulation(model, space, specs, 4000, 0.1,
-                            Streams(np.random.SeedSequence(11)))
+    est = subset_simulation(model, space, specs, 4000, Streams(np.random.SeedSequence(11)))
     assert est.n_levels == 1  # fails at level zero already
     assert est.pf == pytest.approx(toy_pf_exact(), rel=0.15)
 
@@ -327,20 +325,9 @@ def test_subset_simulation_agrees_with_direct_mcs_when_failures_are_common():
 def test_subset_simulation_validates_inputs():
     model, space, specs = _toy()
     with pytest.raises(ValueError):
-        subset_simulation(model, space, specs, 0, 0.1, Streams(np.random.SeedSequence(0)))
-    with pytest.raises(ValueError):
-        subset_simulation(model, space, specs, 1000, 1.5, Streams(np.random.SeedSequence(0)))
+        subset_simulation(model, space, specs, 0, Streams(np.random.SeedSequence(0)))
     with pytest.raises(ValueError, match="integer"):
-        subset_simulation(model, space, specs, 1001, 0.1, Streams(np.random.SeedSequence(0)))
-
-
-@pytest.mark.parametrize("p0", [0.3, 0.4])
-def test_subset_simulation_rejects_a_level_that_is_not_whole_chains(p0):
-    """8000 * 0.3 = 2400 seeds cannot regrow 8000 states in equal chains."""
-    model, space, specs = _toy()
-    with pytest.raises(ValueError, match="multiple"):
-        subset_simulation(model, space, specs, 8000, p0, Streams(np.random.SeedSequence(0)))
-    assert model.n_evaluations == 0
+        subset_simulation(model, space, specs, 1001, Streams(np.random.SeedSequence(0)))
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
@@ -360,6 +347,6 @@ def test_subset_simulation_gives_up_beyond_max_levels():
     model, _, specs = _toy()
     space = DesignSpace(((8.0, 9.0),))  # pf ~ 1e-16, unreachable in 3 levels
     with pytest.raises(ConvergenceError):
-        subset_simulation(model, space, specs, 1000, 0.1,
+        subset_simulation(model, space, specs, 1000,
                           Streams(np.random.SeedSequence(12)), max_levels=3)
 

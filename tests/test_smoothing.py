@@ -19,6 +19,7 @@ from fpfkit.smoothing import (
     fit_surface,
 )
 from helpers import (
+    fixed_scale_surface,
     reference_fit_surface,
     reference_predict,
     reference_smoothed,
@@ -105,11 +106,7 @@ def test_support_point_weights_sum_to_the_retained_mass(toy_case):
 def test_fit_interpolates_a_smooth_function_with_explicit_scales():
     xs = np.linspace(0.0, 2.0, 25)
     f = lambda x: 1.0 + 0.5 * math.sin(3.0 * x)
-    surface = fit_surface(
-        _line_points(xs, f), noise_floor=1e-9, length_scales=np.array([0.5])
-    )
-    assert np.array_equal(surface.length_scales, np.array([0.5]))
-    assert surface.noise_floor == 1e-9
+    surface = fixed_scale_surface(_line_points(xs, f), [0.5], 1e-9)
     for x, value in zip(xs, surface.predict(xs[:, None])):
         assert value == pytest.approx(f(x), abs=1e-4)
     mids = (xs[:-1] + xs[1:]) / 2
@@ -119,10 +116,7 @@ def test_fit_interpolates_a_smooth_function_with_explicit_scales():
 
 def test_predict_batch_matches_scalar_predict():
     xs = np.linspace(0.0, 1.0, 8)
-    surface = fit_surface(
-        _line_points(xs, lambda x: x * x), noise_floor=1e-6,
-        length_scales=np.array([0.3]),
-    )
+    surface = fixed_scale_surface(_line_points(xs, lambda x: x * x), [0.3], 1e-6)
     phis = np.array([[0.1], [0.55], [0.9]])
     batch = surface.predict(phis)
     assert batch.shape == (3,)
@@ -133,9 +127,7 @@ def test_predict_batch_matches_scalar_predict():
 def test_surface_gradient_matches_central_differences_1d():
     xs = np.linspace(0.0, 2.0, 25)
     f = lambda x: 1.0 + 0.5 * math.sin(3.0 * x)
-    surface = fit_surface(
-        _line_points(xs, f), noise_floor=1e-9, length_scales=np.array([0.5])
-    )
+    surface = fixed_scale_surface(_line_points(xs, f), [0.5], 1e-9)
     h = 1e-5
     xs = np.array([[0.3], [0.9], [1.4], [1.7]])
     fds = (surface.predict(xs + h) - surface.predict(xs - h)) / (2 * h)
@@ -147,9 +139,7 @@ def test_surface_gradient_matches_central_differences_2d():
     rng = np.random.default_rng(5)
     x = rng.uniform(0.0, 1.0, size=(30, 2))
     f = lambda p: math.sin(2 * p[0]) + 0.5 * p[1] ** 2
-    surface = fit_surface(
-        _support(x, [f(xi) for xi in x]), noise_floor=1e-8, length_scales=np.array([0.4, 0.4])
-    )
+    surface = fixed_scale_surface(_support(x, [f(xi) for xi in x]), [0.4, 0.4], 1e-8)
     h = 1e-5
     rows = rng.uniform(0.1, 0.9, size=(5, 2))
     fds = np.column_stack(
@@ -163,7 +153,7 @@ def test_auto_length_scales_track_a_linear_trend():
     xs = np.linspace(0.0, 1.0, 12)
     f = lambda x: 2.0 * x - 0.5
     points = _support(xs[:, None], f(xs), weight=0.5 + xs)
-    surface = fit_surface(points, noise_floor=1e-6)
+    surface = fit_surface(points)
     assert surface.length_scales.shape == (1,)
     assert surface.length_scales[0] > 0
     probes = np.concatenate([xs, (xs[:-1] + xs[1:]) / 2])
@@ -173,8 +163,9 @@ def test_auto_length_scales_track_a_linear_trend():
 
 def test_two_support_points_fall_back_to_the_sample_spread():
     points = _support([[0.0], [1.0]], [0.0, 1.0])
-    surface = fit_surface(points, noise_floor=1e-4)
+    surface = fit_surface(points)
     assert np.array_equal(surface.length_scales, np.array([0.5]))
+    assert surface.noise_floor == smoothing.NOISE_FLOOR
     assert surface.predict(np.array([[0.5]]))[0] == pytest.approx(0.5, abs=1e-3)
 
 
@@ -182,26 +173,19 @@ def test_duplicate_locations_collapse_when_values_agree():
     xs = np.linspace(0.0, 1.0, 6)
     x = np.append(xs, xs[2])
     points = _support(x[:, None], x, level=[0] * 6 + [1], weight=[1.0] * 6 + [0.3])
-    surface = fit_surface(points, noise_floor=1e-6, length_scales=np.array([0.4]))
+    surface = fit_surface(points)
     assert len(surface.x) == len(xs)
 
 
 def test_conflicting_duplicate_values_are_rejected():
     points = _support([[0.5], [0.5], [0.9]], [1.0, 2.0, 0.0], level=[0, 1, 0])
     with pytest.raises(ValueError, match="conflicting"):
-        fit_surface(points, noise_floor=1e-6)
+        fit_surface(points)
 
 
 def test_fit_surface_validation():
     with pytest.raises(ValueError, match="zero support points"):
         fit_surface(_support(np.empty((0, 1)), []))
-    points = _line_points(np.linspace(0, 1, 5), lambda x: x)
-    with pytest.raises(ValueError, match="noise_floor"):
-        fit_surface(points, noise_floor=0.0)
-    with pytest.raises(ValueError, match="length_scales"):
-        fit_surface(points, length_scales=np.array([0.5, 0.5]))
-    with pytest.raises(ValueError, match="length_scales"):
-        fit_surface(points, length_scales=np.array([-0.5]))
 
 
 def _assert_fit_matches_the_cholesky_scan(case):
@@ -241,12 +225,10 @@ def test_a_1d_fit_scores_each_multiplier_once(monkeypatch):
     monkeypatch.setattr(smoothing, "_eig", counted)
     fit_surface(_line_points(np.linspace(0.0, 1.0, 9), lambda x: x * x))
     assert calls == [(9, 9)] * 13
-    # no search: fixed length scales, or too few points, decompose once
+    # no search: too few points decompose once
     calls.clear()
-    fit_surface(_line_points(np.linspace(0.0, 1.0, 9), lambda x: x * x),
-                length_scales=np.array([0.3]))
     fit_surface(_line_points(np.linspace(0.0, 1.0, 2), lambda x: x * x))
-    assert calls == [(9, 9), (2, 2)]
+    assert calls == [(2, 2)]
 
 
 def test_a_ridge_that_is_not_positive_definite_scores_inf():
@@ -256,11 +238,15 @@ def test_a_ridge_that_is_not_positive_definite_scores_inf():
     assert math.isfinite(_loo_sse(eig, 0.3, np.full(3, 1 / 3)))
 
 
-def test_a_fit_that_is_not_positive_definite_raises():
-    # an all-ones kernel is singular, and a ridge of 1e-300 does not lift it
-    points = _line_points(np.linspace(0, 1, 6), lambda x: x)
+def test_a_fit_that_is_not_positive_definite_raises(monkeypatch):
+    # when the search scores every candidate inf, the fit solves at the
+    # support's std as length scale and the noise floor; 40 points a tenth of
+    # that std apart make the kernel numerically singular, and a signal
+    # variance of ~1e21 swamps the floor
+    monkeypatch.setattr(smoothing, "_loo_sse", lambda eig, lam, weights: math.inf)
+    points = _line_points(np.linspace(0, 1, 40), lambda x: 1e11 * x)
     with pytest.raises(np.linalg.LinAlgError, match="not positive definite"):
-        fit_surface(points, noise_floor=1e-300, length_scales=np.array([1e9]))
+        fit_surface(points)
 
 
 # ---------------------------------------------------------- smoothed FPF ---
